@@ -24,8 +24,7 @@ from .kernels import (
 )
 from .assembly import (
     BlockSystem,
-    approx_system,
-    basis_matrix,
+    approx_parts,
     cpd_check,
     exact_system,
     interp_system,
@@ -44,6 +43,7 @@ from .approx_smoother import (
     SmootherComparison,
     compare,
     fit_approx,
+    fit_parts,
     grid_density,
     make_grid,
     parse_grid,
@@ -51,6 +51,7 @@ from .approx_smoother import (
 from .study import (
     DensityFit,
     Region,
+    RepresenterData,
     RhoCoupling,
     StudyReport,
     SweepConfig,
@@ -59,7 +60,6 @@ from .study import (
     density_law,
     exponential_sizes,
     gen_uniform,
-    representer_data,
     rho_search,
 )
 from .io import DataTable, load_model, read_csv, save_model

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DEFAULT_CHUNK, approx_parts, solve_block
+from .assembly import DEFAULT_CHUNK, ApproxParts, approx_parts, solve_block
 from .errors import ParameterError, ParseError
 from .exact_smoother import functional_value
 from .interpolant import FittedModel, eval_model, seminorm_sq_diff
@@ -109,15 +109,22 @@ def fit_approx(
     chunk: int = DEFAULT_CHUNK,
 ) -> FittedModel:
     """Fit the Approximate smoother with centers X' and parameter rho."""
-    if rho <= 0:
+    if rho <= 0:  # fail before the O(N N'^2) assembly, not after it
         raise ParameterError(f"rho must be > 0, got {rho}")
-    Xp = as_points(Xp, frame.d)
-    parts = approx_parts(spec, frame, X, y, Xp, chunk=chunk)
+    return fit_parts(approx_parts(spec, frame, X, y, Xp, chunk=chunk), rho)
+
+
+def fit_parts(parts: ApproxParts, rho: float) -> FittedModel:
+    """Solve prebuilt approximate-system blocks at rho and wrap the model.
+
+    Build the parts once with `approx_parts` and call this per rho to
+    reuse the O(N N'^2) assembly across a rho search.
+    """
     sys = parts.system(rho)
     alpha, beta, _gamma = sys.split(solve_block(sys))  # multiplier discarded
     return FittedModel(
-        spec=spec, frame=frame, centers=Xp, v=alpha, beta=beta,
-        kind="approx_smoother", rho=rho,
+        spec=parts.spec, frame=parts.frame, centers=parts.centers, v=alpha,
+        beta=beta, kind="approx_smoother", rho=rho,
     )
 
 

@@ -16,7 +16,7 @@ peak memory stays O(N' * chunk).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -44,11 +44,6 @@ class BlockSystem:
         return tuple(np.split(solution, np.cumsum(self.layout)[:-1]))
 
 
-def basis_matrix(spec: KernelSpec, Y, Z) -> np.ndarray:
-    """Basis function matrix G_{Y,Z} with entries G(y_i - z_j)."""
-    return kernel_matrix(spec, Y, Z)
-
-
 def _require_unisolvent(frame: PolyFrame, X, what: str):
     if not is_unisolvent(frame, X):
         raise UnisolvencyError(f"{what} is not {frame.theta}-unisolvent")
@@ -64,7 +59,7 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
         raise ParameterError(f"y must have length {N}, got {y.shape}")
     P = unisolvency_matrix(frame, X)
     A = np.zeros((N + M, N + M))
-    A[:N, :N] = basis_matrix(spec, X, X)
+    A[:N, :N] = kernel_matrix(spec, X, X)
     A[:N, N:] = P
     A[N:, :N] = P.T
     rhs = np.concatenate([y, np.zeros(M)])
@@ -77,9 +72,9 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
         raise ParameterError(f"rho must be >= 0, got {rho}")
     base = interp_system(spec, frame, X, y)
     N = base.layout[0]
-    A = base.matrix.copy()
-    A[:N, :N] += (2.0 * np.pi) ** (spec.d / 2.0) * N * rho * np.eye(N)
-    return BlockSystem(matrix=A, rhs=base.rhs, layout=base.layout, provenance="exact")
+    diag = np.arange(N)
+    base.matrix[diag, diag] += (2.0 * np.pi) ** (spec.d / 2.0) * N * rho
+    return replace(base, provenance="exact")
 
 
 @dataclass(frozen=True)
@@ -91,6 +86,8 @@ class ApproxParts:
     """
 
     spec: KernelSpec
+    frame: PolyFrame
+    centers: np.ndarray  # X', (N', d)
     G_pp: np.ndarray  # G_{X',X'}, (N', N')
     BBt: np.ndarray  # G_{X',X} G_{X,X'}, (N', N')
     BP: np.ndarray  # G_{X',X} P_X, (N', M)
@@ -136,7 +133,7 @@ def approx_parts(
     Pty = np.zeros(M)
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        B_c = basis_matrix(spec, Xp, X[lo:hi])  # (N', c)
+        B_c = kernel_matrix(spec, Xp, X[lo:hi])  # (N', c)
         P_c = unisolvency_matrix(frame, X[lo:hi])  # (c, M)
         BBt += B_c @ B_c.T
         BP += B_c @ P_c
@@ -145,7 +142,9 @@ def approx_parts(
         Pty += P_c.T @ y[lo:hi]
     return ApproxParts(
         spec=spec,
-        G_pp=basis_matrix(spec, Xp, Xp),
+        frame=frame,
+        centers=Xp,
+        G_pp=kernel_matrix(spec, Xp, Xp),
         BBt=BBt,
         BP=BP,
         PtP=PtP,
@@ -154,19 +153,6 @@ def approx_parts(
         Pty=Pty,
         N=N,
     )
-
-
-def approx_system(
-    spec: KernelSpec,
-    frame: PolyFrame,
-    X,
-    y,
-    Xp,
-    rho: float,
-    chunk: int = DEFAULT_CHUNK,
-) -> BlockSystem:
-    """Approximate-smoother system over centers X'; size N' + 2M."""
-    return approx_parts(spec, frame, X, y, Xp, chunk=chunk).system(rho)
 
 
 def solve_block(sys: BlockSystem) -> np.ndarray:
@@ -221,7 +207,7 @@ def cpd_check(spec: KernelSpec, frame: PolyFrame, X, trials: int, seed=0) -> boo
         raise ParameterError("trials must be >= 1")
     P = unisolvency_matrix(frame, X)
     Q, _ = np.linalg.qr(P)
-    G = basis_matrix(spec, X, X)
+    G = kernel_matrix(spec, X, X)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         v = rng.standard_normal(len(X))

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .approx_smoother import compare, fit_approx, make_grid, parse_grid
+from .approx_smoother import compare, fit_approx, fit_parts, make_grid, parse_grid
+from .assembly import approx_parts
 from .errors import BfsmoothError, InputError, ParseError, SolveError
 from .exact_smoother import diagnostics, fit_exact
 from .interpolant import eval_model, fit_interpolant
@@ -249,21 +251,7 @@ def _run_study(args) -> int:
     spec = parse_kernel(args.kernel, theta=args.theta, d=table.d)
     frame = PolyFrame(d=table.d, theta=args.theta)
     Xp = make_grid(parse_grid(args.grid), theta=args.theta)
-    from .assembly import approx_parts
-    from .interpolant import FittedModel
-
-    parts = approx_parts(spec, frame, table.X, table.y, Xp)
-
-    def fitter(rho: float) -> FittedModel:
-        from .assembly import solve_block
-
-        sys_ = parts.system(rho)
-        alpha, beta, _ = sys_.split(solve_block(sys_))
-        return FittedModel(
-            spec=spec, frame=frame, centers=Xp, v=alpha, beta=beta,
-            kind="approx_smoother", rho=rho,
-        )
-
+    fitter = partial(fit_parts, approx_parts(spec, frame, table.X, table.y, Xp))
     if args.error_grid:
         if not args.data_fn:
             raise InputError("--error-grid requires --data-fn")

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import basis_matrix, interp_system, solve_block
+from .assembly import interp_system, solve_block
 from .errors import ContractError, ParameterError
-from .kernels import KernelSpec
-from .polyspace import PolyFrame, as_points, unisolvency_matrix
+from .kernels import KernelSpec, kernel_matrix
+from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
 
 CONSTRAINT_RTOL = 1e-8
 INTERP_RTOL = 1e-8
@@ -74,11 +74,9 @@ def eval_model(model: FittedModel, x):
     pts = as_points(x, model.frame.d)
     values = np.zeros(len(pts))
     if len(model.centers):
-        values += basis_matrix(model.spec, pts, model.centers) @ model.v
+        values += kernel_matrix(model.spec, pts, model.centers) @ model.v
     values += model.frame.monomials(pts) @ model.beta
-    if len(values) == 1 and np.ndim(x) < 2:
-        return float(values[0])
-    return values
+    return _maybe_scalar(values, x)
 
 
 def _check_constraint(model: FittedModel):
@@ -92,21 +90,21 @@ def seminorm_sq(model: FittedModel) -> float:
     _check_constraint(model)
     if not len(model.centers):
         return 0.0
-    G = basis_matrix(model.spec, model.centers, model.centers)
+    G = kernel_matrix(model.spec, model.centers, model.centers)
     value = (2.0 * np.pi) ** (model.spec.d / 2.0) * float(model.v @ G @ model.v)
     return max(value, 0.0)
 
 
 def _merged_centers(model1: FittedModel, model2: FittedModel):
     """Signed coefficient union Z1 u Z2 with duplicates merged additively."""
-    merged: dict[tuple, float] = {}
-    for pts, coeffs, sign in ((model1.centers, model1.v, 1.0),
-                              (model2.centers, model2.v, -1.0)):
-        for p, c in zip(pts, coeffs):
-            key = tuple(p)
-            merged[key] = merged.get(key, 0.0) + sign * c
-    Z = np.array(list(merged.keys()))
-    w = np.array(list(merged.values()))
+    Z, inverse = np.unique(
+        np.concatenate([model1.centers, model2.centers]),
+        axis=0, return_inverse=True,
+    )
+    w = np.bincount(
+        inverse.ravel(), weights=np.concatenate([model1.v, -model2.v]),
+        minlength=len(Z),
+    )
     return Z, w
 
 
@@ -124,6 +122,6 @@ def seminorm_sq_diff(model1: FittedModel, model2: FittedModel) -> float:
     Z, w = _merged_centers(model1, model2)
     if not len(Z):
         return 0.0
-    G = basis_matrix(model1.spec, Z, Z)
+    G = kernel_matrix(model1.spec, Z, Z)
     value = (2.0 * np.pi) ** (model1.spec.d / 2.0) * float(w @ G @ w)
     return max(value, 0.0)

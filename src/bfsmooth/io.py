@@ -45,15 +45,15 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # whitespace
 
 
-def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
-    """Read a delimited numeric file into a DataTable.
+def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
+    """Parse the numeric rows of a delimited file into an (n, arity) array.
 
-    The delimiter (comma, tab or whitespace) is auto-detected unless
-    forced.  A single non-numeric leading row is treated as a header.
-    `columns` optionally selects field indices (0-based); the last
-    selected column becomes y.
+    The delimiter (comma, tab or whitespace) is detected once, from the
+    first non-blank line, unless forced; a non-numeric first non-blank
+    line is a header.  Every row must hold `arity` finite fields; when
+    `arity` is None the first data row sets it and must hold at least
+    two.  Errors carry the 1-based line number.
     """
-    path = Path(path)
     lines = [
         (i + 1, stripped)
         for i, raw in enumerate(path.read_text().splitlines())
@@ -64,7 +64,6 @@ def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
     if delimiter is None:
         delimiter = _detect_delimiter(lines[0][1])
     rows = []
-    arity = None
     for pos, (lineno, text) in enumerate(lines):
         fields = _split_line(text, delimiter)
         if columns is not None:
@@ -93,33 +92,27 @@ def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no numeric rows")
-    data = np.array(rows)
-    return DataTable(d=arity - 1, X=data[:, :-1], y=data[:, -1], source=str(path))
+    return np.array(rows)
+
+
+def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
+    """Read a delimited numeric file into a DataTable.
+
+    The delimiter (comma, tab or whitespace) is auto-detected unless
+    forced.  A single non-numeric leading row is treated as a header.
+    `columns` optionally selects field indices (0-based); the last
+    selected column becomes y.
+    """
+    path = Path(path)
+    data = _read_rows(path, delimiter, columns, arity=None)
+    return DataTable(
+        d=data.shape[1] - 1, X=data[:, :-1], y=data[:, -1], source=str(path)
+    )
 
 
 def read_points(path, d: int) -> np.ndarray:
     """Read a delimited file of bare coordinates (d columns per row)."""
-    path = Path(path)
-    rows = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        fields = _split_line(text, _detect_delimiter(text))
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            if not rows and lineno == 1:  # header row
-                continue
-            raise ParseError(f"{path}: non-numeric field", line=lineno) from None
-        if len(row) != d:
-            raise ParseError(
-                f"{path}: expected {d} coordinates, got {len(row)}", line=lineno
-            )
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no numeric rows")
-    return np.array(rows)
+    return _read_rows(Path(path), None, None, arity=d)
 
 
 def _fmt(x: float) -> str:

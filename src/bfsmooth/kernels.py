@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, ParameterError, ParseError
-from .polyspace import UnisolventFrame, as_points
+from .polyspace import UnisolventFrame, _maybe_scalar, as_points
 
 FAMILIES = ("thinplate", "shifted-tps", "mq", "imq", "gauss")
 
@@ -129,13 +129,6 @@ def _profile(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
             )
         return out
     return (-1.0) ** math.ceil(spec.s) * r2**spec.s
-
-
-def _maybe_scalar(values: np.ndarray, original) -> float | np.ndarray:
-    # Single points passed as scalars/1-d sequences come back as floats.
-    if len(values) == 1 and np.ndim(original) < 2:
-        return float(values[0])
-    return values
 
 
 def kernel_eval(spec: KernelSpec, x):

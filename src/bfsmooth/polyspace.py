@@ -88,6 +88,13 @@ def as_points(points, d: int) -> np.ndarray:
     return pts
 
 
+def _maybe_scalar(values: np.ndarray, original) -> float | np.ndarray:
+    # Single points passed as scalars/1-d sequences come back as floats.
+    if len(values) == 1 and np.ndim(original) < 2:
+        return float(values[0])
+    return values
+
+
 def unisolvency_matrix(frame: PolyFrame, X) -> np.ndarray:
     """The N x M matrix P_X with entries monomial_j(x_i)."""
     return frame.monomials(X)

@@ -26,7 +26,7 @@ from .kernels import (
     riesz_representer,
     semi_riesz,
 )
-from .polyspace import PolyFrame, UnisolventFrame, as_points
+from .polyspace import PolyFrame, UnisolventFrame, _maybe_scalar, as_points
 
 # Reference values of the 1-d empirical density law h_X ~ h1 * N^(-a).
 DENSITY_H1 = 3.09
@@ -347,27 +347,17 @@ class RepresenterData:
             values += b * np.atleast_1d(
                 riesz_representer(self.spec, self.uf, c, pts)
             )
-        if len(values) == 1 and np.ndim(x) < 2:
-            return float(values[0])
-        return values
-
-
-def representer_data(spec, uf, centers, beta) -> RepresenterData:
-    """Build the representer-combination data function (see RepresenterData)."""
-    return RepresenterData(spec, uf, centers, beta)
+        return _maybe_scalar(values, x)
 
 
 def grid_error_fn(fitter, data_fn, error_grid):
-    """delta_1: sum of squared smoother-vs-data-function errors on a grid."""
+    """delta_1: sum of squared smoother-vs-data-function errors on a grid.
+
+    `data_fn` is called once per grid point.
+    """
     grid = np.asarray(error_grid, dtype=float)
     truth = np.array([float(data_fn(p)) for p in np.atleast_2d(grid)])
-
-    def err(rho: float) -> float:
-        model = fitter(rho)
-        fitted = np.atleast_1d(eval_model(model, grid))
-        return float(np.sum((fitted - truth) ** 2))
-
-    return err
+    return residual_error_fn(fitter, grid, truth)
 
 
 def residual_error_fn(fitter, X, y):

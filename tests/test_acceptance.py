@@ -3,13 +3,19 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import scattered_points
 
+import bfsmooth
 from bfsmooth.approx_smoother import GridSpec, compare, fit_approx, make_grid
 from bfsmooth.assembly import approx_parts, cpd_check
 from bfsmooth.exact_smoother import diagnostics, fit_exact
@@ -27,12 +33,12 @@ from bfsmooth.polyspace import (
 )
 from bfsmooth.study import (
     Region,
+    RepresenterData,
     RhoCoupling,
     SweepConfig,
     convergence_sweep,
     density_law,
     exponential_sizes,
-    representer_data,
 )
 
 BOX1 = Region(a=-1.5, b=1.5)
@@ -206,7 +212,7 @@ def test_criterion_8_doubled_order_for_representer_data():
     rng = np.random.default_rng(8)
     frame = PolyFrame(1, 2)
     uf = minimal_unisolvent_subset(frame, rng.uniform(-1.5, 1.5, (8, 1)))
-    f_d = representer_data(
+    f_d = RepresenterData(
         TPS, uf, rng.uniform(-1.2, 1.2, (5, 1)), rng.standard_normal(5)
     )
     coupling = RhoCoupling(eta_G=predicted_orders(TPS).eta_G, amplitude=100.0)
@@ -222,23 +228,58 @@ def test_criterion_8_doubled_order_for_representer_data():
             f"slope {special.slope:.3f} vs generic {generic.slope:.3f}")
 
 
-def test_criterion_9_scalability():
+_SCALING_SIZES = (10_000, 20_000, 40_000)
+_SCALING_RHO = 1e-4
+
+
+def _scaling_problem():
     frame = PolyFrame(1, 2)
     Xp = make_grid(GridSpec(a=-1.5, b=1.5, counts=(200,)), frame.theta)
-    rho = 1e-4
-    times = {}
-    shapes = set()
-    for N in (10_000, 20_000, 40_000):
+    data = {}
+    for N in _SCALING_SIZES:
         rng = np.random.default_rng(N)
         X = rng.uniform(-1.5, 1.5, (N, 1))
-        y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(N)
-        samples = []
-        for _ in range(5):
+        data[N] = (X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(N))
+    return frame, Xp, data
+
+
+def _scaling_times():
+    """Median fit_approx seconds per size, keyed by str(N)."""
+    frame, Xp, data = _scaling_problem()
+    # Round-robin over the sizes so that host speed drift hits each alike.
+    samples = {N: [] for N in data}
+    for _ in range(5):
+        for N, (X, y) in data.items():
             start = time.perf_counter()
-            fit_approx(TPS, frame, X, y, Xp, rho)
-            samples.append(time.perf_counter() - start)
-        times[N] = float(np.median(samples))
-        shapes.add(approx_parts(TPS, frame, X, y, Xp).system(rho).matrix.shape)
+            fit_approx(TPS, frame, X, y, Xp, _SCALING_RHO)
+            samples[N].append(time.perf_counter() - start)
+    return {str(N): float(np.median(s)) for N, s in samples.items()}
+
+
+def test_criterion_9_scalability():
+    frame, Xp, data = _scaling_problem()
+    shapes = {
+        approx_parts(TPS, frame, X, y, Xp).system(_SCALING_RHO).matrix.shape
+        for X, y in data.values()
+    }
+    # Time in a child process with one BLAS thread: OpenBLAS fixes its
+    # thread count when it loads, and on a small shared host 2-thread GEMMs
+    # of a few ms jitter by tens of percent, which swamps the per-chunk
+    # work whose growth with N this criterion measures.
+    here = Path(__file__).resolve().parent
+    paths = [str(here), str(Path(bfsmooth.__file__).resolve().parents[1])]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_acceptance as t; print(json.dumps(t._scaling_times()))"],
+        env=env, cwd=here, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    times = {int(N): t for N, t in json.loads(child.stdout).items()}
     r1 = times[20_000] / times[10_000]
     r2 = times[40_000] / times[20_000]
     expected = (200 + 2 * frame.M,) * 2

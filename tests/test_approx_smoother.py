@@ -5,10 +5,12 @@ from bfsmooth.approx_smoother import (
     GridSpec,
     compare,
     fit_approx,
+    fit_parts,
     grid_density,
     make_grid,
     parse_grid,
 )
+from bfsmooth.assembly import approx_parts
 from bfsmooth.errors import ParameterError, ParseError
 from bfsmooth.exact_smoother import fit_exact, functional_value
 from bfsmooth.interpolant import eval_model
@@ -170,6 +172,22 @@ class TestFitApprox:
         assert gaps[-1] <= 1e-6
         for lo, hi in zip(gaps, gaps[1:]):
             assert hi <= lo + 1e-9
+
+
+class TestFitParts:
+    def test_matches_fit_approx(self):
+        spec, frame, X, y = _instance(7, N=60)
+        Xp = make_grid(GridSpec(a=-1.5, b=1.5, counts=(8,)), frame.theta)
+        parts = approx_parts(spec, frame, X, y, Xp)
+        for rho in (1e-3, 0.1):
+            got = fit_parts(parts, rho)
+            want = fit_approx(spec, frame, X, y, Xp, rho)
+            np.testing.assert_array_equal(got.v, want.v)
+            np.testing.assert_array_equal(got.beta, want.beta)
+            np.testing.assert_array_equal(got.centers, want.centers)
+            assert (got.spec, got.frame, got.kind, got.rho) == (
+                want.spec, want.frame, want.kind, want.rho
+            )
 
 
 class TestCompare:

@@ -7,8 +7,6 @@ from bfsmooth.assembly import (
     ApproxParts,
     BlockSystem,
     approx_parts,
-    approx_system,
-    basis_matrix,
     cpd_check,
     exact_system,
     interp_system,
@@ -17,7 +15,7 @@ from bfsmooth.assembly import (
 from bfsmooth.errors import ParameterError, SolveError, UnisolvencyError
 from bfsmooth.exact_smoother import fit_exact
 from bfsmooth.interpolant import eval_model
-from bfsmooth.kernels import KernelSpec, riesz_representer
+from bfsmooth.kernels import KernelSpec, kernel_matrix, riesz_representer
 from bfsmooth.polyspace import PolyFrame, minimal_unisolvent_subset
 from conftest import scattered_points
 
@@ -42,17 +40,17 @@ def _symmetric(A):
 
 class TestBasisMatrix:
     def test_gauss_singleton(self):
-        np.testing.assert_allclose(basis_matrix(GAUSS1, [0.0], [0.0]), [[1.0]])
+        np.testing.assert_allclose(kernel_matrix(GAUSS1, [0.0], [0.0]), [[1.0]])
 
     def test_gauss_pair(self):
         e1 = math.exp(-1.0)
         np.testing.assert_allclose(
-            basis_matrix(GAUSS1, [0.0, 1.0], [0.0, 1.0]), [[1, e1], [e1, 1]]
+            kernel_matrix(GAUSS1, [0.0, 1.0], [0.0, 1.0]), [[1, e1], [e1, 1]]
         )
 
     def test_thinplate_rectangular(self):
         np.testing.assert_allclose(
-            basis_matrix(TPS, [0.0], [0.0, 1.0, 2.0]), [[0.0, 1.0, 8.0]]
+            kernel_matrix(TPS, [0.0], [0.0, 1.0, 2.0]), [[0.0, 1.0, 8.0]]
         )
 
 
@@ -164,7 +162,7 @@ class TestApproxSystem:
             rng = np.random.default_rng(N)
             X = rng.uniform(-1.5, 1.5, N)
             y = rng.standard_normal(N)
-            sys = approx_system(spec, frame, X, y, Xp, rho=0.1)
+            sys = approx_parts(spec, frame, X, y, Xp).system(0.1)
             sizes[N] = sys.matrix.shape
         Np, M = 9, 2
         assert sizes[100] == sizes[1000] == (Np + 2 * M, Np + 2 * M)
@@ -172,13 +170,13 @@ class TestApproxSystem:
     def test_symmetric(self):
         spec, frame, X, y = _random_instance(6, 200)
         Xp = np.linspace(-1.4, 1.4, 11)
-        assert _symmetric(approx_system(spec, frame, X, y, Xp, rho=0.01).matrix)
+        assert _symmetric(approx_parts(spec, frame, X, y, Xp).system(0.01).matrix)
 
     def test_chunked_matches_unchunked(self):
         spec, frame, X, y = _random_instance(7, 500)
         Xp = np.linspace(-1.4, 1.4, 7)
-        a = approx_system(spec, frame, X, y, Xp, rho=0.1, chunk=64)
-        b = approx_system(spec, frame, X, y, Xp, rho=0.1, chunk=10_000)
+        a = approx_parts(spec, frame, X, y, Xp, chunk=64).system(0.1)
+        b = approx_parts(spec, frame, X, y, Xp, chunk=10_000).system(0.1)
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
         np.testing.assert_allclose(a.rhs, b.rhs, atol=1e-10)
 
@@ -198,7 +196,7 @@ class TestApproxSystem:
     def test_rho_zero_rejected(self):
         spec, frame, X, y = _random_instance(9, 20)
         with pytest.raises(ParameterError):
-            approx_system(spec, frame, X, y, np.linspace(-1, 1, 5), rho=0.0)
+            approx_parts(spec, frame, X, y, np.linspace(-1, 1, 5)).system(0.0)
 
 
 class TestSolveBlock:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bfsmooth.assembly import basis_matrix, interp_system, solve_block
+from bfsmooth.assembly import interp_system, solve_block
 from bfsmooth.errors import ContractError, ParameterError
 from bfsmooth.interpolant import (
     FittedModel,
+    _merged_centers,
     eval_model,
     fit_interpolant,
     seminorm_sq,
@@ -138,8 +139,23 @@ class TestSeminorm:
         got = seminorm_sq_diff(m1, m2)
         Z = np.vstack([m1.centers, m2.centers])
         w = np.concatenate([m1.v, -m2.v])
-        expected = (2 * np.pi) ** 0.5 * float(w @ basis_matrix(spec, Z, Z) @ w)
+        expected = (2 * np.pi) ** 0.5 * float(w @ kernel_matrix(spec, Z, Z) @ w)
         assert got == pytest.approx(max(expected, 0.0), abs=1e-10)
+
+    def test_merged_centers_match_loop_reference(self):
+        m1, X, _, spec, frame = _random_fit(8, N=15)
+        rng = np.random.default_rng(9)
+        X2 = np.vstack([X[5:], scattered_points(rng, 6, 1)])
+        m2 = fit_interpolant(spec, frame, X2, rng.standard_normal(len(X2)))
+        merged = {}
+        for pts, coeffs, sign in ((m1.centers, m1.v, 1.0), (m2.centers, m2.v, -1.0)):
+            for p, c in zip(pts, coeffs):
+                merged[tuple(p)] = merged.get(tuple(p), 0.0) + sign * c
+        keys = sorted(merged)
+        Z, w = _merged_centers(m1, m2)
+        assert len(Z) == 21  # the 10 shared centers appear once
+        np.testing.assert_array_equal(Z, np.array(keys))
+        np.testing.assert_array_equal(w, [merged[k] for k in keys])
 
     def test_constraint_violation_raises(self):
         frame = PolyFrame(1, 1)
@@ -170,7 +186,7 @@ class TestVariationalProperties:
             lx = uf.cardinal_values(x)[0]
             W = np.vstack([x[None, :], uf.points])
             w = np.concatenate([[1.0], -lx]) / scale
-            inner = scale * float(model.v @ basis_matrix(spec, model.centers, W) @ w)
+            inner = scale * float(model.v @ kernel_matrix(spec, model.centers, W) @ w)
             f_x = eval_model(model, x)
             f_A = eval_model(model, uf.points)
             Qf_x = f_x - float(lx @ f_A)

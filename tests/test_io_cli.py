@@ -59,6 +59,29 @@ class TestReadCsv:
             io.read_csv(p)
 
 
+class TestReadPoints:
+    def test_header_skipped_and_lines_counted(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("\nx1,x2\n0,1\n2,3\n")
+        np.testing.assert_array_equal(io.read_points(p, 2), [[0, 1], [2, 3]])
+        p.write_text("\nx1,x2\n0,1\n2,oops\n")
+        with pytest.raises(ParseError) as exc:
+            io.read_points(p, 2)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,1\n1,nan\n", 2),  # non-finite value
+        ("0,1\n1,2\n1,2,3\n", 3),  # ragged row
+        ("x1 x2 x3\n0 1 2\n3 4 5\n", 2),  # d + 1 columns on every row
+    ])
+    def test_bad_row_reports_line(self, tmp_path, text, line):
+        p = tmp_path / "pts.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            io.read_points(p, 2)
+        assert exc.value.line == line
+
+
 class TestModelPersistence:
     def _model(self, seed=0):
         rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ from bfsmooth.kernels import KernelSpec, predicted_orders
 from bfsmooth.polyspace import PolyFrame, minimal_unisolvent_subset
 from bfsmooth.study import (
     Region,
+    RepresenterData,
     RhoCoupling,
     SweepConfig,
     cavity_density,
@@ -15,7 +16,6 @@ from bfsmooth.study import (
     exponential_sizes,
     gen_uniform,
     grid_error_fn,
-    representer_data,
     residual_error_fn,
     rho_search,
 )
@@ -191,14 +191,14 @@ class TestRepresenterData:
 
     def test_zero_coefficients(self):
         uf, centers, _ = self._setup()
-        f = representer_data(TPS, uf, centers, np.zeros(5))
+        f = RepresenterData(TPS, uf, centers, np.zeros(5))
         assert f(0.3) == 0.0
         assert f.seminorm_sq == 0.0
 
     def test_single_center_on_frame_points(self):
         uf, _, _ = self._setup(1)
         x_pp = np.array([[0.7]])
-        f = representer_data(TPS, uf, x_pp, [2.0])
+        f = RepresenterData(TPS, uf, x_pp, [2.0])
         lx = uf.cardinal_values(x_pp)[0]
         for i, a in enumerate(uf.points):
             assert f(a) == pytest.approx(2.0 * lx[i], abs=1e-10)
@@ -208,7 +208,7 @@ class TestRepresenterData:
         # and compare the closed-form seminorm of the equivalent model
         uf, centers, beta = self._setup(2)
         scale = (2 * np.pi) ** 0.5
-        f = representer_data(TPS, uf, centers, beta)
+        f = RepresenterData(TPS, uf, centers, beta)
         L = uf.cardinal_values(centers)  # (5, M)
         Z = np.vstack([centers, uf.points])
         v = np.concatenate([beta, -L.T @ beta]) / scale
@@ -292,7 +292,7 @@ class TestDoubledOrder:
         frame = PolyFrame(1, 2)
         uf = minimal_unisolvent_subset(frame, rng.uniform(-1.5, 1.5, (8, 1)))
         centers = rng.uniform(-1.2, 1.2, (5, 1))
-        f_d = representer_data(TPS, uf, centers, rng.standard_normal(5))
+        f_d = RepresenterData(TPS, uf, centers, rng.standard_normal(5))
         coupling = RhoCoupling(eta_G=predicted_orders(TPS).eta_G, amplitude=100.0)
         config = SweepConfig(sizes=(50, 100, 200, 400, 800), seed=0,
                              coupling=coupling)
