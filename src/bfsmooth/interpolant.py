@@ -9,7 +9,7 @@ smoothers.  On that space the seminorm is computable in closed form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

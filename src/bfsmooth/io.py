@@ -8,6 +8,7 @@ enough for an exact float64 round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +80,7 @@ def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
             if pos == 0:  # header row
                 continue
             raise ParseError(f"{path}: non-numeric field", line=lineno) from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}: non-finite value", line=lineno)
         if arity is None:
             arity = len(row)

@@ -182,45 +182,43 @@ def predicted_orders(spec: KernelSpec) -> OrderPrediction:
     return OrderPrediction(eta=float(spec.theta), delta_G=0.0)
 
 
-def _check_frame(spec: KernelSpec, uf: UnisolventFrame):
+def _semi_matrix(spec: KernelSpec, uf: UnisolventFrame, X, Y) -> np.ndarray:
+    """(|Y|, |X|) matrix of r_x(y) = (2 pi)^(-d/2) [G_YX - G_YA L_X^T
+    - L_Y G_AX + L_Y G_AA L_X^T], where L_X[i, j] = l_j(x_i)."""
     if uf.frame.d != spec.d or uf.frame.theta != spec.theta:
         raise InputError(
             f"frame (d={uf.frame.d}, theta={uf.frame.theta}) does not match "
             f"kernel (d={spec.d}, theta={spec.theta})"
         )
+    A = uf.points
+    LXt, LY = uf.cardinal_values(X).T, uf.cardinal_values(Y)
+    G_YX, G_YA = kernel_matrix(spec, Y, X), kernel_matrix(spec, Y, A)
+    G_AX, G_AA = kernel_matrix(spec, A, X), kernel_matrix(spec, A, A)
+    core = G_YX - G_YA @ LXt - LY @ G_AX + LY @ (G_AA @ LXt)
+    return (2.0 * np.pi) ** (-spec.d / 2.0) * core
+
+
+def _per_x(values: np.ndarray, x, y):
+    # A single point x (scalar or 1-d) gives a vector over y, or a float.
+    if values.shape[1] == 1 and np.ndim(x) < 2:
+        return _maybe_scalar(values[:, 0], y)
+    return values
 
 
 def riesz_representer(spec: KernelSpec, uf: UnisolventFrame, x, y):
-    """R_x(y), the representer of point evaluation at x.
+    """R_x(y) = r_x(y) + sum_j l_j(x) l_j(y), the representer of point
+    evaluation at x (r_x: `semi_riesz`).
 
-    R_x(y) = (2 pi)^(-d/2) [G(y-x) - sum_i l_i(x) G(y-a_i)
-             - sum_j l_j(y) G(a_j-x) + sum_ij l_i(x) G(a_j-a_i) l_j(y)]
-             + sum_j l_j(x) l_j(y)
-
-    `y` may be a single point or an array of points.
+    For a single point x: a vector over the points `y`, or a float for a
+    single y.  For several x, or x given as a (K, d) array: the (|y|, K)
+    matrix whose column k is R_{x_k}.
     """
-    _check_frame(spec, uf)
-    xp = as_points(x, spec.d)
-    yp = as_points(y, spec.d)
-    A = uf.points
-    lx = uf.cardinal_values(xp)[0]
-    ly = uf.cardinal_values(yp)
-    G_yx = kernel_matrix(spec, yp, xp)[:, 0]
-    G_yA = kernel_matrix(spec, yp, A)
-    G_Ax = kernel_matrix(spec, A, xp)[:, 0]
-    G_AA = kernel_matrix(spec, A, A)
-    core = G_yx - G_yA @ lx - ly @ G_Ax + ly @ (G_AA @ lx)
-    values = (2.0 * np.pi) ** (-spec.d / 2.0) * core + ly @ lx
-    return _maybe_scalar(values, y)
+    values = _semi_matrix(spec, uf, x, y)
+    values += uf.cardinal_values(y) @ uf.cardinal_values(x).T
+    return _per_x(values, x, y)
 
 
 def semi_riesz(spec: KernelSpec, uf: UnisolventFrame, x, y):
-    """r_x(y) = R_x(y) - sum_j l_j(x) l_j(y); vanishes on A."""
-    _check_frame(spec, uf)
-    xp = as_points(x, spec.d)
-    yp = as_points(y, spec.d)
-    lx = uf.cardinal_values(xp)[0]
-    ly = uf.cardinal_values(yp)
-    R = riesz_representer(spec, uf, xp, yp)
-    values = np.atleast_1d(R) - ly @ lx
-    return _maybe_scalar(values, y)
+    """r_x(y) = R_x(y) - sum_j l_j(x) l_j(y); vanishes on A.  Shapes as
+    for `riesz_representer`: (|y|, K) for several x."""
+    return _per_x(_semi_matrix(spec, uf, x, y), x, y)

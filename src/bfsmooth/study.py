@@ -10,15 +10,15 @@ because dist(., X) is 1-Lipschitz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError, ParameterError, SearchError
-from .interpolant import FittedModel, eval_model, fit_interpolant
+from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
-from .approx_smoother import fit_approx
+from .approx_smoother import GridSpec, fit_approx, make_grid
 from .kernels import (
     KernelSpec,
     OrderPrediction,
@@ -247,6 +247,7 @@ def convergence_sweep(
 ) -> StudyReport:
     """Measure max-abs error on interior probes across increasing sizes.
 
+    `data_fn` is called once per probe and data point with a (d,) array.
     mode is one of 'interpolant', 'exact', 'approx'.  For the smoothing
     modes rho comes from config.rho (fixed) or config.coupling (tied to
     the measured fill distance).  Failed fits are recorded and excluded
@@ -260,7 +261,7 @@ def convergence_sweep(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("sweep sizes must be increasing")
     probes = region.probe_grid(config.error_probes_per_axis, config.boundary_shrink)
-    f_probe = np.array([float(data_fn(p)) for p in probes])
+    f_probe = _sample(data_fn, probes)
     density_probes = config.density_probes_per_axis or _default_density_probes(
         region.d
     )
@@ -268,15 +269,13 @@ def convergence_sweep(
     if mode == "approx":
         if config.grid_counts is None:
             raise ParameterError("approx mode requires grid_counts")
-        from .approx_smoother import GridSpec, make_grid
-
         Xp = make_grid(
             GridSpec(a=region.a, b=region.b, counts=config.grid_counts), frame.theta
         )
     rows = []
     for i, N in enumerate(sizes):
         X = _sample_avoiding(region, N, (config.seed, i), probes)
-        y = np.array([float(data_fn(x)) for x in X])
+        y = _sample(data_fn, X)
         h = cavity_density(region, X, density_probes)
         if mode == "interpolant":
             rho = 0.0
@@ -321,8 +320,9 @@ class RepresenterData:
     """Data function f_d = sum_k beta_k R_{c_k} with a known seminorm.
 
     Such data functions double the smoother's convergence order; the
-    exact squared seminorm sum_jk beta_j beta_k r_{c_k}(c_j) is computed
-    once at construction.
+    exact squared seminorm beta^T S beta, with S the K x K semi-Riesz
+    matrix S[j, k] = r_{c_k}(c_j), is computed once at construction.
+    A call evaluates the (n, K) Riesz matrix at n points times beta.
     """
 
     def __init__(self, spec: KernelSpec, uf: UnisolventFrame, centers, beta):
@@ -332,32 +332,28 @@ class RepresenterData:
         self.beta = np.asarray(beta, dtype=float)
         if self.beta.shape != (len(self.centers),):
             raise ParameterError("beta must have one entry per center")
-        r_matrix = np.column_stack(
-            [
-                np.atleast_1d(semi_riesz(spec, uf, c, self.centers))
-                for c in self.centers
-            ]
-        )
-        self.seminorm_sq = float(self.beta @ r_matrix @ self.beta)
+        S = semi_riesz(spec, uf, self.centers, self.centers)
+        self.seminorm_sq = float(self.beta @ S @ self.beta)
 
     def __call__(self, x):
-        pts = as_points(x, self.spec.d)
-        values = np.zeros(len(pts))
-        for c, b in zip(self.centers, self.beta):
-            values += b * np.atleast_1d(
-                riesz_representer(self.spec, self.uf, c, pts)
-            )
-        return _maybe_scalar(values, x)
+        R = riesz_representer(self.spec, self.uf, self.centers, x)
+        return _maybe_scalar(R @ self.beta, x)
+
+
+def _sample(data_fn, points) -> np.ndarray:
+    """data_fn at each row of an (n, d) array, one call per point."""
+    return np.array([float(data_fn(p)) for p in points])
 
 
 def grid_error_fn(fitter, data_fn, error_grid):
     """delta_1: sum of squared smoother-vs-data-function errors on a grid.
 
-    `data_fn` is called once per grid point.
+    `error_grid` is an (n, d) array; a 1-d array is n points on a line
+    (d = 1).  `data_fn` is called once per grid point with a (d,) array.
     """
     grid = np.asarray(error_grid, dtype=float)
-    truth = np.array([float(data_fn(p)) for p in np.atleast_2d(grid)])
-    return residual_error_fn(fitter, grid, truth)
+    grid = grid.reshape(len(grid), -1)
+    return residual_error_fn(fitter, grid, _sample(data_fn, grid))
 
 
 def residual_error_fn(fitter, X, y):

@@ -144,9 +144,7 @@ class TestExactSystem:
         s_X = eval_model(model, X)
         L0 = np.zeros((N, N))
         L0[:, :M] = uf.cardinal_values(X)
-        R = np.column_stack(
-            [np.atleast_1d(riesz_representer(spec, uf, xj, X)) for xj in X]
-        )
+        R = riesz_representer(spec, uf, X, X)
         lhs = (N * rho * (np.eye(N) - L0) + R) @ s_X
         rhs = R @ y
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.linalg.norm(rhs))

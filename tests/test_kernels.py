@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfsmooth.errors import ParameterError, ParseError
+from bfsmooth.errors import InputError, ParameterError, ParseError
 from bfsmooth.kernels import (
     KernelSpec,
     kernel_eval,
@@ -296,3 +296,46 @@ class TestSemiRiesz:
             assert semi_riesz(spec, uf, x, y) == pytest.approx(
                 semi_riesz(spec, uf, y, x), abs=1e-10
             )
+
+
+class TestSeveralX:
+    def test_matrix_equals_stacked_single_x(self):
+        rng = np.random.default_rng(12)
+        for spec in ALL_SPECS:
+            uf = _frame(spec.d, spec.theta, seed=spec.d + spec.theta)
+            X = rng.uniform(-1.5, 1.5, (4, spec.d))
+            Y = rng.uniform(-1.5, 1.5, (7, spec.d))
+            for fn in (riesz_representer, semi_riesz):
+                matrix = fn(spec, uf, X, Y)
+                stacked = np.column_stack([fn(spec, uf, x, Y) for x in X])
+                assert matrix.shape == (7, 4)
+                np.testing.assert_allclose(
+                    matrix, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max()
+                )
+
+    def test_d1_list_of_points_is_several_x(self):
+        uf = _frame(1, 2, seed=13)
+        spec = KernelSpec("thinplate", theta=2, d=1, s=1.5)
+        ys = np.linspace(-1.4, 1.4, 9)
+        R = riesz_representer(spec, uf, [0.1, 0.7], ys)
+        assert R.shape == (9, 2)
+        np.testing.assert_allclose(
+            R[:, 1], riesz_representer(spec, uf, 0.7, ys), rtol=1e-12, atol=1e-12
+        )
+
+    def test_frame_mismatch_rejected(self):
+        uf = _frame(1, 2, seed=15)
+        spec = KernelSpec("gauss", theta=1, d=1)
+        for fn in (riesz_representer, semi_riesz):
+            with pytest.raises(InputError):
+                fn(spec, uf, [0.1, 0.2], [0.3])
+
+    def test_single_x_shapes(self):
+        uf = _frame(2, 2, seed=14)
+        spec = KernelSpec("gauss", theta=2, d=2)
+        x, y = np.array([0.1, 0.2]), np.array([[0.3, -0.4], [0.5, 0.6]])
+        for fn in (riesz_representer, semi_riesz):
+            assert isinstance(fn(spec, uf, x, y[0]), float)
+            assert fn(spec, uf, x, y).shape == (2,)
+            assert fn(spec, uf, x[None, :], y).shape == (2, 1)
+            assert fn(spec, uf, y, y[0]).shape == (1, 2)

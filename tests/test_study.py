@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from bfsmooth.errors import ParameterError, SearchError
-from bfsmooth.interpolant import FittedModel, eval_model, seminorm_sq
-from bfsmooth.kernels import KernelSpec, predicted_orders
+from bfsmooth.interpolant import (
+    FittedModel,
+    eval_model,
+    fit_interpolant,
+    seminorm_sq,
+)
+from bfsmooth.kernels import KernelSpec, kernel_matrix, predicted_orders
 from bfsmooth.polyspace import PolyFrame, minimal_unisolvent_subset
 from bfsmooth.study import (
     Region,
@@ -217,6 +222,33 @@ class TestRepresenterData:
         )
         assert f.seminorm_sq == pytest.approx(seminorm_sq(model), rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_center_loop(self, seed):
+        # reference: the per-center, per-point representer formula, looped
+        # over the centers
+        def riesz(uf, x, Y):
+            lx, ly = uf.cardinal_values(x)[0], uf.cardinal_values(Y)
+            G = lambda P, Q: kernel_matrix(TPS, P, Q)
+            A, xp = uf.points, x[None, :]
+            core = (G(Y, xp)[:, 0] - G(Y, A) @ lx - ly @ G(A, xp)[:, 0]
+                    + ly @ (G(A, A) @ lx))
+            return (2.0 * np.pi) ** -0.5 * core + ly @ lx
+
+        uf, centers, beta = self._setup(seed)
+        if seed == 1:
+            centers, beta = centers[:1], beta[:1]
+        pts = np.linspace(-1.5, 1.5, 37)[:, None]
+        values = np.zeros(len(pts))
+        r_matrix = np.zeros((len(centers), len(centers)))
+        for k, (c, b) in enumerate(zip(centers, beta)):
+            values += b * riesz(uf, c, pts)
+            r_matrix[:, k] = riesz(uf, c, centers) - uf.cardinal_values(
+                centers
+            ) @ uf.cardinal_values(c)[0]
+        f = RepresenterData(TPS, uf, centers, beta)
+        np.testing.assert_allclose(f(pts), values, rtol=1e-10, atol=0)
+        assert f.seminorm_sq == pytest.approx(beta @ r_matrix @ beta, rel=1e-10)
+
 
 class TestRhoSearch:
     def test_unimodal_quadratic_in_log_rho(self):
@@ -284,6 +316,21 @@ class TestRhoSearch:
         grid = np.linspace(-1.4, 1.4, 40)[:, None]
         delta1 = grid_error_fn(fitter, truth, grid)
         assert delta1(1e-2) < delta1(1e-8)
+
+
+class TestGridErrorFn:
+    def test_1d_grid_is_points_on_a_line(self):
+        rng = np.random.default_rng(13)
+        frame = PolyFrame(1, 2)
+        X = rng.uniform(-1.5, 1.5, (30, 1))
+        model = fit_interpolant(TPS, frame, X, np.sin(X[:, 0]))
+        grid = np.linspace(-1, 1, 50)
+        err_1d = grid_error_fn(lambda rho: model, lambda p: float(np.sin(p[0])), grid)
+        err_2d = grid_error_fn(
+            lambda rho: model, lambda p: float(np.sin(p[0])), grid[:, None]
+        )
+        assert err_1d(1.0) == err_2d(1.0)
+        assert err_1d(1.0) < 1e-6
 
 
 class TestDoubledOrder:
