@@ -118,6 +118,8 @@ def approx_parts(
     spec: KernelSpec, frame: PolyFrame, X, y, Xp, chunk: int = DEFAULT_CHUNK
 ) -> ApproxParts:
     """Stream over X in chunks to accumulate the approximate-system blocks."""
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     X = as_points(X, frame.d)
     Xp = as_points(Xp, frame.d)
     y = np.asarray(y, dtype=float)

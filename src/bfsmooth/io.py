@@ -46,34 +46,29 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # whitespace
 
 
-def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
-    """Parse the numeric rows of a delimited file into an (n, arity) array.
+def _fields(path: Path, lineno: int, text: str, delimiter, columns) -> list[str]:
+    """The fields of one line, narrowed to `columns` when given."""
+    fields = _split_line(text, delimiter)
+    if columns is not None:
+        try:
+            fields = [fields[c] for c in columns]
+        except IndexError:
+            raise ParseError(
+                f"{path}: requested column out of range", line=lineno
+            ) from None
+    return fields
 
-    The delimiter (comma, tab or whitespace) is detected once, from the
-    first non-blank line, unless forced; a non-numeric first non-blank
-    line is a header.  Every row must hold `arity` finite fields; when
-    `arity` is None the first data row sets it and must hold at least
-    two.  Errors carry the 1-based line number.
+
+def _check_rows(path: Path, raw_lines, delimiter, columns, arity: int | None):
+    """Parse the non-blank lines one by one.
+
+    The only source of ParseError messages and line numbers, and the
+    reference that the vectorized pass must reproduce.
     """
-    lines = [
-        (i + 1, stripped)
-        for i, raw in enumerate(path.read_text().splitlines())
-        if (stripped := raw.strip())
-    ]
-    if not lines:
-        raise ParseError(f"{path}: no data rows")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0][1])
+    lines = [(i + 1, s) for i, raw in enumerate(raw_lines) if (s := raw.strip())]
     rows = []
     for pos, (lineno, text) in enumerate(lines):
-        fields = _split_line(text, delimiter)
-        if columns is not None:
-            try:
-                fields = [fields[c] for c in columns]
-            except IndexError:
-                raise ParseError(
-                    f"{path}: requested column out of range", line=lineno
-                ) from None
+        fields = _fields(path, lineno, text, delimiter, columns)
         try:
             row = [float(f) for f in fields]
         except ValueError:
@@ -94,6 +89,57 @@ def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
     if not rows:
         raise ParseError(f"{path}: no numeric rows")
     return np.array(rows)
+
+
+def _vectorized_rows(texts: list[str], delimiter, columns, arity: int | None):
+    """All data rows in one np.loadtxt pass, or None when `_check_rows`
+    must decide: loadtxt failed, or the result is empty, non-finite, of
+    the wrong arity or narrower than 2 columns.  loadtxt accepts a subset
+    of what float() accepts (not `1_000`), so a result it does return is
+    the row loop's result."""
+    if not texts:
+        return None
+    try:
+        data = np.loadtxt(
+            texts,
+            delimiter=None if delimiter == "whitespace" else delimiter,
+            comments=None,
+            usecols=columns,
+            ndmin=2,
+        )
+    except (ValueError, TypeError):
+        return None
+    width = data.shape[1]
+    if (width < 2 if arity is None else width != arity) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
+    """Parse the numeric rows of a delimited file into an (n, arity) array.
+
+    The delimiter (comma, tab or whitespace) is detected once, from the
+    first non-blank line, unless forced; a non-numeric first non-blank
+    line is a header.  Every row must hold `arity` finite fields; when
+    `arity` is None the first data row sets it and must hold at least
+    two.  Errors carry the 1-based line number.
+    """
+    raw_lines = path.read_text().splitlines()
+    texts = [s for raw in raw_lines if (s := raw.strip())]
+    if not texts:
+        raise ParseError(f"{path}: no data rows")
+    if delimiter is None:
+        delimiter = _detect_delimiter(texts[0])
+    first_lineno = next(i for i, raw in enumerate(raw_lines, 1) if raw.strip())
+    first = _fields(path, first_lineno, texts[0], delimiter, columns)
+    try:
+        [float(f) for f in first]
+    except ValueError:
+        texts = texts[1:]  # header row
+    data = _vectorized_rows(texts, delimiter, columns, arity)
+    if data is None:
+        data = _check_rows(path, raw_lines, delimiter, columns, arity)
+    return data
 
 
 def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:

@@ -32,6 +32,10 @@ FAMILIES = ("thinplate", "shifted-tps", "mq", "imq", "gauss")
 # number is needed for threshold arithmetic.
 _HALF_MINUS_EPS = 0.5 - 1e-6
 
+# Entries per row block of kernel_matrix: a block, its r^2s temporary and
+# its mask fit in a core's L2 cache.
+_BLOCK_ENTRIES = 32768
+
 
 def _is_pos_integer(s: float) -> bool:
     return s > 0 and float(s).is_integer()
@@ -105,30 +109,42 @@ def parse_kernel(text: str, theta: int, d: int) -> KernelSpec:
         raise ParseError(str(exc)) from exc
 
 
-def _profile(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of the squared radius."""
+def _log_power(c: float, q: np.ndarray, s: float) -> np.ndarray:
+    """c q^s log q in place of q, with value 0 where q = 0 (q >= 0).
+
+    c q^s is formed first and then multiplied by the log: the other order
+    changes the result where c q^s underflows, e.g. at q = 5e-324.
+    """
+    t = q**s
+    t *= c
+    np.log(q, out=q, where=q > 0)
+    q *= t
+    return q
+
+
+def _profile(spec: KernelSpec, r2) -> np.ndarray:
+    """Kernel value as a function of the squared radius r2 >= 0.
+
+    A float array r2 is overwritten with the result, so that a caller's
+    buffer (a block of `kernel_matrix`) is the only full-size array.
+    """
     r2 = np.asarray(r2, dtype=float)
     if spec.family == "gauss":
-        return np.exp(-r2)
-    if spec.family == "mq":
-        return -np.sqrt(spec.a**2 + r2)
-    if spec.family == "imq":
-        return 1.0 / np.sqrt(spec.a**2 + r2)
+        return np.exp(np.negative(r2, out=r2), out=r2)
+    if spec.family in ("mq", "imq"):
+        r2 += spec.a**2
+        np.sqrt(r2, out=r2)
+        if spec.family == "mq":
+            return np.negative(r2, out=r2)
+        return np.divide(1.0, r2, out=r2)
     if spec.family == "shifted-tps":
-        q = spec.a**2 + r2
-        if _is_pos_integer(spec.s):
-            return ((-1.0) ** (int(spec.s) + 1) / 2.0) * q**spec.s * np.log(q)
-        return (-1.0) ** math.ceil(spec.s) * q**spec.s
-    # thinplate; r^2s log r = r^2s * log(r^2) / 2, with limit 0 at r = 0
+        r2 += spec.a**2
+    # thinplate: r^2s log r = r^2s * log(r^2) / 2, with limit 0 at r = 0
     if _is_pos_integer(spec.s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (
-                ((-1.0) ** (int(spec.s) + 1) / 2.0)
-                * r2**spec.s
-                * np.where(r2 > 0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
-            )
-        return out
-    return (-1.0) ** math.ceil(spec.s) * r2**spec.s
+        return _log_power((-1.0) ** (int(spec.s) + 1) / 2.0, r2, spec.s)
+    r2 **= spec.s
+    r2 *= (-1.0) ** math.ceil(spec.s)
+    return r2
 
 
 def kernel_eval(spec: KernelSpec, x):
@@ -138,10 +154,20 @@ def kernel_eval(spec: KernelSpec, x):
 
 
 def kernel_matrix(spec: KernelSpec, Y, Z) -> np.ndarray:
-    """Matrix of G(y_i - z_j) values, shape (|Y|, |Z|)."""
+    """Matrix of G(y_i - z_j) values, shape (|Y|, |Z|).
+
+    Built in place in row blocks of about _BLOCK_ENTRIES entries: each
+    block's squared distances and kernel values stay in cache, and the
+    result is the only full-size array.
+    """
     Y = as_points(Y, spec.d)
     Z = as_points(Z, spec.d)
-    return _profile(spec, cdist(Y, Z, "sqeuclidean"))
+    out = np.empty((len(Y), len(Z)))
+    rows = max(1, _BLOCK_ENTRIES // max(len(Z), 1))
+    for lo in range(0, len(Y), rows):
+        block = out[lo : lo + rows]
+        _profile(spec, cdist(Y[lo : lo + rows], Z, "sqeuclidean", out=block))
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ projection Pf = sum f(a_i) l_i and its complement Q = I - P.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -67,8 +68,18 @@ class PolyFrame:
     def monomials(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every basis monomial at each point; shape (npts, M)."""
         pts = as_points(points, self.d)
-        cols = [np.prod(pts**np.array(alpha), axis=1) for alpha in self.indices]
-        return np.column_stack(cols)
+        # powers[k][j] = x_k^j for 1 <= j < theta, by repeated multiplication
+        powers = []
+        for x in pts.T:
+            column = [None, x]
+            for _ in range(2, self.theta):
+                column.append(column[-1] * x)
+            powers.append(column)
+        out = np.empty((len(pts), self.M))
+        for m, alpha in enumerate(self.indices):
+            factors = [powers[k][a] for k, a in enumerate(alpha) if a]
+            out[:, m] = functools.reduce(np.multiply, factors, 1.0)
+        return out
 
 
 def as_points(points, d: int) -> np.ndarray:
@@ -101,7 +112,12 @@ def unisolvency_matrix(frame: PolyFrame, X) -> np.ndarray:
 
 
 def _has_duplicates(pts: np.ndarray) -> bool:
-    return len(np.unique(pts, axis=0)) != len(pts)
+    # After a lexicographic sort a repeated point has an equal neighbour;
+    # == counts -0.0 and 0.0 as the same coordinate.
+    same = np.ones(max(len(pts) - 1, 0), dtype=bool)
+    for x in pts[np.lexsort(pts.T)].T:
+        same &= x[1:] == x[:-1]
+    return bool(same.any())
 
 
 def is_unisolvent(frame: PolyFrame, X) -> bool:

@@ -82,6 +82,82 @@ class TestReadPoints:
         assert exc.value.line == line
 
 
+def _ragged_at(lineno, rows=1200):
+    lines = [f"{i},{0.25 * i}" for i in range(1, rows + 1)]
+    lines[lineno - 1] = "1,2,3"
+    return "\n".join(lines) + "\n"
+
+
+# name: (file text, read_csv keyword arguments); read_points(d=2) reads
+# the cases without keyword arguments as well.
+READ_CASES = {
+    "blank_lines": ("0,1\n\n   \n2,3\n\t\n4,5\n", {}),
+    "crlf": ("x,y\r\n0,1\r\n2,3\r\n", {}),
+    "comma_spaces": ("0 , 1\n 2,  3 \n", {}),
+    "tab": ("0\t1\n2\t 3\n", {}),
+    "whitespace": ("0 1\n  2   3\n", {}),
+    "header": ("x1,y\n0,1\n2,3\n", {}),
+    "negative_column": ("9,0,1\n9,1,2\n", {"columns": [-2, -1]}),
+    "column_out_of_range": ("9,0,1\n9,1,2\n", {"columns": [0, 5]}),
+    "underscore": ("1_000,2\n3,4\n", {}),
+    "nan": ("0,1\n2,nan\n4,5\n", {}),
+    "inf": ("0,1\n2,inf\n4,5\n", {}),
+    "infinity": ("0,1\ninfinity,3\n4,5\n", {}),
+    "comment_line": ("0,1\n# note\n4,5\n", {}),
+    "ragged_at_1000": (_ragged_at(1000), {}),
+    "header_only": ("x,y\n", {}),
+}
+
+
+def _outcome(read, path, **kwargs):
+    try:
+        data = read(path, **kwargs)
+    except ParseError as exc:
+        return str(exc), exc.line
+    if isinstance(data, io.DataTable):
+        data = np.column_stack([data.X, data.y])
+    return data
+
+
+class TestVectorizedRead:
+    """One np.loadtxt pass must give what the row loop gives: the same
+    array, or the same ParseError message and line."""
+
+    @pytest.mark.parametrize("case", list(READ_CASES))
+    def test_matches_row_loop(self, tmp_path, monkeypatch, case):
+        text, kwargs = READ_CASES[case]
+        p = tmp_path / "data.txt"
+        p.write_text(text)
+        calls = [(io.read_csv, kwargs)] + ([] if kwargs else [(io.read_points, {"d": 2})])
+        fast = [_outcome(read, p, **kw) for read, kw in calls]
+        monkeypatch.setattr(io, "_vectorized_rows", lambda *args: None)
+        for got, (read, kw) in zip(fast, calls):
+            want = _outcome(read, p, **kw)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_ragged_row_line_number(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text(_ragged_at(1000))
+        with pytest.raises(ParseError) as exc:
+            io.read_csv(p)
+        assert exc.value.line == 1000
+
+    def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "clean.csv"
+        p.write_text("x1,x2,y\n" + "".join(f"{i},{-i},{0.1 * i:.17g}\n" for i in range(50)))
+
+        def row_loop(*args):
+            raise AssertionError("row loop ran on a clean file")
+
+        monkeypatch.setattr(io, "_check_rows", row_loop)
+        table = io.read_csv(p)
+        assert table.d == 2 and len(table.y) == 50
+
+
 class TestModelPersistence:
     def _model(self, seed=0):
         rng = np.random.default_rng(seed)

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from bfsmooth import kernels
 from bfsmooth.errors import InputError, ParameterError, ParseError
 from bfsmooth.kernels import (
     KernelSpec,
+    _profile,
     kernel_eval,
     kernel_matrix,
     parse_kernel,
@@ -125,6 +129,84 @@ class TestKernelMatrix:
             if spec.d == 2:
                 G = kernel_matrix(spec, X, X)
                 assert np.max(np.abs(G - G.T)) <= 1e-12 * max(np.max(np.abs(G)), 1.0)
+
+
+LOG_SPECS = [
+    KernelSpec("thinplate", theta=2, d=2, s=1.0),
+    KernelSpec("thinplate", theta=3, d=2, s=2.0),
+    KernelSpec("thinplate", theta=4, d=2, s=3.0),
+    KernelSpec("shifted-tps", theta=2, d=2, s=1.0, a=0.7),
+    KernelSpec("shifted-tps", theta=3, d=2, s=2.0, a=0.7),
+]
+
+
+def _log_branch_reference(spec, r2):
+    # The integer-s log branch out of place, with r = 0 masked by np.where.
+    c = (-1.0) ** (int(spec.s) + 1) / 2.0
+    if spec.family == "shifted-tps":
+        q = spec.a**2 + r2
+        return c * q**spec.s * np.log(q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return c * r2**spec.s * np.where(r2 > 0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
+
+
+def _grid_centers(d, n=400):
+    # n nodes of a regular grid on [-1.5, 1.5]^d (d = 1 or 2)
+    per_axis = round(n ** (1.0 / d))
+    axes = np.meshgrid(*[np.linspace(-1.5, 1.5, per_axis)] * d, indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
+
+
+class TestBitExact:
+    @pytest.mark.parametrize("spec", LOG_SPECS, ids=KernelSpec.label)
+    def test_log_branch_matches_reference(self, spec):
+        rng = np.random.default_rng(0)
+        r2 = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1.0, 1e10],
+            rng.uniform(0.0, 10.0, 1000),
+            10.0 ** rng.uniform(-300.0, 10.0, 1000),
+        ])
+        want = _log_branch_reference(spec, r2)
+        got = _profile(spec, r2.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "spec", ALL_SPECS + [s for s in LOG_SPECS if s not in ALL_SPECS],
+        ids=KernelSpec.label,
+    )
+    def test_matrix_equals_profile_of_cdist(self, spec):
+        rng = np.random.default_rng(1)
+        m = 1000
+        rows = kernels._BLOCK_ENTRIES // m
+        for n_y, n_z in [(0, 7), (7, 0), (1, m), (2 * rows + 3, m)]:
+            Y = rng.uniform(-1.5, 1.5, (n_y, spec.d))
+            Z = rng.uniform(-1.5, 1.5, (n_z, spec.d))
+            if n_y and n_z:
+                Y[0] = Z[0]  # r = 0
+            want = _profile(spec, cdist(Y, Z, "sqeuclidean"))
+            got = kernel_matrix(spec, Y, Z)
+            assert got.shape == (n_y, n_z)
+            assert np.array_equal(got, want)
+
+
+class TestKernelMatrixMemory:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=KernelSpec.label)
+    def test_peak_allocation_is_the_output(self, spec):
+        # Allocations, not time: the (|Y|, |Z|) result is the only
+        # full-size array kernel_matrix creates.
+        centers = _grid_centers(spec.d)
+        X = np.random.default_rng(2).uniform(-1.5, 1.5, (4096, spec.d))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            G = kernel_matrix(spec, centers, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (400, 4096)
+        assert peak - before <= 1.25 * G.nbytes
 
 
 class TestValidation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bfsmooth.errors import InputError, ParameterError, UnisolvencyError
 from bfsmooth.polyspace import (
     PolyFrame,
+    _has_duplicates,
     enumerate_multi_indices,
     is_unisolvent,
     lagrange_apply,
@@ -60,6 +61,63 @@ class TestUnisolvencyMatrix:
         frame = PolyFrame(2, 2)
         P = unisolvency_matrix(frame, [(0, 0), (1, 0), (0, 1)])
         np.testing.assert_array_equal(P, [[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+
+
+def _monomials_reference(frame, pts):
+    # The earlier formula: np.power with integer exponent arrays, then a
+    # product along the coordinate axis.
+    cols = [np.prod(pts ** np.array(alpha), axis=1) for alpha in frame.indices]
+    return np.column_stack(cols)
+
+
+class TestMonomialValues:
+    @pytest.mark.parametrize("d,theta", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+    def test_theta_at_most_2_bit_identical(self, d, theta):
+        frame = PolyFrame(d, theta)
+        pts = np.random.default_rng(d + theta).uniform(-1.5, 1.5, (500, d))
+        pts[0] = -0.0
+        got = frame.monomials(pts)
+        want = _monomials_reference(frame, pts)
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_theta_4_d_3_close(self):
+        frame = PolyFrame(3, 4)
+        pts = np.random.default_rng(7).uniform(-1.5, 1.5, (500, 3))
+        np.testing.assert_allclose(
+            frame.monomials(pts), _monomials_reference(frame, pts), rtol=1e-15, atol=0
+        )
+
+
+class TestDuplicates:
+    def test_signed_zero_is_the_same_point(self):
+        assert _has_duplicates(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_rows_far_apart(self, d):
+        pts = np.random.default_rng(d).uniform(-1.5, 1.5, (1000, d))
+        assert not _has_duplicates(pts)
+        pts[-1] = pts[0]
+        assert _has_duplicates(pts)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rows_differing_in_one_coordinate(self, d):
+        pts = np.zeros((3, d))
+        pts[1, -1] = 1.0
+        pts[2, 0] = -1.0
+        assert not _has_duplicates(pts)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_or_one_point(self, d, n):
+        assert not _has_duplicates(np.zeros((n, d)))
+
+    @pytest.mark.parametrize("check", [is_unisolvent, minimal_unisolvent_subset])
+    def test_checks_reject_duplicates(self, check):
+        X = [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (-0.0, 1.0)]
+        with pytest.raises(InputError):
+            check(PolyFrame(2, 2), X)
 
 
 class TestIsUnisolvent:
