@@ -14,8 +14,14 @@ import numpy as np
 
 from .assembly import exact_system, solve_block
 from .errors import ParameterError
-from .interpolant import FittedModel, eval_model, seminorm_sq
-from .kernels import KernelSpec
+from .interpolant import (
+    FittedModel,
+    _check_constraint,
+    _seminorm_from,
+    eval_model,
+    seminorm_sq,
+)
+from .kernels import KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, as_points, unisolvency_matrix
 
 IDENTITY_RTOL = 1e-8
@@ -73,9 +79,19 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     X = as_points(X, model.frame.d)
     y = np.asarray(y, dtype=float)
     rho = model.rho
-    s = np.atleast_1d(eval_model(model, X))
+    P = unisolvency_matrix(model.frame, X)
+    if X.shape == model.centers.shape and np.array_equal(X, model.centers):
+        # X is the center set (the Exact smoother's case): one G_XX gives
+        # both the fitted values and the seminorm, each evaluated in the
+        # same order as eval_model and seminorm_sq.
+        _check_constraint(model)
+        G = kernel_matrix(model.spec, X, X)
+        s = G @ model.v + P @ model.beta
+        sn = _seminorm_from(model.spec, model.v, G)
+    else:
+        s = np.atleast_1d(eval_model(model, X))
+        sn = seminorm_sq(model)
     N = len(y)
-    sn = seminorm_sq(model)
     residual_ms = float(np.mean((s - y) ** 2))
     J_e = rho * sn + residual_ms
 
@@ -91,7 +107,6 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     # J_e = (1/N) sum (y_k - s(x_k)) y_k
     gap_functional = rel(J_e, float(np.mean((y - s) * y)))
     # P_X^T (s_X - y) = 0
-    P = unisolvency_matrix(model.frame, X)
     gap_constraint = float(np.linalg.norm(P.T @ (s - y))) / max(
         np.linalg.norm(y), 1.0
     )

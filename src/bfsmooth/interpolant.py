@@ -91,8 +91,12 @@ def seminorm_sq(model: FittedModel) -> float:
     if not len(model.centers):
         return 0.0
     G = kernel_matrix(model.spec, model.centers, model.centers)
-    value = (2.0 * np.pi) ** (model.spec.d / 2.0) * float(model.v @ G @ model.v)
-    return max(value, 0.0)
+    return _seminorm_from(model.spec, model.v, G)
+
+
+def _seminorm_from(spec: KernelSpec, w: np.ndarray, G: np.ndarray) -> float:
+    """(2 pi)^(d/2) w^T G w for G over w's centers; clipped at zero."""
+    return max((2.0 * np.pi) ** (spec.d / 2.0) * float(w @ G @ w), 0.0)
 
 
 def _merged_centers(model1: FittedModel, model2: FittedModel):
@@ -123,5 +127,4 @@ def seminorm_sq_diff(model1: FittedModel, model2: FittedModel) -> float:
     if not len(Z):
         return 0.0
     G = kernel_matrix(model1.spec, Z, Z)
-    value = (2.0 * np.pi) ** (model1.spec.d / 2.0) * float(w @ G @ w)
-    return max(value, 0.0)
+    return _seminorm_from(model1.spec, w, G)

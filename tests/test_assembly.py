@@ -1,9 +1,15 @@
 import math
+import tracemalloc
+from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bfsmooth import assembly
 from bfsmooth.assembly import (
+    RESIDUAL_RTOL,
     ApproxParts,
     BlockSystem,
     approx_parts,
@@ -196,6 +202,15 @@ class TestApproxSystem:
         with pytest.raises(ParameterError):
             approx_parts(spec, frame, X, y, np.linspace(-1, 1, 5)).system(0.0)
 
+    def test_corner_block_bits(self):
+        spec, frame, X, y = _random_instance(10, 300)
+        parts = approx_parts(spec, frame, X, y, np.linspace(-1.4, 1.4, 13))
+        Np = len(parts.centers)
+        for rho in (1e-9, 0.37, 10.0):
+            scale = (2.0 * np.pi) ** (spec.d / 2.0) * parts.N * rho
+            want = scale * parts.G_pp + parts.BBt
+            assert np.array_equal(parts.system(rho).matrix[:Np, :Np], want)
+
 
 class TestSolveBlock:
     def test_identity_system(self):
@@ -230,6 +245,155 @@ class TestSolveBlock:
         a, b = sys.split(np.arange(5.0))
         np.testing.assert_array_equal(a, [0, 1, 2])
         np.testing.assert_array_equal(b, [3, 4])
+
+
+def _always_extended_solve(sys):
+    # The solver before the double-precision gate: long-double residuals on
+    # every solve, the same sweeps, best-iterate rule and error message.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(sys.matrix)
+            sol = scipy.linalg.lu_solve(lu, sys.rhs)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SolveError(f"{sys.provenance} system solve failed: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SolveError(f"{sys.provenance} system is singular to working precision")
+    rhs_norm = np.linalg.norm(sys.rhs)
+    A_ext = sys.matrix.astype(np.longdouble)
+    rhs_ext = sys.rhs.astype(np.longdouble)
+
+    def _residual(x):
+        return float(np.linalg.norm((A_ext @ x - rhs_ext).astype(float)))
+
+    residual = _residual(sol)
+    best_sol, best_residual = sol, residual
+    for _ in range(8):
+        if best_residual <= 0.05 * RESIDUAL_RTOL * rhs_norm:
+            break
+        correction = scipy.linalg.lu_solve(lu, (rhs_ext - A_ext @ sol).astype(float))
+        if not np.all(np.isfinite(correction)):
+            break
+        sol = sol + correction
+        residual = _residual(sol)
+        if residual < best_residual:
+            best_sol, best_residual = sol, residual
+    sol, residual = best_sol, best_residual
+    if residual > RESIDUAL_RTOL * max(rhs_norm, 1e-300):
+        raise SolveError(
+            f"{sys.provenance} system residual {residual:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}",
+            residual=residual,
+        )
+    return sol
+
+
+ILL_SPECS = [
+    KernelSpec("gauss", theta=2, d=2),
+    KernelSpec("mq", theta=2, d=2, a=1.0),
+    KernelSpec("thinplate", theta=2, d=2, s=1.0),
+]
+
+
+def _gate_systems():
+    # Approximate systems on fine center grids at small rho, and exact
+    # systems down to rho = 1e-8: condition numbers up to about 1e21.
+    frame = PolyFrame(2, 2)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.5, 1.5, (1000, 2))
+    y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
+    for spec in ILL_SPECS:
+        for k in (20, 40):
+            t = np.linspace(-1.4, 1.4, k)
+            Xp = np.column_stack([a.ravel() for a in np.meshgrid(t, t)])
+            parts = approx_parts(spec, frame, X, y, Xp)
+            for rho in (1e-2, 1e-6, 1e-9):
+                yield f"{spec.label()} {k}x{k} rho={rho:g}", parts.system(rho)
+        for rho in (1e-3, 1e-8):
+            yield f"{spec.label()} exact rho={rho:g}", exact_system(
+                spec, frame, X[:400], y[:400], rho
+            )
+    # Wilkinson's growth-factor matrix: LU's relative residual climbs from
+    # 3e-10 (n = 26) to 3e-8 (n = 32), across the 5e-10 early-exit target.
+    for n in (26, 28, 30, 32):
+        A = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        A[:, -1] = 1.0
+        yield f"wilkinson n={n}", BlockSystem(
+            matrix=A, rhs=rng.standard_normal(n), layout=(n,), provenance="test"
+        )
+
+
+def _outcome(solve, sys):
+    try:
+        return solve(sys)
+    except SolveError as exc:
+        return str(exc)
+
+
+class TestSolveBlockGate:
+    def test_ill_conditioned_end_unchanged(self, monkeypatch):
+        fallbacks, raised = [], []
+
+        def spy(*args, _orig=assembly._refine_extended):
+            fallbacks[-1] = True
+            return _orig(*args)
+
+        monkeypatch.setattr(assembly, "_refine_extended", spy)
+        for label, sys in _gate_systems():
+            fallbacks.append(False)
+            got = _outcome(solve_block, sys)
+            want = _outcome(_always_extended_solve, sys)
+            if isinstance(want, str):
+                raised.append(label)
+                assert got == want, label
+            else:
+                assert not isinstance(got, str), f"{label}: {got}"
+                assert np.array_equal(got, want), label
+        # both the double-precision exit and the long-double fallback ran,
+        # and the set reaches a system that fails the residual gate
+        assert any(fallbacks) and not all(fallbacks), fallbacks
+        assert raised
+
+    def test_bound_covers_true_residual(self):
+        # fl(A x - b) can be 0 while the exact residual is not: 1e16 + 1
+        # rounds to 1e16.  The exact residual is computed in rationals.
+        rng = np.random.default_rng(5)
+        cases = [(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1e16, 1.0]),
+                  np.array([1e16, 1.0]))]
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            cases.append((A, x, A @ x))
+        for A, x, b in cases:
+            exact = [
+                sum(Fraction(a) * Fraction(v) for a, v in zip(row, x)) - Fraction(c)
+                for row, c in zip(A, b)
+            ]
+            true_sq = sum(r * r for r in exact)
+            bound = Fraction(assembly._residual_bound(A, x, b))
+            assert bound * bound >= true_sq
+
+
+class TestSolveBlockMemory:
+    def test_peak_allocation_is_the_factorization(self):
+        # Allocations, not time: beside the LU copy of A, the gate adds only
+        # row blocks and vectors.
+        n = 1000
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((n, n))
+        A = A + A.T + 2 * n * np.eye(n)
+        sys = BlockSystem(matrix=A, rhs=rng.standard_normal(n), layout=(n,),
+                          provenance="test")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            solve_block(sys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * A.nbytes
 
 
 class TestCpdCheck:

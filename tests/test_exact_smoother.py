@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from bfsmooth.errors import ParameterError
-from bfsmooth.exact_smoother import diagnostics, fit_exact, functional_value
+from bfsmooth import exact_smoother, interpolant
+from bfsmooth.errors import ContractError, ParameterError
+from bfsmooth.exact_smoother import (
+    IDENTITY_RTOL,
+    SmootherDiagnostics,
+    diagnostics,
+    fit_exact,
+    functional_value,
+)
 from bfsmooth.interpolant import (
     FittedModel,
     eval_model,
@@ -19,6 +26,13 @@ from bfsmooth.polyspace import (
 from conftest import scattered_points
 
 TPS = KernelSpec("thinplate", theta=2, d=1, s=1.5)
+D2_SPECS = [
+    KernelSpec("thinplate", theta=2, d=2, s=1.5),
+    KernelSpec("shifted-tps", theta=2, d=2, s=1.0, a=1.0),
+    KernelSpec("mq", theta=2, d=2, a=1.0),
+    KernelSpec("imq", theta=2, d=2, a=1.0),
+    KernelSpec("gauss", theta=2, d=2),
+]
 
 
 def _instance(seed, N=30, d=1, theta=2, spec=None):
@@ -104,17 +118,124 @@ class TestDiagnostics:
         assert np.linalg.norm(gap) <= 1e-8 * np.linalg.norm(y)
 
     def test_identities_across_kernels(self):
-        specs = [
-            KernelSpec("thinplate", theta=2, d=2, s=1.5),
-            KernelSpec("shifted-tps", theta=2, d=2, s=1.0, a=1.0),
-            KernelSpec("mq", theta=2, d=2, a=1.0),
-            KernelSpec("imq", theta=2, d=2, a=1.0),
-            KernelSpec("gauss", theta=2, d=2),
-        ]
-        for i, spec in enumerate(specs):
+        for i, spec in enumerate(D2_SPECS):
             _, frame, X, y = _instance((8, i), N=25, d=2, theta=2, spec=spec)
             model = fit_exact(spec, frame, X, y, rho=0.1)
             assert diagnostics(model, X, y).ok, spec.label()
+
+
+GAP_FIELDS = ("gap_energy", "gap_seminorm", "gap_functional", "gap_constraint")
+
+
+def _reference_diagnostics(model, X, y):
+    # The eval_model + seminorm_sq formulation: s and |s|^2 each from their
+    # own kernel matrix.
+    y = np.asarray(y, dtype=float)
+    s = np.atleast_1d(eval_model(model, X))
+    sn = seminorm_sq(model)
+    N, rho = len(y), model.rho
+    residual_ms = float(np.mean((s - y) ** 2))
+    J_e = rho * sn + residual_ms
+
+    def rel(left, right):
+        return abs(left - right) / max(abs(right), 1.0)
+
+    P = unisolvency_matrix(model.frame, X)
+    gaps = dict(
+        gap_energy=rel(2 * rho * sn + residual_ms + float(np.mean(s**2)),
+                       float(np.mean(y**2))),
+        gap_seminorm=rel(sn, float(np.sum(s * (y - s))) / (N * rho)),
+        gap_functional=rel(J_e, float(np.mean((y - s) * y))),
+        gap_constraint=float(np.linalg.norm(P.T @ (s - y)))
+        / max(np.linalg.norm(y), 1.0),
+    )
+    return SmootherDiagnostics(
+        J_e=J_e, seminorm_sq=sn, residual_ms=residual_ms, **gaps,
+        ok=all(g <= IDENTITY_RTOL for g in gaps.values()),
+    )
+
+
+def _assert_close_diagnostics(diag, reference):
+    for name in ("seminorm_sq", "J_e", "residual_ms"):
+        assert getattr(diag, name) == pytest.approx(getattr(reference, name), rel=1e-12)
+    # The gaps are already relative to max(|right|, 1): a 1e-12 relative
+    # change of their operands moves them by about 1e-12 at most.
+    for name in GAP_FIELDS:
+        want = getattr(reference, name)
+        assert abs(getattr(diag, name) - want) <= 1e-12 * max(want, 1.0)
+    assert diag.ok == reference.ok
+
+
+def _kernel_setups():
+    yield "thinplate-d1", TPS, _instance(20)[1:]
+    for i, spec in enumerate(D2_SPECS):
+        yield spec.label(), spec, _instance((21, i), N=25, d=2, spec=spec)[1:]
+
+
+SETUPS = list(_kernel_setups())
+SETUP_IDS = [setup[0] for setup in SETUPS]
+
+
+class TestDiagnosticsOneKernelMatrix:
+    @pytest.mark.parametrize("rho", [0.1, 1e-4])
+    @pytest.mark.parametrize("label, spec, data", SETUPS, ids=SETUP_IDS)
+    def test_center_set_matches_eval_model_route(self, monkeypatch, label, spec,
+                                                 data, rho):
+        frame, X, y = data
+        model = fit_exact(spec, frame, X, y, rho)
+        reference = _reference_diagnostics(model, X, y)
+        built = []
+
+        def counting(spec, Y, Z, _orig=exact_smoother.kernel_matrix):
+            out = _orig(spec, Y, Z)
+            built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(exact_smoother, "kernel_matrix", counting)
+        monkeypatch.setattr(interpolant, "kernel_matrix", counting)
+        diag = diagnostics(model, X, y)
+        assert built == [(len(X), len(X))]
+        # same matrix, same evaluation order: bit for bit the reference
+        assert diag == reference
+
+    def test_gauss_small_rho_still_flagged(self):
+        # A known weak spot: at rho = 1e-8 the seminorm identity of this
+        # gauss fit misses IDENTITY_RTOL by about 15x.
+        spec = KernelSpec("gauss", theta=2, d=1)
+        _, frame, X, y = _instance((15, 29), N=40, spec=spec)
+        model = fit_exact(spec, frame, X, y, rho=1e-8)
+        diag = diagnostics(model, X, y)
+        assert not diag.ok
+        assert diag.gap_seminorm > 1e-8
+        assert diag == _reference_diagnostics(model, X, y)
+
+    def test_constraint_checked_on_both_routes(self):
+        spec, frame, X, y = _instance(22)
+        model = fit_exact(spec, frame, X, y, rho=0.1)
+        broken = FittedModel(spec=spec, frame=frame, centers=X,
+                             v=model.v + 1.0, beta=model.beta, rho=0.1,
+                             kind="exact_smoother")
+        with pytest.raises(ContractError):
+            diagnostics(broken, X, y)
+        with pytest.raises(ContractError):
+            diagnostics(broken, X[::-1], y[::-1])
+
+    @pytest.mark.parametrize("label, spec, data", SETUPS, ids=SETUP_IDS)
+    def test_permuted_rows_take_general_route(self, monkeypatch, label, spec, data):
+        frame, X, y = data
+        model = fit_exact(spec, frame, X, y, rho=0.1)
+        own = diagnostics(model, X, y)
+        calls = []
+
+        def counting(model, x, _orig=exact_smoother.eval_model):
+            calls.append(len(x))
+            return _orig(model, x)
+
+        monkeypatch.setattr(exact_smoother, "eval_model", counting)
+        perm = np.random.default_rng(0).permutation(len(X))
+        permuted = diagnostics(model, X[perm], y[perm])
+        assert calls == [len(X)]
+        _assert_close_diagnostics(permuted, own)
 
 
 class TestVariationalProperties:
