@@ -10,13 +10,22 @@ Three symmetric systems are assembled here:
 
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks so
-peak memory stays O(N' * chunk).
+peak memory stays O(N' * chunk).  Across a rho search the systems differ
+only by a multiple of G_X'X', so `ApproxParts` factors the family once
+(`_SpectralFactor`) and offers each later system an O(N'^2) candidate
+solution.
+
+`solve_block` accepts a candidate or an LU solution only under the same
+double-precision residual bound on the original saddle system, and falls
+back to LU with long-double refinement otherwise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +47,10 @@ class BlockSystem:
     rhs: np.ndarray
     layout: tuple[int, ...]
     provenance: str
+    # returns a trial solution (or None) that `solve_block` checks first
+    candidate: Callable[[], np.ndarray | None] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a solution vector along the block layout."""
@@ -59,7 +72,7 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
         raise ParameterError(f"y must have length {N}, got {y.shape}")
     P = unisolvency_matrix(frame, X)
     A = np.zeros((N + M, N + M))
-    A[:N, :N] = kernel_matrix(spec, X, X)
+    kernel_matrix(spec, X, X, out=A[:N, :N])
     A[:N, N:] = P
     A[N:, :N] = P.T
     rhs = np.concatenate([y, np.zeros(M)])
@@ -83,6 +96,9 @@ class ApproxParts:
 
     Assembled once per (X, y, X') triple; `system(rho)` then costs only
     the diagonal-block update, which is what makes rho searches cheap.
+    From the second `system` call on, the system carries a candidate
+    solution from the spectral factor (`_SpectralFactor`), which is built
+    on first use and then solves every further rho in O(N'^2).
     """
 
     spec: KernelSpec
@@ -96,6 +112,11 @@ class ApproxParts:
     By: np.ndarray  # G_{X',X} y, (N',)
     Pty: np.ndarray  # P_X^T y, (M,)
     N: int
+    _systems: int = field(default=0, init=False, repr=False, compare=False)
+    # None until first needed; False when the factorization failed
+    _factor: _SpectralFactor | bool | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def system(self, rho: float) -> BlockSystem:
         if rho <= 0:
@@ -113,7 +134,92 @@ class ApproxParts:
         A[:Np, Np + M :] = self.P_p
         A[Np + M :, :Np] = self.P_p.T
         rhs = np.concatenate([self.By, self.Pty, np.zeros(M)])
-        return BlockSystem(matrix=A, rhs=rhs, layout=(Np, M, M), provenance="approx")
+        object.__setattr__(self, "_systems", self._systems + 1)
+        # a one-rho fit never pays for the factorization; with N' = M the
+        # constraint alone fixes alpha = 0 and there is no family to factor
+        repeated = self._systems > 1 and Np > M
+        candidate = partial(self._spectral_solve, scale) if repeated else None
+        return BlockSystem(matrix=A, rhs=rhs, layout=(Np, M, M), provenance="approx",
+                           candidate=candidate)
+
+    def _spectral_solve(self, scale: float) -> np.ndarray | None:
+        if self._factor is None:
+            try:
+                factor = _SpectralFactor.build(self)
+            except np.linalg.LinAlgError:
+                # e.g. Z^T G_pp Z not positive definite to working precision
+                factor = False
+            object.__setattr__(self, "_factor", factor)
+        return self._factor.solve(self, scale) if self._factor else None
+
+
+def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Lower triangle of Z^T K Z = K_RR - K_RA C - C^T K_AR + C^T K_AA C
+    for symmetric K, in Fortran order for LAPACK.
+
+    Formed as K_RR - W C - (W C)^T with W = K_RA - C^T K_AA / 2: one
+    rank-2M update in place, so the copy of K_RR is the only
+    (N' - M)^2 array.
+    """
+    W = K[np.ix_(R, A)] - 0.5 * (C.T @ K[np.ix_(A, A)])
+    K_RR = K[np.ix_(R, R)].T  # K is symmetric; .T is the Fortran-order view
+    return scipy.linalg.blas.dsyr2k(-1.0, W, C.T, beta=1.0, c=K_RR, lower=1,
+                                    overwrite_c=1)
+
+
+@dataclass(frozen=True)
+class _SpectralFactor:
+    """The rho-family of approximate systems in Demmler-Reinsch form.
+
+    Let A be a minimal unisolvent subset of X' (R the other centers),
+    C = P_A^-T P_R^T and Z = [-C; I] in (A, R) order, so that alpha = Z w
+    satisfies P_X'^T alpha = 0 for every w.  Eliminating beta leaves
+    Z^T (S + lam G_pp) Z w = Z^T r with S = BBt - BP PtP^-1 BP^T,
+    r = By - BP PtP^-1 Pty and lam = (2 pi)^(d/2) N rho.  The generalized
+    eigenproblem Z^T S Z V = Z^T G_pp Z V diag(sigma), with
+    V^T Z^T G_pp Z V = I, gives w = V (q / (sigma + lam)), q = V^T Z^T r.
+    """
+
+    V: np.ndarray  # (N' - M, N' - M)
+    sigma: np.ndarray  # (N' - M,)
+    q: np.ndarray  # (N' - M,)
+    A: np.ndarray  # indices of the minimal unisolvent subset of X'
+    R: np.ndarray  # the other indices
+    C: np.ndarray  # P_A^-T P_R^T, (M, N' - M)
+
+    @classmethod
+    def build(cls, parts: ApproxParts) -> _SpectralFactor:
+        M = parts.PtP.shape[0]
+        # column-pivoted QR of P_X'^T picks a well-conditioned A in one call
+        _, piv = scipy.linalg.qr(parts.P_p.T, mode="r", pivoting=True)
+        A, R = piv[:M], piv[M:]
+        C = scipy.linalg.solve(parts.P_p[A].T, parts.P_p[R].T)
+        ZtBP = parts.BP[R] - C.T @ parts.BP[A]
+        L = scipy.linalg.cholesky(parts.PtP, lower=True)
+        r = parts.By - parts.BP @ scipy.linalg.cho_solve((L, True), parts.Pty)
+        # S = Z^T BBt Z - Y Y^T with Y = Z^T BP L^-T, the Schur complement of PtP
+        Y = scipy.linalg.solve_triangular(L, ZtBP.T, lower=True).T
+        S = scipy.linalg.blas.dsyrk(-1.0, Y, beta=1.0, c=_reduce(parts.BBt, A, R, C),
+                                    lower=1, overwrite_c=1)
+        G = _reduce(parts.G_pp, A, R, C)
+        sigma, V = scipy.linalg.eigh(S, G, lower=True, overwrite_a=True,
+                                     overwrite_b=True)
+        return cls(V=V, sigma=sigma, q=V.T @ (r[R] - C.T @ r[A]), A=A, R=R, C=C)
+
+    def solve(self, parts: ApproxParts, scale: float) -> np.ndarray:
+        """[alpha; beta; gamma] of `parts.system(rho)` with scale = lam."""
+        w = self.V @ (self.q / (self.sigma + scale))
+        alpha = np.empty(len(parts.centers))
+        alpha[self.R] = w
+        alpha[self.A] = -(self.C @ w)
+        beta = scipy.linalg.solve(parts.PtP, parts.Pty - parts.BP.T @ alpha,
+                                  assume_a="pos")
+        # gamma from the A rows of the first block row
+        A = self.A
+        e_A = (parts.By[A] - scale * (parts.G_pp[A] @ alpha)
+               - parts.BBt[A] @ alpha - parts.BP[A] @ beta)
+        gamma = scipy.linalg.solve(parts.P_p[A], e_A)
+        return np.concatenate([alpha, beta, gamma])
 
 
 def approx_parts(
@@ -210,16 +316,25 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
 
 
 def solve_block(sys: BlockSystem) -> np.ndarray:
-    """Dense LU solve with a mandatory residual check.
+    """Dense solve with a mandatory residual check.
 
-    Double precision: the LU solution is returned at once when a rigorous
-    upper bound on its residual, |fl(A x - b)| + n eps ||A| |x| + |b||
-    (the matvec rounding bound of Higham 2002, section 3.5), is within
-    0.05 * RESIDUAL_RTOL * |rhs|, the refinement's own early-exit target.
+    Every accepted solution passes a rigorous upper bound on its residual,
+    |fl(A x - b)| + n eps ||A| |x| + |b|| (the matvec rounding bound of
+    Higham 2002, section 3.5), against the original system.
+    Candidate: a system that carries one (a repeated-rho approximate
+    system) has it tried first, and it is returned when the bound is
+    within 0.05 * RESIDUAL_RTOL * |rhs|.
+    LU, otherwise: the LU solution is returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised.
     """
+    rhs_norm = np.linalg.norm(sys.rhs)
+    target = 0.05 * RESIDUAL_RTOL * rhs_norm
+    if sys.candidate is not None:
+        sol = sys.candidate()
+        if sol is not None and _residual_bound(sys.matrix, sol, sys.rhs) <= target:
+            return sol
     try:
         with warnings.catch_warnings():
             # singularity is reported through SolveError, not a warning
@@ -230,8 +345,6 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
         raise SolveError(f"{sys.provenance} system solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise SolveError(f"{sys.provenance} system is singular to working precision")
-    rhs_norm = np.linalg.norm(sys.rhs)
-    target = 0.05 * RESIDUAL_RTOL * rhs_norm
     # The bound exceeds the long-double residual the refinement would
     # compute first, so passing it returns what the refinement would.
     if _residual_bound(sys.matrix, sol, sys.rhs) <= target:

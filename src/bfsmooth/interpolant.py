@@ -21,6 +21,10 @@ from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
 CONSTRAINT_RTOL = 1e-8
 INTERP_RTOL = 1e-8
 
+# Entries per row tile of the query-by-center kernel matrix in
+# `eval_model`, so that the whole (|Q|, N') matrix is never held.
+_EVAL_TILE_ENTRIES = 1 << 18
+
 MODEL_KINDS = ("interpolant", "exact_smoother", "approx_smoother")
 
 
@@ -73,8 +77,16 @@ def eval_model(model: FittedModel, x):
     """Evaluate the model at one point or an array of points."""
     pts = as_points(x, model.frame.d)
     values = np.zeros(len(pts))
-    if len(model.centers):
-        values += kernel_matrix(model.spec, pts, model.centers) @ model.v
+    n_c = len(model.centers)
+    if n_c:
+        # whole multiples of 8 rows: with OpenBLAS the tiled matvec then
+        # matches the untiled one bit for bit where that runs on one thread
+        rows = max(8, _EVAL_TILE_ENTRIES // n_c // 8 * 8)
+        buffer = np.empty((min(rows, len(pts)), n_c))
+        for lo in range(0, len(pts), rows):
+            Q = pts[lo : lo + rows]
+            tile = kernel_matrix(model.spec, Q, model.centers, out=buffer[: len(Q)])
+            values[lo : lo + rows] += tile @ model.v
     values += model.frame.monomials(pts) @ model.beta
     return _maybe_scalar(values, x)
 

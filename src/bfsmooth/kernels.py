@@ -153,20 +153,32 @@ def kernel_eval(spec: KernelSpec, x):
     return _maybe_scalar(_profile(spec, np.sum(pts * pts, axis=1)), x)
 
 
-def kernel_matrix(spec: KernelSpec, Y, Z) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, Y, Z, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of G(y_i - z_j) values, shape (|Y|, |Z|).
 
     Built in place in row blocks of about _BLOCK_ENTRIES entries: each
     block's squared distances and kernel values stay in cache, and the
-    result is the only full-size array.
+    result is the only full-size array.  With `out` (a float array of
+    that shape, e.g. a block of a larger matrix) the values are written
+    there and `out` is returned; a view that is not C-contiguous is
+    filled through one row-block buffer.
     """
     Y = as_points(Y, spec.d)
     Z = as_points(Z, spec.d)
-    out = np.empty((len(Y), len(Z)))
+    shape = (len(Y), len(Z))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float:
+        raise ParameterError(f"out must be a float array of shape {shape}")
     rows = max(1, _BLOCK_ENTRIES // max(len(Z), 1))
+    # cdist writes only into C-contiguous arrays
+    scratch = None if out.flags.c_contiguous else np.empty((min(rows, len(Y)), len(Z)))
     for lo in range(0, len(Y), rows):
-        block = out[lo : lo + rows]
-        _profile(spec, cdist(Y[lo : lo + rows], Z, "sqeuclidean", out=block))
+        Y_rows = Y[lo : lo + rows]
+        block = out[lo : lo + rows] if scratch is None else scratch[: len(Y_rows)]
+        _profile(spec, cdist(Y_rows, Z, "sqeuclidean", out=block))
+        if scratch is not None:
+            out[lo : lo + rows] = block
     return out
 
 

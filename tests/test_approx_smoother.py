@@ -10,7 +10,7 @@ from bfsmooth.approx_smoother import (
     make_grid,
     parse_grid,
 )
-from bfsmooth.assembly import approx_parts
+from bfsmooth.assembly import RESIDUAL_RTOL, approx_parts, solve_block
 from bfsmooth.errors import ParameterError, ParseError
 from bfsmooth.exact_smoother import fit_exact, functional_value
 from bfsmooth.interpolant import eval_model
@@ -193,14 +193,27 @@ class TestFitApprox:
 
 class TestFitParts:
     def test_matches_fit_approx(self):
+        # The first rho of a parts is LU's solution, bit for bit.  Later rho
+        # may take the spectral candidate: the full solution passes the
+        # solver's residual gate and the model is LU's to rounding.
         spec, frame, X, y = _instance(7, N=60)
         Xp = make_grid(GridSpec(a=-1.5, b=1.5, counts=(8,)), frame.theta)
         parts = approx_parts(spec, frame, X, y, Xp)
-        for rho in (1e-3, 0.1):
+        for k, rho in enumerate((1e-3, 0.1, 1e-6)):
             got = fit_parts(parts, rho)
             want = fit_approx(spec, frame, X, y, Xp, rho)
-            np.testing.assert_array_equal(got.v, want.v)
-            np.testing.assert_array_equal(got.beta, want.beta)
+            if k == 0:
+                np.testing.assert_array_equal(got.v, want.v)
+                np.testing.assert_array_equal(got.beta, want.beta)
+            else:
+                sys = parts.system(rho)
+                sol = solve_block(sys)
+                np.testing.assert_array_equal(np.concatenate([got.v, got.beta]),
+                                              sol[: len(Xp) + frame.M])
+                residual = np.linalg.norm(sys.matrix @ sol - sys.rhs)
+                assert residual <= 0.05 * RESIDUAL_RTOL * np.linalg.norm(sys.rhs)
+                for a, b in ((got.v, want.v), (got.beta, want.beta)):
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-8 * np.abs(b).max())
             np.testing.assert_array_equal(got.centers, want.centers)
             assert (got.spec, got.frame, got.kind, got.rho) == (
                 want.spec, want.frame, want.kind, want.rho

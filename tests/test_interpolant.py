@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bfsmooth import interpolant
 from bfsmooth.assembly import interp_system, solve_block
 from bfsmooth.errors import ContractError, ParameterError
 from bfsmooth.interpolant import (
@@ -103,6 +105,48 @@ class TestEvalModel:
             )
             naive += (frame.monomials(x[None, :]) @ model.beta).item()
             assert eval_model(model, x) == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("n_query", [1, 2000])
+    def test_tiles_match_whole_matrix(self, n_query):
+        # 2000 queries x 300 centers is three tiles of the default size
+        rng = np.random.default_rng(5)
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
+        centers = rng.uniform(-1.5, 1.5, (300, 2))
+        model = FittedModel(spec=spec, frame=PolyFrame(2, 2), centers=centers,
+                            v=rng.standard_normal(300), beta=rng.standard_normal(3))
+        Q = rng.uniform(-1.5, 1.5, (n_query, 2))
+        assert n_query == 1 or n_query * 300 > 2 * interpolant._EVAL_TILE_ENTRIES
+        want = kernel_matrix(spec, Q, centers) @ model.v
+        want += model.frame.monomials(Q) @ model.beta
+        got = eval_model(model, Q)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_tile_rows_cover_every_query(self, monkeypatch):
+        # tiles of a few rows each, the last one short
+        monkeypatch.setattr(interpolant, "_EVAL_TILE_ENTRIES", 45)  # 8-row tiles
+        model, _, _, spec, frame = _random_fit(6)
+        Q = np.linspace(-1.4, 1.4, 23)
+        want = kernel_matrix(spec, Q, model.centers) @ model.v
+        want += frame.monomials(Q) @ model.beta
+        np.testing.assert_allclose(eval_model(model, Q), want, rtol=1e-13, atol=1e-13)
+
+    def test_peak_allocation_is_one_tile(self):
+        # 3600 queries x 900 centers would be a 26 MB kernel matrix
+        rng = np.random.default_rng(7)
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
+        model = FittedModel(spec=spec, frame=PolyFrame(2, 2),
+                            centers=rng.uniform(-1.5, 1.5, (900, 2)),
+                            v=rng.standard_normal(900), beta=rng.standard_normal(3))
+        Q = rng.uniform(-1.5, 1.5, (3600, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            eval_model(model, Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * 8 * interpolant._EVAL_TILE_ENTRIES
 
     def test_shape_contracts(self):
         model, _, _, _, _ = _random_fit(4)
