@@ -113,11 +113,18 @@ def _log_power(c: float, q: np.ndarray, s: float) -> np.ndarray:
     """c q^s log q in place of q, with value 0 where q = 0 (q >= 0).
 
     c q^s is formed first and then multiplied by the log: the other order
-    changes the result where c q^s underflows, e.g. at q = 5e-324.
+    changes the result where c q^s underflows, e.g. at q = 5e-324.  For
+    s = 1 it is c q, since q**1.0 is exact.  q = 1 is set where q = 0 and
+    then one unmasked log is taken: log 1 = 0 gives the limit 0, with the
+    same bits as skipping those entries.
     """
-    t = q**s
-    t *= c
-    np.log(q, out=q, where=q > 0)
+    if s == 1:
+        t = c * q
+    else:
+        t = q**s
+        t *= c
+    np.copyto(q, 1.0, where=q == 0)
+    np.log(q, out=q)
     q *= t
     return q
 

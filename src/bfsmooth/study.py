@@ -382,20 +382,26 @@ def rho_search(
     best of the three is kept; once neither direction improves, the
     factor shrinks (square root).  Stops when the relative change of the
     error or of rho per step falls below its threshold, or at max_iter.
-    Returns (best_rho, trace) with trace entries (rho, error).
+    Each distinct rho is evaluated once (an exact float key; a step back,
+    rho * factor / factor, is often exactly rho) and its error reused.
+    Returns (best_rho, trace) with trace entries (rho, error), one per
+    scored candidate, repeats included.
     """
     if rho0 <= 0:
         raise ParameterError(f"rho0 must be > 0, got {rho0}")
     if factor <= 1:
         raise ParameterError(f"factor must be > 1, got {factor}")
     trace: list[tuple[float, float]] = []
+    scored: dict[float, float] = {}
 
     def evaluate(rho: float) -> float:
-        value = float(error_fn(rho))
-        if not math.isfinite(value):
-            raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
-        trace.append((rho, value))
-        return value
+        if rho not in scored:
+            value = float(error_fn(rho))
+            if not math.isfinite(value):
+                raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
+            scored[rho] = value
+        trace.append((rho, scored[rho]))
+        return scored[rho]
 
     rho, err = rho0, evaluate(rho0)
     for _ in range(max_iter):

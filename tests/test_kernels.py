@@ -150,6 +150,17 @@ def _log_branch_reference(spec, r2):
         return c * r2**spec.s * np.where(r2 > 0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
 
 
+def _log_branch_in_place(spec, r2):
+    # The integer-s log branch written the direct way: q**s, *= c, then a
+    # log masked to q > 0.
+    q = r2 + spec.a**2 if spec.family == "shifted-tps" else r2.copy()
+    t = q**spec.s
+    t *= (-1.0) ** (int(spec.s) + 1) / 2.0
+    np.log(q, out=q, where=q > 0)
+    q *= t
+    return q
+
+
 def _grid_centers(d, n=400):
     # n nodes of a regular grid on [-1.5, 1.5]^d (d = 1 or 2)
     per_axis = round(n ** (1.0 / d))
@@ -158,18 +169,28 @@ def _grid_centers(d, n=400):
 
 
 class TestBitExact:
+    @pytest.mark.parametrize("reference", [_log_branch_reference, _log_branch_in_place])
     @pytest.mark.parametrize("spec", LOG_SPECS, ids=KernelSpec.label)
-    def test_log_branch_matches_reference(self, spec):
+    def test_log_branch_matches_reference(self, spec, reference):
         rng = np.random.default_rng(0)
         r2 = np.concatenate([
             [0.0, 5e-324, 1e-300, 1.0, 1e10],
             rng.uniform(0.0, 10.0, 1000),
             10.0 ** rng.uniform(-300.0, 10.0, 1000),
         ])
-        want = _log_branch_reference(spec, r2)
+        want = reference(spec, r2)
         got = _profile(spec, r2.copy())
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("spec", LOG_SPECS, ids=KernelSpec.label)
+    def test_log_branch_matrix_matches_in_place_formula(self, spec):
+        rng = np.random.default_rng(2)
+        Z = rng.uniform(-1.5, 1.5, (900, 2))
+        Y = np.vstack([Z[:100], rng.uniform(-1.5, 1.5, (900, 2))])  # r = 0 rows
+        want = _log_branch_in_place(spec, cdist(Y, Z, "sqeuclidean"))
+        got = kernel_matrix(spec, Y, Z)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "spec", ALL_SPECS + [s for s in LOG_SPECS if s not in ALL_SPECS],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,40 @@ class TestRepresenterData:
         assert f.seminorm_sq == pytest.approx(beta @ r_matrix @ beta, rel=1e-10)
 
 
+def _unmemoized_rho_search(error_fn, rho0, factor=10.0, err_tol=0.01,
+                           rho_tol=0.01, max_iter=60):
+    # rho_search without its cache: error_fn is called for every candidate
+    trace = []
+
+    def evaluate(rho):
+        value = float(error_fn(rho))
+        if not math.isfinite(value):
+            raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
+        trace.append((rho, value))
+        return value
+
+    rho, err = rho0, evaluate(rho0)
+    for _ in range(max_iter):
+        candidates = [(evaluate(rho * factor), rho * factor),
+                      (evaluate(rho / factor), rho / factor)]
+        best_err, best_rho = min(candidates)
+        if best_err <= err:
+            change = abs(err - best_err) / max(abs(err), 1e-300)
+            rho, err = best_rho, best_err
+            if change < err_tol:
+                break
+        else:
+            factor = math.sqrt(factor)
+            if factor - 1.0 < rho_tol:
+                break
+    return rho, trace
+
+
+def _log_quadratic(target):
+    # unimodal in log10(rho); the search steps back onto rho it has scored
+    return lambda rho: (np.log10(rho) - np.log10(target)) ** 2 + 1.0
+
+
 class TestRhoSearch:
     def test_unimodal_quadratic_in_log_rho(self):
         target = 1e-3
@@ -279,9 +315,44 @@ class TestRhoSearch:
         with pytest.raises(ParameterError):
             rho_search(lambda r: r, rho0=1.0, factor=1.0)
 
+    def test_each_distinct_rho_evaluated_once(self):
+        calls = []
+        err = _log_quadratic(10**-2.5)
+
+        def counting(rho):
+            calls.append(rho)
+            return err(rho)
+
+        _, trace = rho_search(counting, rho0=1.0, err_tol=0.0)
+        rhos = [r for r, _ in trace]
+        assert sorted(calls) == sorted(set(rhos))
+        assert len(trace) > len(calls)  # repeats are listed, not re-scored
+
+    @pytest.mark.parametrize("target", [1e-3, 10**-2.5, 3e-7])
+    def test_trace_matches_unmemoized_search(self, target):
+        err = _log_quadratic(target)
+        want = _unmemoized_rho_search(err, 1.0, err_tol=0.0)
+        rhos = [r for r, _ in want[1]]
+        assert len(set(rhos)) < len(rhos)
+        assert rho_search(err, 1.0, err_tol=0.0) == want
+
     def test_non_finite_raises_with_trace(self):
         with pytest.raises(SearchError):
             rho_search(lambda r: float("nan"), rho0=1.0)
+        # finite down to 0.05: the search scores 1, 10 and 0.1, steps back
+        # onto 1.0 and then meets 0.01; the trace so far includes the repeat
+        err = _log_quadratic(0.1)
+
+        def cliff(rho):
+            return err(rho) if rho >= 0.05 else float("nan")
+
+        with pytest.raises(SearchError) as want:
+            _unmemoized_rho_search(cliff, 1.0)
+        with pytest.raises(SearchError) as got:
+            rho_search(cliff, 1.0)
+        assert got.value.trace == want.value.trace
+        rhos = [r for r, _ in got.value.trace]
+        assert len(set(rhos)) < len(rhos)
 
     def test_residual_criterion_degenerates_to_small_rho(self):
         # the pure-residual criterion always rewards less smoothing, so the
