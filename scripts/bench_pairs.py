@@ -2,14 +2,16 @@
 
 For each seed, runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, alternating which side goes first
-(the parent on the first seed, the change on the second, and so on). It
-reads the JSON result on the last line of each run's output and prints,
-per end-to-end metric of BENCHMARK.json, both sides' median and quartiles
-and the number of pairs the change won; ties count for neither side.
+(the parent on the first seed, the change on the second, and so on). T is
+BENCHMARK.json's ``run_seconds``, so both sides run as long as the
+benchmark does. It reads the JSON result on the last line of each run's
+output and prints, per end-to-end metric of BENCHMARK.json, both sides'
+median and quartiles and the number of pairs the change won; ties count
+for neither side.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
-        --workload rho_tune --seeds 61-70 --seconds 25
+        --workload rho_tune --seeds 61-70
 """
 
 from __future__ import annotations
@@ -93,16 +95,16 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="root of the changed checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="61-70", help="e.g. 61-70 or 1,2,5")
-    ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
 
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    benchmark = json.loads(BENCHMARK.read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_side(getattr(args, side), args.workload, seed, args.seconds)
+            sides[side] = run_side(getattr(args, side), args.workload, seed, seconds)
         pairs.append((sides["parent"], sides["change"]))
         for side in ("parent", "change"):
             result = sides[side]

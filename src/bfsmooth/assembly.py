@@ -206,15 +206,8 @@ class _SpectralFactor:
                                      overwrite_b=True)
         return cls(V=V, sigma=sigma, q=V.T @ (r[R] - C.T @ r[A]), A=A, R=R, C=C)
 
-    def solve(self, parts: ApproxParts, scale: float) -> np.ndarray | None:
-        """[alpha; beta; gamma] of `parts.system(rho)` with scale = lam.
-
-        None when sigma + lam is not positive: Z^T (S + lam G_pp) Z is
-        positive definite, so the computed spectrum does not resolve it
-        (mq on a 20 x 20 grid has sigma down to -4.3 from rounding).
-        """
-        if self.sigma[0] + scale <= 0:
-            return None
+    def solve(self, parts: ApproxParts, scale: float) -> np.ndarray:
+        """[alpha; beta; gamma] of `parts.system(rho)` with scale = lam."""
         w = self.V @ (self.q / (self.sigma + scale))
         alpha = np.empty(len(parts.centers))
         alpha[self.R] = w

@@ -69,12 +69,14 @@ def test_main_alternates_order(monkeypatch, capsys, tmp_path):
 
     def fake_run_side(root, workload, seed, seconds):
         calls.append((root.name, seed))
+        assert seconds == json.loads(
+            bench_pairs.BENCHMARK.read_text())["run_seconds"]
         latency = 1.0 if root.name == "parent" else 0.6
         return bench_pairs.parse_result(_run_output(latency, 1.0 / latency))
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                      "--workload", "rho_tune", "--seeds", "1-3", "--seconds", "1"])
+                      "--workload", "rho_tune", "--seeds", "1-3"])
     assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
                      ("parent", 3), ("change", 3)]
     out = capsys.readouterr().out
