@@ -34,7 +34,7 @@ def main():
 
     spec = parse_kernel(args.kernel, args.theta, args.d)
     frame = PolyFrame(args.d, args.theta)
-    region = Region(a=-1.5, b=1.5)
+    region = Region(a=[-1.5] * args.d, b=[1.5] * args.d)
     Xp = make_grid(
         GridSpec(a=region.a, b=region.b, counts=(args.grid,) * args.d),
         frame.theta,

@@ -58,17 +58,28 @@ class GridSpec:
         return int(np.prod(self.counts))
 
 
+def parse_box(text: str, counts: bool = False) -> list[list]:
+    """Parse the CLI box syntax 'a1,...,ad:b1,...,bd' into corner lists [a, b].
+
+    With `counts`, the grid syntax 'a1,...:b1,...:n1,...,nd' is read and
+    the integer counts come third.  Shape checks are left to the box type
+    built from the lists.
+    """
+    what, form, kinds = (
+        ("grid", "a:b:n", (float, float, int)) if counts else ("box", "a:b", (float, float))
+    )
+    parts = text.split(":")
+    if len(parts) != len(kinds):
+        raise ParseError(f"{what} spec {text!r} must have form {form}")
+    try:
+        return [[kind(t) for t in part.split(",")] for kind, part in zip(kinds, parts)]
+    except ValueError as exc:
+        raise ParseError(f"bad {what} spec {text!r}: {exc}") from None
+
+
 def parse_grid(text: str) -> GridSpec:
     """Parse the CLI grid syntax 'a1,...,ad:b1,...,bd:n1,...,nd'."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"grid spec {text!r} must have form a:b:n")
-    try:
-        a = [float(t) for t in parts[0].split(",")]
-        b = [float(t) for t in parts[1].split(",")]
-        counts = [int(t) for t in parts[2].split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad grid spec {text!r}: {exc}") from None
+    a, b, counts = parse_box(text, counts=True)
     try:
         return GridSpec(a=np.array(a), b=np.array(b), counts=tuple(counts))
     except ParameterError as exc:

@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .approx_smoother import compare, fit_approx, fit_parts, make_grid, parse_grid
+from .approx_smoother import (
+    compare,
+    fit_approx,
+    fit_parts,
+    make_grid,
+    parse_box,
+    parse_grid,
+)
 from .assembly import approx_parts
 from .errors import BfsmoothError, InputError, ParseError, SolveError
 from .exact_smoother import diagnostics, fit_exact
@@ -93,6 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-size", type=int, default=5000)
     q.add_argument("--n-sizes", type=int, default=20)
     q.add_argument("--multiplier", type=float, default=1.2)
+    q.add_argument("--seeds", type=int, default=1, metavar="K",
+                   help="fit seeds --seed to --seed + K - 1, one line each, "
+                   "and their median when K > 1 (default 1)")
 
     q = study_sub.add_parser("convergence", help="measure convergence order")
     q.add_argument("--kernel", required=True)
@@ -104,8 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--sizes", default="50,100,200,400,800,1600",
                    help="comma-separated point counts")
     q.add_argument("--rho", type=float, default=None)
-    q.add_argument("--couple", action="store_true",
-                   help="couple rho to the fill distance")
+    q.add_argument("--couple", type=float, nargs="?", const=1.0, default=None,
+                   metavar="AMPLITUDE",
+                   help="couple rho to the fill distance, scaled by AMPLITUDE "
+                   "(default 1; the acceptance criteria use 100)")
     q.add_argument("--couple-a", type=float, default=0.81)
     q.add_argument("--grid", default=None, help="approx-mode center grid a:b:n")
 
@@ -121,18 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data-fn", default=None, choices=sorted(DATA_FUNCTIONS))
 
     return parser
-
-
-def _parse_region(text: str) -> Region:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ParseError(f"--region {text!r} must have form a1,..:b1,..")
-    try:
-        a = [float(t) for t in parts[0].split(",")]
-        b = [float(t) for t in parts[1].split(",")]
-    except ValueError:
-        raise ParseError(f"bad region spec {text!r}") from None
-    return Region(a=np.array(a), b=np.array(b))
 
 
 def _eval_points(eval_spec: str, d: int) -> np.ndarray:
@@ -208,23 +208,33 @@ def _run_eval(args) -> int:
 
 def _run_study(args) -> int:
     if args.study_command == "density":
-        region = _parse_region(args.region)
+        if args.seeds < 1:
+            raise InputError("--seeds must be >= 1")
+        region = Region(*parse_box(args.region))
         sizes = exponential_sizes(args.n_sizes, args.max_size, args.multiplier)
-        fit = density_law(region, sizes, seed=args.seed)
+        seeds = range(args.seed, args.seed + args.seeds)
+        fits = [density_law(region, sizes, seed=s) for s in seeds]
         lines = ["N,h"]
-        lines.extend(f"{n},{h:.10g}" for n, h in fit.rows)
-        lines.append(f"# h1={fit.h1:.6g} a_exp={fit.a_exp:.6g} r2={fit.r2:.6g}")
+        lines.extend(f"{n},{h:.10g}" for n, h in fits[0].rows)
+        lines.extend(f"# h1={f.h1:.6g} a_exp={f.a_exp:.6g} r2={f.r2:.6g}" for f in fits)
+        if len(fits) > 1:
+            lines.append(
+                f"# median of seeds {seeds[0]}..{seeds[-1]}: "
+                f"h1={np.median([f.h1 for f in fits]):.6g} "
+                f"a_exp={np.median([f.a_exp for f in fits]):.6g}"
+            )
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     if args.study_command == "convergence":
-        region = _parse_region(args.region)
+        region = Region(*parse_box(args.region))
         spec = parse_kernel(args.kernel, theta=args.theta, d=region.d)
         frame = PolyFrame(d=region.d, theta=args.theta)
         sizes = tuple(int(t) for t in args.sizes.split(","))
         coupling = None
-        if args.couple:
+        if args.couple is not None:
             coupling = RhoCoupling(
-                eta_G=predicted_orders(spec).eta_G, a_exp=args.couple_a
+                eta_G=predicted_orders(spec).eta_G, a_exp=args.couple_a,
+                amplitude=args.couple,
             )
         grid_counts = None
         if args.grid:

@@ -574,6 +574,11 @@ class TestCpdCheck:
         X = rng.uniform(-1.5, 1.5, (10, 1))
         assert cpd_check(TPS, PolyFrame(1, 2), X, trials=100)
 
+    def test_r3_not_cpd_against_constants(self):
+        # r^3 is CPD of order 2; with constants only, v ~ (1, -1) on two
+        # points gives v^T G v = -2|x1 - x2|^3 < 0
+        assert not cpd_check(TPS, PolyFrame(1, 1), [0.0, 1.0], trials=10)
+
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             cpd_check(GAUSS1, PolyFrame(1, 1), [0.0, 1.0], trials=0)

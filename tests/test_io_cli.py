@@ -5,8 +5,9 @@ from bfsmooth import io
 from bfsmooth.cli import main
 from bfsmooth.errors import ParseError
 from bfsmooth.interpolant import eval_model, fit_interpolant
-from bfsmooth.kernels import KernelSpec
+from bfsmooth.kernels import KernelSpec, predicted_orders
 from bfsmooth.polyspace import PolyFrame
+from bfsmooth.study import RhoCoupling
 
 
 class TestReadCsv:
@@ -345,6 +346,95 @@ class TestCli:
         ])
         assert code == 0
         assert "best_rho=" in out.read_text()
+
+    def test_study_rho_search_error_grid(self, sine_csv, tmp_path, capsys):
+        out = tmp_path / "rho.csv"
+        argv = [
+            "--out", str(out), "study", "rho-search",
+            "--data", str(sine_csv), "--kernel", "thinplate:s=1.5",
+            "--theta", "2", "--grid=-1.5:1.5:8", "--rho0", "0.01",
+            "--error-grid=-1.4:1.4:50",
+        ]
+        assert main(argv + ["--data-fn", "sin"]) == 0
+        assert "best_rho=" in out.read_text()
+        out.unlink()
+        assert main(argv) == 2
+        assert "--data-fn" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _study(tmp_path, *argv):
+        out = tmp_path / "study.csv"
+        assert main(["--out", str(out), *argv]) == 0
+        return out.read_text()
+
+    def test_study_density_seeds(self, tmp_path):
+        def density(seed, *argv):
+            return self._study(
+                tmp_path, "--seed", str(seed), "study", "density",
+                "--max-size", "500", "--n-sizes", "8", "--multiplier", "1.5", *argv,
+            ).splitlines()
+
+        one = density(0)
+        assert density(0, "--seeds", "1") == one
+        three = density(0, "--seeds", "3")
+        per_seed = [density(seed)[-1] for seed in range(3)]
+        fit_lines = [line for line in three if line.startswith("# h1=")]
+        assert fit_lines == per_seed
+        assert [line for line in three if not line.startswith("#")] == one[:-1]
+        median = three[-1]
+        assert median.startswith("# median of seeds 0..2: ")
+        h1 = [float(line.split()[1].removeprefix("h1=")) for line in per_seed]
+        assert f"h1={np.median(h1):.6g} " in median
+
+    def test_study_density_seeds_validated(self, capsys):
+        assert main(["study", "density", "--seeds", "0"]) == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    _CONVERGENCE = (
+        "study", "convergence", "--kernel", "thinplate:s=1.5", "--theta", "2",
+        "--sizes", "40,80,160",
+    )
+
+    @staticmethod
+    def _rows(text):
+        return [line.split(",") for line in text.splitlines()[1:]
+                if not line.startswith("#")]
+
+    def test_study_convergence_couple_amplitude(self, tmp_path):
+        bare = self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact", "--couple")
+        assert self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact",
+                           "--couple", "1") == bare
+        scaled = self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact",
+                             "--couple", "100")
+        coupling = RhoCoupling(
+            eta_G=predicted_orders(KernelSpec("thinplate", 2, 1, s=1.5)).eta_G,
+            a_exp=0.81,
+        )
+        for row, row100 in zip(self._rows(bare), self._rows(scaled), strict=True):
+            h, rho = float(row[1]), float(row[3])
+            assert row100[1] == row[1]  # same samples, same fill distance
+            assert rho == pytest.approx(coupling.rho(h), rel=1e-8)
+            # rho is quadratic in the amplitude
+            assert float(row100[3]) == pytest.approx(1e4 * rho, rel=1e-9)
+
+    def test_study_convergence_approx_grid(self, tmp_path):
+        text = self._study(tmp_path, *self._CONVERGENCE, "--mode", "approx",
+                           "--grid=-1.5:1.5:20", "--rho", "1e-6")
+        rows = self._rows(text)
+        assert [row[0] for row in rows] == ["40", "80", "160"]
+        assert all(float(row[3]) == 1e-6 for row in rows)
+        assert all(0.0 < float(row[2]) < 0.01 for row in rows)
+        assert "# slope=" in text
+
+    @pytest.mark.parametrize("region", ["0:1:2", "0:x", "1:0", "0,0:1"])
+    @pytest.mark.parametrize("command", [
+        ("study", "density", "--max-size", "50", "--n-sizes", "3"),
+        _CONVERGENCE,
+    ])
+    def test_study_bad_region_exit_2(self, command, region, capsys):
+        assert main([*command, f"--region={region}"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_determinism(self, sine_csv, tmp_path):
         outs = []

@@ -176,6 +176,45 @@ class TestConvergenceSweep:
                 SweepConfig(sizes=(30, 60)),
             )
 
+    def test_approx_mode_saturates_at_grid_resolution(self):
+        def sweep(per_axis):
+            config = SweepConfig(sizes=(50, 100, 200, 400), seed=0, rho=1e-6,
+                                 grid_counts=(per_axis,))
+            return convergence_sweep(
+                TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
+                "approx", config,
+            )
+
+        coarse, fine = sweep(10), sweep(30)
+        assert all(row.ok and row.rho == 1e-6 for row in coarse.rows + fine.rows)
+        # the centers stay fixed as N grows, so the error stops falling
+        assert abs(coarse.slope) < 0.5
+        assert all(f.err_max < c.err_max for f, c in zip(fine.rows, coarse.rows))
+
+    def test_approx_mode_needs_grid(self):
+        with pytest.raises(ParameterError):
+            convergence_sweep(
+                TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, "approx",
+                SweepConfig(sizes=(30, 60), rho=0.01),
+            )
+
+    def test_failed_row_recorded_and_left_out_of_slope(self):
+        # two points are not unisolvent for theta = 3, so the first fit fails
+        spec = KernelSpec("thinplate", theta=3, d=1, s=1.5)
+        report = convergence_sweep(
+            spec, PolyFrame(1, 3), BOX1, lambda x: float(np.sin(np.sum(x))),
+            "interpolant", SweepConfig(sizes=(2, 50, 100, 200), seed=0),
+        )
+        failed, *good = report.rows
+        assert not failed.ok and "unisolvent" in failed.message
+        assert math.isnan(failed.err_max) and math.isnan(failed.J_e)
+        assert all(row.ok for row in good)
+        logh = np.log10([row.h for row in good])
+        loge = np.log10([row.err_max for row in good])
+        assert report.slope == pytest.approx(np.polyfit(logh, loge, 1)[0], rel=1e-12)
+        N, _, err_max, *_ = report.to_csv().splitlines()[1].split(",")
+        assert (N, err_max) == ("2", "nan")
+
     def test_csv_shape(self):
         config = SweepConfig(sizes=(30, 60), seed=0, rho=0.01)
         report = convergence_sweep(
