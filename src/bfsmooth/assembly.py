@@ -8,16 +8,22 @@ Three symmetric systems are assembled here:
     smoothing            [P_X^T B^T, P_X^T P_X, 0],
                          [P_X'^T, 0, 0]]  with B = G_X'X, c = (2 pi)^(d/2)
 
+The interpolation and exact systems carry a candidate solution by
+Cholesky (`_cardinal_solve`): through the cardinal basis of a minimal
+unisolvent subset of X, the constraint P_X^T v = 0 is eliminated and
+the corner block reduces to a positive definite matrix of order N - M.
+
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks so
 peak memory stays O(N' * chunk).  Across a rho search the systems differ
 only by a multiple of G_X'X', so `ApproxParts` factors the family once
-(`_SpectralFactor`) and offers each later system an O(N'^2) candidate
-solution.
+(`_SpectralFactor`, on the same cardinal basis of X') and offers each
+later system an O(N'^2) candidate solution.
 
 `solve_block` accepts a candidate or an LU solution only under the same
 double-precision residual bound on the original saddle system, and falls
-back to LU with long-double refinement otherwise.
+back to LU, then long-double refinement, otherwise.  An accepted
+candidate is not LU's solution bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +82,9 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
     A[:N, N:] = P
     A[N:, :N] = P.T
     rhs = np.concatenate([y, np.zeros(M)])
-    return BlockSystem(matrix=A, rhs=rhs, layout=(N, M), provenance="interp")
+    # bound to A itself, so exact_system's in-place shift is seen too
+    return BlockSystem(matrix=A, rhs=rhs, layout=(N, M), provenance="interp",
+                       candidate=partial(_cardinal_solve, A, rhs, N))
 
 
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
@@ -153,18 +161,72 @@ class ApproxParts:
         return self._factor.solve(self, scale) if self._factor else None
 
 
-def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Lower triangle of Z^T K Z = K_RR - K_RA C - C^T K_AR + C^T K_AA C
-    for symmetric K, in Fortran order for LAPACK.
+def _cardinal_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A minimal unisolvent subset A of P's rows, the other rows R, and
+    C = P_A^-T P_R^T.
 
-    Formed as K_RR - W C - (W C)^T with W = K_RA - C^T K_AA / 2: one
-    rank-2M update in place, so the copy of K_RR is the only
-    (N' - M)^2 array.
+    Z = [-C; I] in (A, R) order spans null(P^T): column j of -C holds the
+    values at A of the cardinal basis polynomial of point R_j.  A
+    column-pivoted QR of P^T picks a well-conditioned A in one call.
     """
-    W = K[np.ix_(R, A)] - 0.5 * (C.T @ K[np.ix_(A, A)])
+    M = P.shape[1]
+    _, piv = scipy.linalg.qr(P.T, mode="r", pivoting=True)
+    A, R = piv[:M], piv[M:]
+    return A, R, scipy.linalg.solve(P[A].T, P[R].T)
+
+
+def _half_cross(K: np.ndarray, A: np.ndarray, R: np.ndarray,
+                C: np.ndarray) -> np.ndarray:
+    """W = K_RA - C^T K_AA / 2, so that for symmetric K
+    Z^T K Z = K_RR - K_RA C - C^T K_AR + C^T K_AA C = K_RR - W C - (W C)^T,
+    one rank-2M update (`dsyr2k`)."""
+    return K[np.ix_(R, A)] - 0.5 * (C.T @ K[np.ix_(A, A)])
+
+
+def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Lower triangle of Z^T K Z for symmetric K, in Fortran order for
+    LAPACK, by one rank-2M update in place: the compact copy of K_RR is
+    the only (N' - M)^2 array."""
     K_RR = K[np.ix_(R, R)].T  # K is symmetric; .T is the Fortran-order view
-    return scipy.linalg.blas.dsyr2k(-1.0, W, C.T, beta=1.0, c=K_RR, lower=1,
-                                    overwrite_c=1)
+    return scipy.linalg.blas.dsyr2k(-1.0, _half_cross(K, A, R, C), C.T, beta=1.0,
+                                    c=K_RR, lower=1, overwrite_c=1)
+
+
+def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray | None:
+    """Cholesky solution of an interpolation or exact-smoothing system, or
+    None when its reduced matrix is not positive definite to working
+    precision.
+
+    With A, R and C from `_cardinal_basis(P_X)`, v = Z w satisfies
+    P_X^T v = 0 for every w, and the first block row projected by Z^T gives
+    Z^T K Z w = Z^T y with K = G_XX + lam I: symmetric positive definite of
+    order N - M for a strictly conditionally positive definite kernel.
+    The reduction is written into one copy of K in its original order,
+    with the A rows and columns set to the identity, so no permutation is
+    needed.  beta = P_A^-1 (y_A - (K v)_A) from the A rows.
+    """
+    K, P, y = matrix[:N, :N], matrix[:N, N:], rhs[:N]
+    A, R, C = _cardinal_basis(P)
+    M = len(A)
+    buf = K.copy()  # C order; K is symmetric, so buf.T is its Fortran order
+    W = np.zeros((N, M))
+    W[R] = _half_cross(buf, A, R, C)
+    Ct = np.zeros((N, M))
+    Ct[R] = C.T
+    buf[A] = 0.0
+    buf[:, A] = 0.0
+    buf[A, A] = 1.0
+    low = scipy.linalg.blas.dsyr2k(-1.0, W, Ct, beta=1.0, c=buf.T, lower=1,
+                                   overwrite_c=1)
+    low, info = scipy.linalg.lapack.dpotrf(low, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None
+    b = np.zeros(N)
+    b[R] = y[R] - C.T @ y[A]
+    v, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
+    v[A] = -(C @ v[R])  # the identity rows left v_A = 0
+    beta = scipy.linalg.solve(P[A], y[A] - K[A] @ v)
+    return np.concatenate([v, beta])
 
 
 @dataclass(frozen=True)
@@ -189,11 +251,7 @@ class _SpectralFactor:
 
     @classmethod
     def build(cls, parts: ApproxParts) -> _SpectralFactor:
-        M = parts.PtP.shape[0]
-        # column-pivoted QR of P_X'^T picks a well-conditioned A in one call
-        _, piv = scipy.linalg.qr(parts.P_p.T, mode="r", pivoting=True)
-        A, R = piv[:M], piv[M:]
-        C = scipy.linalg.solve(parts.P_p[A].T, parts.P_p[R].T)
+        A, R, C = _cardinal_basis(parts.P_p)
         ZtBP = parts.BP[R] - C.T @ parts.BP[A]
         L = scipy.linalg.cholesky(parts.PtP, lower=True)
         r = parts.By - parts.BP @ scipy.linalg.cho_solve((L, True), parts.Pty)
@@ -321,10 +379,12 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     Every accepted solution passes a rigorous upper bound on its residual,
     |fl(A x - b)| + n eps ||A| |x| + |b|| (the matvec rounding bound of
     Higham 2002, section 3.5), against the original system.
-    Candidate: a system that carries one (a repeated-rho approximate
-    system) has it tried first, and it is returned when the bound is
-    within 0.05 * RESIDUAL_RTOL * |rhs|.
-    LU, otherwise: the LU solution is returned when the same bound holds.
+    Candidate: a system that carries one (an interpolation or exact
+    system's Cholesky solve, a repeated-rho approximate system's spectral
+    solve) has it tried first, and it is returned when the bound is
+    within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
+    LU, otherwise (no candidate, a candidate of None, or a miss): the LU
+    solution is returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised.

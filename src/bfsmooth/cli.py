@@ -119,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="couple rho to the fill distance, scaled by AMPLITUDE "
                    "(default 1; the acceptance criteria use 100)")
     q.add_argument("--couple-a", type=float, default=0.81)
-    q.add_argument("--grid", default=None, help="approx-mode center grid a:b:n")
+    q.add_argument("--grid", default=None,
+                   help="approx-mode center grid a:b:n; a:b must equal --region")
 
     q = study_sub.add_parser("rho-search", help="search for the best rho")
     q.add_argument("--data", required=True)
@@ -238,7 +239,16 @@ def _run_study(args) -> int:
             )
         grid_counts = None
         if args.grid:
-            grid_counts = parse_grid(args.grid).counts
+            grid = parse_grid(args.grid)
+            # the sweep's centers always span the region; a grid box is a check
+            same_box = (np.array_equal(grid.a, region.a)
+                        and np.array_equal(grid.b, region.b))
+            if not same_box:
+                raise InputError(
+                    f"--grid box {args.grid.rpartition(':')[0]} must equal "
+                    f"--region {args.region}"
+                )
+            grid_counts = grid.counts
         config = SweepConfig(
             sizes=sizes, seed=args.seed, rho=args.rho, coupling=coupling,
             grid_counts=grid_counts,

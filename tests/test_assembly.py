@@ -518,6 +518,82 @@ class TestSpectralCandidate:
         assert lu_with < len(trace) // 2
 
 
+class TestCardinalCandidate:
+    """Interpolation and exact systems: Cholesky on the cardinal-basis
+    reduction, behind the residual gate, with LU as the fallback."""
+
+    @staticmethod
+    def _spy_lu(monkeypatch):
+        calls = []
+
+        def spy(*args, _lu=scipy.linalg.lu_factor, **kwargs):
+            calls.append(1)
+            return _lu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        return calls
+
+    @pytest.mark.parametrize("d, N", [(1, 30), (2, 100)])
+    @pytest.mark.parametrize("rho", [None, 1e-3], ids=["interp", "exact"])
+    def test_solved_without_lu(self, monkeypatch, d, N, rho):
+        # r^2 log r on these sets: condition numbers of at most about 5e5
+        spec = KernelSpec("thinplate", theta=2, d=d, s=1.0)
+        _, frame, X, _ = _random_instance(30 + d, N, d=d, spec=spec)
+        # smooth data keeps v small, so the gate's n eps |A||x| term is too
+        y = np.sin(X.sum(axis=1))
+        if rho is None:
+            sys = interp_system(spec, frame, X, y)
+        else:
+            sys = exact_system(spec, frame, X, y, rho)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
+        lu_calls = self._spy_lu(monkeypatch)
+        got = solve_block(sys)
+        assert lu_calls == []
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        v, _ = sys.split(got)
+        violation = np.linalg.norm(frame.monomials(X).T @ v)
+        assert violation <= CONSTRAINT_RTOL * max(np.linalg.norm(v), 1.0)
+
+    @pytest.mark.parametrize("spec, frame, seed", [
+        # r^3 is not conditionally positive definite against constants alone
+        (TPS, PolyFrame(1, 1), 41),
+        # gauss interpolation: G_XX is positive definite only in exact arithmetic
+        (KernelSpec("gauss", theta=2, d=1), PolyFrame(1, 2), 40),
+    ], ids=["r3-constants", "gauss-interp"])
+    def test_not_positive_definite_falls_back_to_lu(self, spec, frame, seed):
+        _, _, X, y = _random_instance(seed, 30, spec=spec)
+        sys = interp_system(spec, frame, X, y)
+        assert sys.candidate() is None
+        got = _outcome(solve_block, sys)
+        want = _outcome(_always_extended_solve, sys)
+        assert isinstance(got, str) == isinstance(want, str)
+        assert got == want if isinstance(got, str) else np.array_equal(got, want)
+
+    def test_minimal_set_has_empty_reduction(self, monkeypatch):
+        # N = M: the constraint alone gives v = 0, and beta interpolates
+        frame = PolyFrame(1, 2)
+        X, y = np.array([-1.0, 2.0]), np.array([3.0, 0.0])
+        lu_calls = self._spy_lu(monkeypatch)
+        for sys in (interp_system(TPS, frame, X, y),
+                    exact_system(TPS, frame, X, y, 0.5)):
+            v, beta = sys.split(solve_block(sys))
+            np.testing.assert_array_equal(v, 0.0)
+            np.testing.assert_allclose(beta, [2.0, -1.0], rtol=1e-14)
+        assert lu_calls == []
+
+    def test_constants_only(self, monkeypatch):
+        # M = 1 (theta = 1): Z = [-1...1; I] up to the pivot's position
+        spec = KernelSpec("gauss", theta=1, d=1)
+        _, frame, X, y = _random_instance(42, 25, theta=1, spec=spec)
+        sys = exact_system(spec, frame, X, y, 0.1)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
+        lu_calls = self._spy_lu(monkeypatch)
+        got = solve_block(sys)
+        assert lu_calls == []
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+        assert abs(np.sum(got[:-1])) <= CONSTRAINT_RTOL * np.linalg.norm(got[:-1])
+
+
 class TestSolveBlockMemory:
     def test_peak_allocation_is_the_factorization(self):
         # Allocations, not time: beside the LU copy of A, the gate adds only

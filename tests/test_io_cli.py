@@ -427,6 +427,17 @@ class TestCli:
         assert all(0.0 < float(row[2]) < 0.01 for row in rows)
         assert "# slope=" in text
 
+    @pytest.mark.parametrize("grid", ["0:1:20", "5:9:20", "-1.5,-1.5:1.5,1.5:5,5"])
+    def test_study_convergence_grid_box_must_be_region(self, grid, capsys):
+        assert main([*self._CONVERGENCE, "--mode", "approx", f"--grid={grid}",
+                     "--rho", "1e-6"]) == 2
+        assert "must equal --region -1.5:1.5" in capsys.readouterr().err
+
+    def test_study_convergence_grid_on_its_region(self, tmp_path):
+        text = self._study(tmp_path, *self._CONVERGENCE, "--mode", "approx",
+                           "--region=0:3", "--grid=0:3:20", "--rho", "1e-6")
+        assert [row[0] for row in self._rows(text)] == ["40", "80", "160"]
+
     @pytest.mark.parametrize("region", ["0:1:2", "0:x", "1:0", "0,0:1"])
     @pytest.mark.parametrize("command", [
         ("study", "density", "--max-size", "50", "--n-sizes", "3"),
