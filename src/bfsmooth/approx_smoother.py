@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DEFAULT_CHUNK, ApproxParts, approx_parts, solve_block
+from .assembly import ApproxParts, approx_parts, solve_block
 from .errors import ParameterError, ParseError
 from .exact_smoother import functional_value
 from .interpolant import FittedModel, eval_model, seminorm_sq_diff
@@ -117,12 +117,11 @@ def fit_approx(
     y,
     Xp,
     rho: float,
-    chunk: int = DEFAULT_CHUNK,
 ) -> FittedModel:
     """Fit the Approximate smoother with centers X' and parameter rho."""
     if rho <= 0:  # fail before the O(N N'^2) assembly, not after it
         raise ParameterError(f"rho must be > 0, got {rho}")
-    return fit_parts(approx_parts(spec, frame, X, y, Xp, chunk=chunk), rho)
+    return fit_parts(approx_parts(spec, frame, X, y, Xp), rho)
 
 
 def fit_parts(parts: ApproxParts, rho: float) -> FittedModel:

@@ -14,11 +14,12 @@ unisolvent subset of X, the constraint P_X^T v = 0 is eliminated and
 the corner block reduces to a positive definite matrix of order N - M.
 
 The approximate system has N' + 2M rows regardless of N; its
-rho-independent blocks are accumulated by streaming over X in chunks so
-peak memory stays O(N' * chunk).  Across a rho search the systems differ
-only by a multiple of G_X'X', so `ApproxParts` factors the family once
-(`_SpectralFactor`, on the same cardinal basis of X') and offers each
-later system an O(N'^2) candidate solution.
+rho-independent blocks are accumulated by streaming over X in chunks of
+DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).  Across a
+rho search the systems differ only by a multiple of G_X'X', so
+`ApproxParts` factors the family once (`_SpectralFactor`, on the same
+cardinal basis of X') and offers each later system an O(N'^2) candidate
+solution.
 
 `solve_block` accepts a candidate or an LU solution only under the same
 double-precision residual bound on the original saddle system, and falls
@@ -280,12 +281,9 @@ class _SpectralFactor:
         return np.concatenate([alpha, beta, gamma])
 
 
-def approx_parts(
-    spec: KernelSpec, frame: PolyFrame, X, y, Xp, chunk: int = DEFAULT_CHUNK
-) -> ApproxParts:
-    """Stream over X in chunks to accumulate the approximate-system blocks."""
-    if chunk < 1:
-        raise ParameterError(f"chunk must be >= 1, got {chunk}")
+def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
+    """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
+    approximate-system blocks."""
     X = as_points(X, frame.d)
     Xp = as_points(Xp, frame.d)
     y = np.asarray(y, dtype=float)
@@ -299,8 +297,8 @@ def approx_parts(
     PtP = np.zeros((M, M))
     By = np.zeros(Np)
     Pty = np.zeros(M)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
+    for lo in range(0, N, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK, N)
         B_c = kernel_matrix(spec, Xp, X[lo:hi])  # (N', c)
         P_c = unisolvency_matrix(frame, X[lo:hi])  # (c, M)
         BBt += B_c @ B_c.T

@@ -29,6 +29,7 @@ from .interpolant import eval_model, fit_interpolant
 from .kernels import parse_kernel, predicted_orders
 from .polyspace import PolyFrame
 from .study import (
+    DENSITY_A,
     Region,
     RhoCoupling,
     SweepConfig,
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="AMPLITUDE",
                    help="couple rho to the fill distance, scaled by AMPLITUDE "
                    "(default 1; the acceptance criteria use 100)")
-    q.add_argument("--couple-a", type=float, default=0.81)
+    q.add_argument("--couple-a", type=float, default=DENSITY_A)
     q.add_argument("--grid", default=None,
                    help="approx-mode center grid a:b:n; a:b must equal --region")
 
@@ -230,7 +231,10 @@ def _run_study(args) -> int:
         region = Region(*parse_box(args.region))
         spec = parse_kernel(args.kernel, theta=args.theta, d=region.d)
         frame = PolyFrame(d=region.d, theta=args.theta)
-        sizes = tuple(int(t) for t in args.sizes.split(","))
+        try:
+            sizes = tuple(int(t) for t in args.sizes.split(","))
+        except ValueError:
+            raise ParseError(f"--sizes {args.sizes!r} must be integers") from None
         coupling = None
         if args.couple is not None:
             coupling = RhoCoupling(

@@ -61,10 +61,8 @@ class SmootherDiagnostics:
     ok: bool
 
 
-def functional_value(model: FittedModel, X, y, rho: float | None = None) -> float:
+def functional_value(model: FittedModel, X, y, rho: float) -> float:
     """J_e[model] = rho |model|^2 + mean squared residual on (X, y)."""
-    if rho is None:
-        rho = model.rho
     y = np.asarray(y, dtype=float)
     fitted = np.atleast_1d(eval_model(model, X))
     return rho * seminorm_sq(model) + float(np.mean((fitted - y) ** 2))

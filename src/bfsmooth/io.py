@@ -33,7 +33,7 @@ class DataTable:
 
 
 def _split_line(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is None or delimiter == "whitespace":
+    if delimiter is None:
         return line.split()
     return [f.strip() for f in line.split(delimiter)]
 
@@ -46,20 +46,7 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # whitespace
 
 
-def _fields(path: Path, lineno: int, text: str, delimiter, columns) -> list[str]:
-    """The fields of one line, narrowed to `columns` when given."""
-    fields = _split_line(text, delimiter)
-    if columns is not None:
-        try:
-            fields = [fields[c] for c in columns]
-        except IndexError:
-            raise ParseError(
-                f"{path}: requested column out of range", line=lineno
-            ) from None
-    return fields
-
-
-def _check_rows(path: Path, raw_lines, delimiter, columns, arity: int | None):
+def _check_rows(path: Path, raw_lines, delimiter, arity: int | None):
     """Parse the non-blank lines one by one.
 
     The only source of ParseError messages and line numbers, and the
@@ -68,9 +55,8 @@ def _check_rows(path: Path, raw_lines, delimiter, columns, arity: int | None):
     lines = [(i + 1, s) for i, raw in enumerate(raw_lines) if (s := raw.strip())]
     rows = []
     for pos, (lineno, text) in enumerate(lines):
-        fields = _fields(path, lineno, text, delimiter, columns)
         try:
-            row = [float(f) for f in fields]
+            row = [float(f) for f in _split_line(text, delimiter)]
         except ValueError:
             if pos == 0:  # header row
                 continue
@@ -91,7 +77,7 @@ def _check_rows(path: Path, raw_lines, delimiter, columns, arity: int | None):
     return np.array(rows)
 
 
-def _vectorized_rows(texts: list[str], delimiter, columns, arity: int | None):
+def _vectorized_rows(texts: list[str], delimiter, arity: int | None):
     """All data rows in one np.loadtxt pass, or None when `_check_rows`
     must decide: loadtxt failed, or the result is empty, non-finite, of
     the wrong arity or narrower than 2 columns.  loadtxt accepts a subset
@@ -100,13 +86,7 @@ def _vectorized_rows(texts: list[str], delimiter, columns, arity: int | None):
     if not texts:
         return None
     try:
-        data = np.loadtxt(
-            texts,
-            delimiter=None if delimiter == "whitespace" else delimiter,
-            comments=None,
-            usecols=columns,
-            ndmin=2,
-        )
+        data = np.loadtxt(texts, delimiter=delimiter, comments=None, ndmin=2)
     except (ValueError, TypeError):
         return None
     width = data.shape[1]
@@ -115,43 +95,39 @@ def _vectorized_rows(texts: list[str], delimiter, columns, arity: int | None):
     return data
 
 
-def _read_rows(path: Path, delimiter: str | None, columns, arity: int | None):
+def _read_rows(path: Path, arity: int | None):
     """Parse the numeric rows of a delimited file into an (n, arity) array.
 
     The delimiter (comma, tab or whitespace) is detected once, from the
-    first non-blank line, unless forced; a non-numeric first non-blank
-    line is a header.  Every row must hold `arity` finite fields; when
-    `arity` is None the first data row sets it and must hold at least
-    two.  Errors carry the 1-based line number.
+    first non-blank line; a non-numeric first non-blank line is a header.
+    Every row must hold `arity` finite fields; when `arity` is None the
+    first data row sets it and must hold at least two.  Errors carry the
+    1-based line number.
     """
     raw_lines = path.read_text().splitlines()
     texts = [s for raw in raw_lines if (s := raw.strip())]
     if not texts:
         raise ParseError(f"{path}: no data rows")
-    if delimiter is None:
-        delimiter = _detect_delimiter(texts[0])
-    first_lineno = next(i for i, raw in enumerate(raw_lines, 1) if raw.strip())
-    first = _fields(path, first_lineno, texts[0], delimiter, columns)
+    delimiter = _detect_delimiter(texts[0])
     try:
-        [float(f) for f in first]
+        [float(f) for f in _split_line(texts[0], delimiter)]
     except ValueError:
         texts = texts[1:]  # header row
-    data = _vectorized_rows(texts, delimiter, columns, arity)
+    data = _vectorized_rows(texts, delimiter, arity)
     if data is None:
-        data = _check_rows(path, raw_lines, delimiter, columns, arity)
+        data = _check_rows(path, raw_lines, delimiter, arity)
     return data
 
 
-def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
+def read_csv(path) -> DataTable:
     """Read a delimited numeric file into a DataTable.
 
-    The delimiter (comma, tab or whitespace) is auto-detected unless
-    forced.  A single non-numeric leading row is treated as a header.
-    `columns` optionally selects field indices (0-based); the last
-    selected column becomes y.
+    The delimiter (comma, tab or whitespace) is auto-detected from the
+    first non-blank line.  A single non-numeric leading row is treated as
+    a header.  The last column is y, the others are the coordinates.
     """
     path = Path(path)
-    data = _read_rows(path, delimiter, columns, arity=None)
+    data = _read_rows(path, arity=None)
     return DataTable(
         d=data.shape[1] - 1, X=data[:, :-1], y=data[:, -1], source=str(path)
     )
@@ -159,7 +135,7 @@ def read_csv(path, delimiter: str | None = None, columns=None) -> DataTable:
 
 def read_points(path, d: int) -> np.ndarray:
     """Read a delimited file of bare coordinates (d columns per row)."""
-    return _read_rows(Path(path), None, None, arity=d)
+    return _read_rows(Path(path), arity=d)
 
 
 def _fmt(x: float) -> str:
@@ -210,9 +186,30 @@ class _ModelReader:
             )
         return value.strip()
 
+    def number(self, convert, text: str):
+        """convert(text), as a ParseError at the line just read on failure."""
+        try:
+            return convert(text)
+        except ValueError:
+            raise ParseError(
+                f"{self.path}: bad number {text!r}", line=self.pos
+            ) from None
+
+    def row(self, width: int) -> list[float]:
+        fields = self.next().split()
+        if len(fields) != width:
+            raise ParseError(
+                f"{self.path}: expected {width} fields, got {len(fields)}",
+                line=self.pos,
+            )
+        return [self.number(float, f) for f in fields]
+
 
 def load_model(path) -> FittedModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    A malformed field raises ParseError with its 1-based line number.
+    """
     r = _ModelReader(path)
     version = r.keyed("version")
     if version != str(MODEL_FORMAT_VERSION):
@@ -221,23 +218,22 @@ def load_model(path) -> FittedModel:
     family = r.keyed("family")
 
     def opt_float(text: str) -> float | None:
-        return None if text == "-" else float(text)
+        return None if text == "-" else r.number(float, text)
 
     s = opt_float(r.keyed("s"))
     a = opt_float(r.keyed("a"))
-    theta = int(r.keyed("theta"))
-    d = int(r.keyed("d"))
-    rho = float(r.keyed("rho"))
-    n_centers = int(r.keyed("centers"))
-    centers = np.array(
-        [[float(f) for f in r.next().split()] for _ in range(n_centers)]
-    ).reshape(n_centers, d)
-    n_v = int(r.keyed("v"))
-    v = np.array([float(r.next()) for _ in range(n_v)])
-    n_beta = int(r.keyed("beta"))
-    beta = np.array([float(r.next()) for _ in range(n_beta)])
-    spec = KernelSpec(family=family, theta=theta, d=d, s=s, a=a)
+    theta = r.number(int, r.keyed("theta"))
+    d = r.number(int, r.keyed("d"))
+    rho = r.number(float, r.keyed("rho"))
+    spec = KernelSpec(family=family, theta=theta, d=d, s=s, a=a)  # checks d >= 1
     frame = PolyFrame(d=d, theta=theta)
+
+    def count(key: str) -> range:
+        return range(r.number(int, r.keyed(key)))
+
+    centers = np.array([r.row(d) for _ in count("centers")]).reshape(-1, d)
+    v = np.array([r.number(float, r.next()) for _ in count("v")])
+    beta = np.array([r.number(float, r.next()) for _ in count("beta")])
     return FittedModel(
         spec=spec, frame=frame, centers=centers, v=v, beta=beta, kind=kind, rho=rho
     )

@@ -31,6 +31,13 @@ from .polyspace import PolyFrame, UnisolventFrame, _maybe_scalar, as_points
 # Reference values of the 1-d empirical density law h_X ~ h1 * N^(-a).
 DENSITY_H1 = 3.09
 DENSITY_A = 0.81
+# Convergence sweeps take the error on this many probes per axis, over the
+# box shrunk by this fraction of its width on each side.
+ERROR_PROBES_PER_AXIS = 100
+BOUNDARY_SHRINK = 0.05
+# rho_search's step-factor floor (factor - 1) and step limit.
+RHO_TOL = 0.01
+MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class DensityFit:
     r2: float
 
 
-def exponential_sizes(n_sizes: int = 20, maximum: int = 5000, multiplier: float = 1.2):
+def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     """Exponentially spaced sample sizes ending at `maximum`."""
     sizes = [maximum]
     for _ in range(n_sizes - 1):
@@ -109,22 +116,15 @@ def exponential_sizes(n_sizes: int = 20, maximum: int = 5000, multiplier: float 
     return unique
 
 
-def density_law(
-    region: Region,
-    sizes,
-    seed,
-    probe_per_axis: int | None = None,
-) -> DensityFit:
+def density_law(region: Region, sizes, seed) -> DensityFit:
     """Measure h_X for uniform samples of each size and fit h = h1 N^-a."""
     sizes = [int(n) for n in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("sizes must be strictly increasing with >= 2 entries")
-    if probe_per_axis is None:
-        probe_per_axis = _default_density_probes(region.d)
     rows = []
     for i, N in enumerate(sizes):
         X = gen_uniform(region, N, seed=(seed, i))
-        rows.append((N, cavity_density(region, X, probe_per_axis)))
+        rows.append((N, cavity_density(region, X, _default_density_probes(region.d))))
     logN = np.log10([n for n, _ in rows])
     logh = np.log10([h for _, h in rows])
     slope, intercept = np.polyfit(logN, logh, 1)
@@ -142,13 +142,13 @@ class RhoCoupling:
     """rho(h) of the optimal-order coupling: sqrt(rho) = C h^(eta_G + 1/(2a)).
 
     Only the exponent is theory-derived; the prefactor uses the density
-    law constants and a user amplitude standing in for unknowable
-    problem constants.
+    law constants (a_exp and DENSITY_H1) and a user amplitude standing in
+    for unknowable problem constants.  h1 only scales the prefactor, so
+    the amplitude covers any other h1.
     """
 
     eta_G: float
     a_exp: float = DENSITY_A
-    h1: float = DENSITY_H1
     amplitude: float = 1.0
 
     def rho(self, h: float) -> float:
@@ -157,23 +157,24 @@ class RhoCoupling:
             * 2.0
             * self.a_exp
             * self.eta_G
-            / self.h1 ** (1.0 / (2.0 * self.a_exp))
+            / DENSITY_H1 ** (1.0 / (2.0 * self.a_exp))
         )
         return (prefactor * h ** (self.eta_G + 1.0 / (2.0 * self.a_exp))) ** 2
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of a convergence sweep."""
+    """Configuration of a convergence sweep.
+
+    The probe grids are fixed: ERROR_PROBES_PER_AXIS and BOUNDARY_SHRINK
+    for the error, and `density_law`'s for the fill distance.
+    """
 
     sizes: tuple[int, ...]
     seed: int = 0
     rho: float | None = None
     coupling: RhoCoupling | None = None
     grid_counts: tuple[int, ...] | None = None  # approx mode centers
-    error_probes_per_axis: int = 100
-    boundary_shrink: float = 0.05
-    density_probes_per_axis: int | None = None
 
 
 @dataclass(frozen=True)
@@ -221,22 +222,6 @@ def _fit_slope(rows) -> float | None:
     return float(np.polyfit(logh, loge, 1)[0])
 
 
-def _sample_avoiding(region: Region, N: int, seed, probes: np.ndarray) -> np.ndarray:
-    """Uniform sample with re-draws for points within 1e-12 of a probe."""
-    rng = np.random.default_rng(seed)
-    X = region.a + rng.random((N, region.d)) * (region.b - region.a)
-    tree = cKDTree(probes)
-    for _ in range(100):
-        dist, _ = tree.query(X)
-        bad = dist < 1e-12
-        if not np.any(bad):
-            break
-        X[bad] = region.a + rng.random((int(bad.sum()), region.d)) * (
-            region.b - region.a
-        )
-    return X
-
-
 def convergence_sweep(
     spec: KernelSpec,
     frame: PolyFrame,
@@ -260,11 +245,8 @@ def convergence_sweep(
     sizes = tuple(int(n) for n in config.sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("sweep sizes must be increasing")
-    probes = region.probe_grid(config.error_probes_per_axis, config.boundary_shrink)
+    probes = region.probe_grid(ERROR_PROBES_PER_AXIS, BOUNDARY_SHRINK)
     f_probe = _sample(data_fn, probes)
-    density_probes = config.density_probes_per_axis or _default_density_probes(
-        region.d
-    )
     Xp = None
     if mode == "approx":
         if config.grid_counts is None:
@@ -274,9 +256,9 @@ def convergence_sweep(
         )
     rows = []
     for i, N in enumerate(sizes):
-        X = _sample_avoiding(region, N, (config.seed, i), probes)
+        X = gen_uniform(region, N, (config.seed, i))
         y = _sample(data_fn, X)
-        h = cavity_density(region, X, density_probes)
+        h = cavity_density(region, X, _default_density_probes(region.d))
         if mode == "interpolant":
             rho = 0.0
         elif config.coupling is not None:
@@ -373,15 +355,14 @@ def rho_search(
     rho0: float,
     factor: float = 10.0,
     err_tol: float = 0.01,
-    rho_tol: float = 0.01,
-    max_iter: int = 60,
 ):
     """Minimize error_fn over rho by stepping up/down by a factor.
 
     At each step both rho * factor and rho / factor are tried and the
     best of the three is kept; once neither direction improves, the
     factor shrinks (square root).  Stops when the relative change of the
-    error or of rho per step falls below its threshold, or at max_iter.
+    error falls below err_tol, when the factor is within RHO_TOL of 1, or
+    after MAX_ITER steps.
     Each distinct rho is evaluated once (an exact float key; a step back,
     rho * factor / factor, is often exactly rho) and its error reused.
     Returns (best_rho, trace) with trace entries (rho, error), one per
@@ -404,7 +385,7 @@ def rho_search(
         return scored[rho]
 
     rho, err = rho0, evaluate(rho0)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         candidates = [(evaluate(rho * factor), rho * factor),
                       (evaluate(rho / factor), rho / factor)]
         best_err, best_rho = min(candidates)
@@ -415,6 +396,6 @@ def rho_search(
                 break
         else:
             factor = math.sqrt(factor)
-            if factor - 1.0 < rho_tol:
+            if factor - 1.0 < RHO_TOL:
                 break
     return rho, trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bfsmooth import assembly
 from bfsmooth.approx_smoother import (
     GridSpec,
     compare,
@@ -107,20 +108,12 @@ class TestFitApprox:
         with pytest.raises(ParameterError):
             fit_approx(spec, frame, X, y, np.linspace(-1, 1, 5), rho=0.0)
 
-    @pytest.mark.parametrize("chunk", [-5, 0])
-    def test_chunk_below_one_rejected(self, chunk):
+    def test_chunk_one_matches_default(self, monkeypatch):
         spec, frame, X, y = _instance(8)
         Xp = np.linspace(-1, 1, 5)
-        with pytest.raises(ParameterError, match="chunk"):
-            approx_parts(spec, frame, X, y, Xp, chunk=chunk)
-        with pytest.raises(ParameterError, match="chunk"):
-            fit_approx(spec, frame, X, y, Xp, rho=0.1, chunk=chunk)
-
-    def test_chunk_one_matches_default(self):
-        spec, frame, X, y = _instance(8)
-        Xp = np.linspace(-1, 1, 5)
-        one = fit_approx(spec, frame, X, y, Xp, rho=0.1, chunk=1)
         default = fit_approx(spec, frame, X, y, Xp, rho=0.1)
+        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 1)
+        one = fit_approx(spec, frame, X, y, Xp, rho=0.1)
         np.testing.assert_allclose(one.v, default.v, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(one.beta, default.beta, rtol=1e-8, atol=1e-10)
 

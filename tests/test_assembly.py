@@ -179,11 +179,13 @@ class TestApproxSystem:
         Xp = np.linspace(-1.4, 1.4, 11)
         assert _symmetric(approx_parts(spec, frame, X, y, Xp).system(0.01).matrix)
 
-    def test_chunked_matches_unchunked(self):
+    def test_chunked_matches_unchunked(self, monkeypatch):
         spec, frame, X, y = _random_instance(7, 500)
         Xp = np.linspace(-1.4, 1.4, 7)
-        a = approx_parts(spec, frame, X, y, Xp, chunk=64).system(0.1)
-        b = approx_parts(spec, frame, X, y, Xp, chunk=10_000).system(0.1)
+        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 64)
+        a = approx_parts(spec, frame, X, y, Xp).system(0.1)
+        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 10_000)
+        b = approx_parts(spec, frame, X, y, Xp).system(0.1)
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
         np.testing.assert_allclose(a.rhs, b.rhs, atol=1e-10)
 

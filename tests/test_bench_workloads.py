@@ -1,0 +1,32 @@
+"""The benchmark's workloads must still run against the library.
+
+`perfbench/workloads.py` calls bfsmooth with fixed signatures; a change to
+one of them otherwise shows only in `pytest perfbench`, which runs each
+workload in a subprocess.  Here every workload is set up at TINY scale
+and runs one cycle of ops, each checked the way the benchmark checks it.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize(
+    "name", ["approx_stream", "exact_dense", "predict", "rho_tune"]
+)
+def test_workload_cycle_passes_its_checks(workloads, name, tmp_path):
+    wl = workloads.WORKLOADS[name](workloads.TINY, seed=1, workdir=tmp_path)
+    wl.shards = [wl.build_shard(r) for r in range(workloads.SETUP_REPEATS)]
+    for i in range(wl.cycle):
+        out = wl.run(i)
+        assert 0 <= wl.check(i, out) <= workloads.TINY.err_tol
+        assert wl.items_done(i, out) >= 1

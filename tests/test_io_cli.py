@@ -46,13 +46,6 @@ class TestReadCsv:
             io.read_csv(p)
         assert exc.value.line == 2
 
-    def test_column_selection(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("9,0,1\n9,1,2\n")
-        table = io.read_csv(p, columns=[1, 2])
-        assert table.d == 1
-        np.testing.assert_array_equal(table.y, [1, 2])
-
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1\n2\n")
@@ -89,24 +82,21 @@ def _ragged_at(lineno, rows=1200):
     return "\n".join(lines) + "\n"
 
 
-# name: (file text, read_csv keyword arguments); read_points(d=2) reads
-# the cases without keyword arguments as well.
+# name: file text, read by both read_csv and read_points(d=2)
 READ_CASES = {
-    "blank_lines": ("0,1\n\n   \n2,3\n\t\n4,5\n", {}),
-    "crlf": ("x,y\r\n0,1\r\n2,3\r\n", {}),
-    "comma_spaces": ("0 , 1\n 2,  3 \n", {}),
-    "tab": ("0\t1\n2\t 3\n", {}),
-    "whitespace": ("0 1\n  2   3\n", {}),
-    "header": ("x1,y\n0,1\n2,3\n", {}),
-    "negative_column": ("9,0,1\n9,1,2\n", {"columns": [-2, -1]}),
-    "column_out_of_range": ("9,0,1\n9,1,2\n", {"columns": [0, 5]}),
-    "underscore": ("1_000,2\n3,4\n", {}),
-    "nan": ("0,1\n2,nan\n4,5\n", {}),
-    "inf": ("0,1\n2,inf\n4,5\n", {}),
-    "infinity": ("0,1\ninfinity,3\n4,5\n", {}),
-    "comment_line": ("0,1\n# note\n4,5\n", {}),
-    "ragged_at_1000": (_ragged_at(1000), {}),
-    "header_only": ("x,y\n", {}),
+    "blank_lines": "0,1\n\n   \n2,3\n\t\n4,5\n",
+    "crlf": "x,y\r\n0,1\r\n2,3\r\n",
+    "comma_spaces": "0 , 1\n 2,  3 \n",
+    "tab": "0\t1\n2\t 3\n",
+    "whitespace": "0 1\n  2   3\n",
+    "header": "x1,y\n0,1\n2,3\n",
+    "underscore": "1_000,2\n3,4\n",
+    "nan": "0,1\n2,nan\n4,5\n",
+    "inf": "0,1\n2,inf\n4,5\n",
+    "infinity": "0,1\ninfinity,3\n4,5\n",
+    "comment_line": "0,1\n# note\n4,5\n",
+    "ragged_at_1000": _ragged_at(1000),
+    "header_only": "x,y\n",
 }
 
 
@@ -126,10 +116,9 @@ class TestVectorizedRead:
 
     @pytest.mark.parametrize("case", list(READ_CASES))
     def test_matches_row_loop(self, tmp_path, monkeypatch, case):
-        text, kwargs = READ_CASES[case]
         p = tmp_path / "data.txt"
-        p.write_text(text)
-        calls = [(io.read_csv, kwargs)] + ([] if kwargs else [(io.read_points, {"d": 2})])
+        p.write_text(READ_CASES[case])
+        calls = [(io.read_csv, {}), (io.read_points, {"d": 2})]
         fast = [_outcome(read, p, **kw) for read, kw in calls]
         monkeypatch.setattr(io, "_vectorized_rows", lambda *args: None)
         for got, (read, kw) in zip(fast, calls):
@@ -207,6 +196,27 @@ class TestModelPersistence:
         path.write_text("version 99\n")
         with pytest.raises(ParseError):
             io.load_model(path)
+
+    # lines of _model()'s file: 6 theta, 8 rho, 9 "centers 15", 10-24 the
+    # center rows (d = 1), 25 "v 15", 26-40 the v entries
+    @pytest.mark.parametrize("lineno, text", [
+        (6, "theta x"),
+        (9, "centers 1.5"),  # non-numeric count
+        (8, "rho abc"),  # non-numeric coefficient
+        (26, "1e"),
+        (10, "0.5 0.25"),  # center row of the wrong width
+        (10, "zero"),
+    ])
+    def test_malformed_field_reports_line(self, tmp_path, lineno, text):
+        path = tmp_path / "m.model"
+        io.save_model(self._model(), path)
+        lines = path.read_text().splitlines()
+        assert (lines[8], lines[24]) == ("centers 15", "v 15")
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            io.load_model(path)
+        assert exc.value.line == lineno
 
 
 @pytest.fixture
@@ -445,6 +455,20 @@ class TestCli:
     ])
     def test_study_bad_region_exit_2(self, command, region, capsys):
         assert main([*command, f"--region={region}"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_eval_malformed_model_exit_2(self, sine_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        assert main(["--quiet", "interpolate", "--data", str(sine_csv),
+                     "--kernel", "thinplate:s=1.5", "--theta", "2",
+                     "--save", str(model_path)]) == 0
+        text = model_path.read_text().replace("theta 2", "theta x")
+        model_path.write_text(text)
+        assert main(["eval", "--model", str(model_path), "--eval=-1:1:5"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_study_convergence_bad_sizes_exit_2(self, capsys):
+        assert main([*self._CONVERGENCE[:-1], "50,abc"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_determinism(self, sine_csv, tmp_path):

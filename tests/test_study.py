@@ -169,6 +169,19 @@ class TestConvergenceSweep:
         ]
         assert runs[0] == runs[1]
 
+    def test_rows_sample_gen_uniform_streams(self):
+        # row i fits gen_uniform(region, N, (seed, i)): the same sample
+        # gives the same fill distance on the d = 2 grid of 256 per axis
+        region = Region(a=(-1.0, 0.0), b=(1.0, 0.5))
+        report = convergence_sweep(
+            KernelSpec("thinplate", theta=2, d=2, s=1.5), PolyFrame(2, 2), region,
+            lambda x: float(np.sin(np.sum(x))), "interpolant",
+            SweepConfig(sizes=(20, 40, 80), seed=3),
+        )
+        for i, row in enumerate(report.rows):
+            X = gen_uniform(region, row.N, (3, i))
+            assert row.h == cavity_density(region, X, 256)
+
     def test_exact_mode_needs_rho(self):
         with pytest.raises(ParameterError):
             convergence_sweep(
@@ -407,7 +420,7 @@ class TestRhoSearch:
 
         delta2 = residual_error_fn(fitter, X, y)
         assert delta2(1e-6) < delta2(1e-2) < delta2(1.0)
-        best, _ = rho_search(delta2, rho0=1e-2, factor=10.0, max_iter=8)
+        best, _ = rho_search(delta2, rho0=1e-2, factor=10.0)
         assert best < 1e-2
 
     def test_grid_criterion_prefers_interior_rho(self):
