@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ApproxParts, approx_parts, solve_block
+from .assembly import ApproxParts, approx_parts
 from .errors import ParameterError, ParseError
-from .exact_smoother import functional_value
-from .interpolant import FittedModel, eval_model, seminorm_sq_diff
+from .exact_smoother import _on_data
+from .interpolant import FittedModel, _fit, seminorm_sq_diff
 from .kernels import KernelSpec
 from .polyspace import PolyFrame, as_points
 
@@ -130,12 +130,8 @@ def fit_parts(parts: ApproxParts, rho: float) -> FittedModel:
     Build the parts once with `approx_parts` and call this per rho to
     reuse the O(N N'^2) assembly across a rho search.
     """
-    sys = parts.system(rho)
-    alpha, beta, _gamma = sys.split(solve_block(sys))  # multiplier discarded
-    return FittedModel(
-        spec=parts.spec, frame=parts.frame, centers=parts.centers, v=alpha,
-        beta=beta, kind="approx_smoother", rho=rho,
-    )
+    return _fit(parts.system(rho), parts.spec, parts.frame, parts.centers,
+                "approx_smoother", rho)
 
 
 @dataclass(frozen=True)
@@ -159,11 +155,9 @@ def compare(
     """Evaluate the gap identity between an Exact and an Approximate fit."""
     X = as_points(X, exact.frame.d)
     y = np.asarray(y, dtype=float)
-    se = np.atleast_1d(eval_model(exact, X))
-    sa = np.atleast_1d(eval_model(approx, X))
+    se, _, _, J_exact = _on_data(exact, X, y, rho)
+    sa, _, _, J_approx = _on_data(approx, X, y, rho)
     lhs = rho * seminorm_sq_diff(exact, approx) + float(np.mean((se - sa) ** 2))
-    J_exact = functional_value(exact, X, y, rho)
-    J_approx = functional_value(approx, X, y, rho)
     rhs = J_approx - J_exact
     return SmootherComparison(
         lhs=lhs, rhs=rhs, gap=lhs - rhs, J_e_exact=J_exact, J_e_approx=J_approx

@@ -2,16 +2,17 @@
 
 Three symmetric systems are assembled here:
 
-    interpolation       [[G_XX, P_X], [P_X^T, 0]] [v; beta] = [y; 0]
-    exact smoothing     same with G_XX + (2 pi)^(d/2) N rho I in the corner
-    approximate         [[c rho N G_X'X' + B B^T, B P_X, P_X'],
+    exact smoothing     [[G_XX + lam I, P_X], [P_X^T, 0]] [v; beta] = [y; 0]
+    interpolation       the same with lam = 0
+    approximate         [[lam G_X'X' + B B^T, B P_X, P_X'],
     smoothing            [P_X^T B^T, P_X^T P_X, 0],
-                         [P_X'^T, 0, 0]]  with B = G_X'X, c = (2 pi)^(d/2)
+                         [P_X'^T, 0, 0]]  with B = G_X'X
 
-The interpolation and exact systems carry a candidate solution by
-Cholesky (`_cardinal_solve`): through the cardinal basis of a minimal
-unisolvent subset of X, the constraint P_X^T v = 0 is eliminated and
-the corner block reduces to a positive definite matrix of order N - M.
+with lam = (2 pi)^(d/2) N rho (`_lam`).  The dense systems come from one
+builder and carry a candidate solution by Cholesky (`_cardinal_solve`):
+through the cardinal basis of a minimal unisolvent subset of X, the
+constraint P_X^T v = 0 is eliminated and the corner block reduces to a
+positive definite matrix of order N - M.
 
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks of
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -69,34 +70,44 @@ def _require_unisolvent(frame: PolyFrame, X, what: str):
         raise UnisolvencyError(f"{what} is not {frame.theta}-unisolvent")
 
 
-def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
-    """Saddle-point system of the minimal-seminorm interpolant."""
+def _data(frame: PolyFrame, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Data sites as (N, d) points, unisolvent, and values y of length N."""
     X = as_points(X, frame.d)
     y = np.asarray(y, dtype=float)
     _require_unisolvent(frame, X, "X")
-    N, M = len(X), frame.M
-    if y.shape != (N,):
-        raise ParameterError(f"y must have length {N}, got {y.shape}")
-    P = unisolvency_matrix(frame, X)
-    A = np.zeros((N + M, N + M))
-    kernel_matrix(spec, X, X, out=A[:N, :N])
-    A[:N, N:] = P
-    A[N:, :N] = P.T
-    rhs = np.concatenate([y, np.zeros(M)])
-    # bound to A itself, so exact_system's in-place shift is seen too
-    return BlockSystem(matrix=A, rhs=rhs, layout=(N, M), provenance="interp",
-                       candidate=partial(_cardinal_solve, A, rhs, N))
+    if y.shape != (len(X),):
+        raise ParameterError(f"y must have length {len(X)}, got {y.shape}")
+    return X, y
+
+
+def _lam(spec: KernelSpec, N: int, rho: float) -> float:
+    """lam, the weight of G in the smoothing systems."""
+    return (2.0 * np.pi) ** (spec.d / 2.0) * N * rho
+
+
+def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
+    """Saddle-point system of the minimal-seminorm interpolant."""
+    return exact_system(spec, frame, X, y, 0.0)
 
 
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
-    """Exact-smoother system: interpolation plus the diagonal rho shift."""
+    """The one dense builder: G_XX + lam I is written before the system is
+    made.  rho = 0 gives the interpolation system."""
     if rho < 0:
         raise ParameterError(f"rho must be >= 0, got {rho}")
-    base = interp_system(spec, frame, X, y)
-    N = base.layout[0]
+    X, y = _data(frame, X, y)
+    N, M = len(X), frame.M
+    P = unisolvency_matrix(frame, X)
+    A = np.zeros((N + M, N + M))
+    kernel_matrix(spec, X, X, out=A[:N, :N])
     diag = np.arange(N)
-    base.matrix[diag, diag] += (2.0 * np.pi) ** (spec.d / 2.0) * N * rho
-    return replace(base, provenance="exact")
+    A[diag, diag] += _lam(spec, N, rho)
+    A[:N, N:] = P
+    A[N:, :N] = P.T
+    rhs = np.concatenate([y, np.zeros(M)])
+    return BlockSystem(matrix=A, rhs=rhs, layout=(N, M),
+                       provenance="exact" if rho else "interp",
+                       candidate=partial(_cardinal_solve, A, rhs, N))
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class ApproxParts:
         if rho <= 0:
             raise ParameterError(f"rho must be > 0, got {rho}")
         Np, M = self.G_pp.shape[0], self.PtP.shape[0]
-        scale = (2.0 * np.pi) ** (self.spec.d / 2.0) * self.N * rho
+        scale = _lam(self.spec, self.N, rho)
         n = Np + 2 * M
         A = np.zeros((n, n))
         # written in place: no (N', N') temporaries per rho
@@ -174,6 +185,14 @@ def _cardinal_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, piv = scipy.linalg.qr(P.T, mode="r", pivoting=True)
     A, R = piv[:M], piv[M:]
     return A, R, scipy.linalg.solve(P[A].T, P[R].T)
+
+
+def _expand(w: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """v = Z w in the original order: v_R = w and v_A = -C w, so P^T v = 0."""
+    v = np.empty(len(A) + len(R))
+    v[R] = w
+    v[A] = -(C @ w)
+    return v
 
 
 def _half_cross(K: np.ndarray, A: np.ndarray, R: np.ndarray,
@@ -224,8 +243,8 @@ def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray |
         return None
     b = np.zeros(N)
     b[R] = y[R] - C.T @ y[A]
-    v, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
-    v[A] = -(C @ v[R])  # the identity rows left v_A = 0
+    w, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
+    v = _expand(w[R], A, R, C)
     beta = scipy.linalg.solve(P[A], y[A] - K[A] @ v)
     return np.concatenate([v, beta])
 
@@ -238,7 +257,7 @@ class _SpectralFactor:
     C = P_A^-T P_R^T and Z = [-C; I] in (A, R) order, so that alpha = Z w
     satisfies P_X'^T alpha = 0 for every w.  Eliminating beta leaves
     Z^T (S + lam G_pp) Z w = Z^T r with S = BBt - BP PtP^-1 BP^T,
-    r = By - BP PtP^-1 Pty and lam = (2 pi)^(d/2) N rho.  The generalized
+    r = By - BP PtP^-1 Pty and lam = `_lam(spec, N, rho)`.  The generalized
     eigenproblem Z^T S Z V = Z^T G_pp Z V diag(sigma), with
     V^T Z^T G_pp Z V = I, gives w = V (q / (sigma + lam)), q = V^T Z^T r.
     """
@@ -268,9 +287,7 @@ class _SpectralFactor:
     def solve(self, parts: ApproxParts, scale: float) -> np.ndarray:
         """[alpha; beta; gamma] of `parts.system(rho)` with scale = lam."""
         w = self.V @ (self.q / (self.sigma + scale))
-        alpha = np.empty(len(parts.centers))
-        alpha[self.R] = w
-        alpha[self.A] = -(self.C @ w)
+        alpha = _expand(w, self.A, self.R, self.C)
         beta = scipy.linalg.solve(parts.PtP, parts.Pty - parts.BP.T @ alpha,
                                   assume_a="pos")
         # gamma from the A rows of the first block row
@@ -284,14 +301,10 @@ class _SpectralFactor:
 def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
     approximate-system blocks."""
-    X = as_points(X, frame.d)
+    X, y = _data(frame, X, y)
     Xp = as_points(Xp, frame.d)
-    y = np.asarray(y, dtype=float)
-    _require_unisolvent(frame, X, "X")
     _require_unisolvent(frame, Xp, "X'")
     N, Np, M = len(X), len(Xp), frame.M
-    if y.shape != (N,):
-        raise ParameterError(f"y must have length {N}, got {y.shape}")
     BBt = np.zeros((Np, Np))
     BP = np.zeros((Np, M))
     PtP = np.zeros((M, M))

@@ -160,10 +160,14 @@ def _predictions_csv(model, points) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _problem(args, points):
+    """(points, spec, frame): --kernel and --theta in the --data or --region d."""
+    spec = parse_kernel(args.kernel, theta=args.theta, d=points.d)
+    return points, spec, PolyFrame(d=points.d, theta=args.theta)
+
+
 def _run_fit(args) -> int:
-    table = io.read_csv(args.data)
-    spec = parse_kernel(args.kernel, theta=args.theta, d=table.d)
-    frame = PolyFrame(d=table.d, theta=args.theta)
+    table, spec, frame = _problem(args, io.read_csv(args.data))
     if args.command == "interpolate":
         model = fit_interpolant(spec, frame, table.X, table.y)
     elif args.command == "smooth-exact":
@@ -228,9 +232,7 @@ def _run_study(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     if args.study_command == "convergence":
-        region = Region(*parse_box(args.region))
-        spec = parse_kernel(args.kernel, theta=args.theta, d=region.d)
-        frame = PolyFrame(d=region.d, theta=args.theta)
+        region, spec, frame = _problem(args, Region(*parse_box(args.region)))
         try:
             sizes = tuple(int(t) for t in args.sizes.split(","))
         except ValueError:
@@ -271,9 +273,7 @@ def _run_study(args) -> int:
         _emit(text, args.out)
         return EXIT_OK
     # rho-search
-    table = io.read_csv(args.data)
-    spec = parse_kernel(args.kernel, theta=args.theta, d=table.d)
-    frame = PolyFrame(d=table.d, theta=args.theta)
+    table, spec, frame = _problem(args, io.read_csv(args.data))
     Xp = make_grid(parse_grid(args.grid), theta=args.theta)
     fitter = partial(fit_parts, approx_parts(spec, frame, table.X, table.y, Xp))
     if args.error_grid:

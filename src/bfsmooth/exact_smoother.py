@@ -3,7 +3,8 @@
 The smoother minimizes J_e[f] = rho |f|^2 + (1/N) sum |f(x_i) - y_i|^2
 and, despite being posed over an infinite-dimensional space, always
 lands in the same finite expansion as the interpolant.  The diagnostics
-check the energy identities the minimizer must satisfy.
+check the energy identities the minimizer must satisfy; they and J_e are
+evaluated on data by one function, `_on_data`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import exact_system, solve_block
+from .assembly import exact_system
 from .errors import ParameterError
 from .interpolant import (
     FittedModel,
     _check_constraint,
+    _fit,
     _seminorm_from,
     eval_model,
     seminorm_sq,
@@ -33,14 +35,8 @@ def fit_exact(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> FittedMod
         raise ParameterError(
             f"rho must be > 0 (use fit_interpolant for rho = 0), got {rho}"
         )
-    X = as_points(X, frame.d)
-    y = np.asarray(y, dtype=float)
-    sys = exact_system(spec, frame, X, y, rho)
-    v, beta = sys.split(solve_block(sys))
-    return FittedModel(
-        spec=spec, frame=frame, centers=X, v=v, beta=beta,
-        kind="exact_smoother", rho=rho,
-    )
+    return _fit(exact_system(spec, frame, X, y, rho), spec, frame, X,
+                "exact_smoother", rho)
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,28 @@ class SmootherDiagnostics:
     ok: bool
 
 
+def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
+    """s at X, |s|^2, mean|s - y|^2 and J_e = rho |s|^2 + mean|s - y|^2.
+
+    When X is the model's center set, one G_XX gives s and |s|^2, each in
+    the same order as eval_model and seminorm_sq, which any other X takes.
+    """
+    if X.shape == model.centers.shape and np.array_equal(X, model.centers):
+        _check_constraint(model)
+        G = kernel_matrix(model.spec, X, X)
+        s = G @ model.v + model.frame.monomials(X) @ model.beta
+        sn = _seminorm_from(model.spec, model.v, G)
+    else:
+        s = np.atleast_1d(eval_model(model, X))
+        sn = seminorm_sq(model)
+    residual_ms = float(np.mean((s - y) ** 2))
+    return s, sn, residual_ms, rho * sn + residual_ms
+
+
 def functional_value(model: FittedModel, X, y, rho: float) -> float:
     """J_e[model] = rho |model|^2 + mean squared residual on (X, y)."""
-    y = np.asarray(y, dtype=float)
-    fitted = np.atleast_1d(eval_model(model, X))
-    return rho * seminorm_sq(model) + float(np.mean((fitted - y) ** 2))
+    X = as_points(X, model.frame.d)
+    return _on_data(model, X, np.asarray(y, dtype=float), rho)[3]
 
 
 def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
@@ -77,21 +90,7 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     X = as_points(X, model.frame.d)
     y = np.asarray(y, dtype=float)
     rho = model.rho
-    P = unisolvency_matrix(model.frame, X)
-    if X.shape == model.centers.shape and np.array_equal(X, model.centers):
-        # X is the center set (the Exact smoother's case): one G_XX gives
-        # both the fitted values and the seminorm, each evaluated in the
-        # same order as eval_model and seminorm_sq.
-        _check_constraint(model)
-        G = kernel_matrix(model.spec, X, X)
-        s = G @ model.v + P @ model.beta
-        sn = _seminorm_from(model.spec, model.v, G)
-    else:
-        s = np.atleast_1d(eval_model(model, X))
-        sn = seminorm_sq(model)
-    N = len(y)
-    residual_ms = float(np.mean((s - y) ** 2))
-    J_e = rho * sn + residual_ms
+    s, sn, residual_ms, J_e = _on_data(model, X, y, rho)
 
     def rel(left, right):
         return abs(left - right) / max(abs(right), 1.0)
@@ -101,24 +100,14 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
         2 * rho * sn + residual_ms + float(np.mean(s**2)), float(np.mean(y**2))
     )
     # |s|^2 = (1 / (N rho)) sum s(x_k)(y_k - s(x_k))
-    gap_seminorm = rel(sn, float(np.sum(s * (y - s))) / (N * rho))
+    gap_seminorm = rel(sn, float(np.sum(s * (y - s))) / (len(y) * rho))
     # J_e = (1/N) sum (y_k - s(x_k)) y_k
     gap_functional = rel(J_e, float(np.mean((y - s) * y)))
     # P_X^T (s_X - y) = 0
+    P = unisolvency_matrix(model.frame, X)
     gap_constraint = float(np.linalg.norm(P.T @ (s - y))) / max(
         np.linalg.norm(y), 1.0
     )
-    ok = all(
-        g <= IDENTITY_RTOL
-        for g in (gap_energy, gap_seminorm, gap_functional, gap_constraint)
-    )
-    return SmootherDiagnostics(
-        J_e=J_e,
-        seminorm_sq=sn,
-        residual_ms=residual_ms,
-        gap_energy=gap_energy,
-        gap_seminorm=gap_seminorm,
-        gap_functional=gap_functional,
-        gap_constraint=gap_constraint,
-        ok=ok,
-    )
+    gaps = (gap_energy, gap_seminorm, gap_functional, gap_constraint)
+    return SmootherDiagnostics(J_e, sn, residual_ms, *gaps,
+                               ok=all(g <= IDENTITY_RTOL for g in gaps))

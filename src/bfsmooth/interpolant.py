@@ -4,7 +4,7 @@ A fitted model is u(x) = sum_i v_i G(x - z_i) + sum_j beta_j p_j(x)
 with the coefficient constraint P_Z^T v = 0, which places u in the
 solution space W_{G,Z} + P_theta shared by the interpolant and both
 smoothers.  On that space the seminorm is computable in closed form:
-|u|^2 = (2 pi)^(d/2) v^T G_ZZ v.
+|u|^2 = (2 pi)^(d/2) v^T G_ZZ v.  Every fit builds its model in `_fit`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import interp_system, solve_block
+from .assembly import BlockSystem, interp_system, solve_block
 from .errors import ContractError, ParameterError
 from .kernels import KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
@@ -57,14 +57,20 @@ class FittedModel:
         return float(np.linalg.norm(P.T @ self.v))
 
 
+def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
+         kind: str = "interpolant", rho: float = 0.0) -> FittedModel:
+    """Solve a saddle system and wrap its blocks v and beta as a model;
+    the approximate system's third block, a multiplier, is discarded."""
+    v, beta, *_ = sys.split(solve_block(sys))
+    return FittedModel(spec=spec, frame=frame, centers=centers, v=v, beta=beta,
+                       kind=kind, rho=rho)
+
+
 def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     """Fit the minimal-seminorm interpolant of the data (X, y)."""
-    X = as_points(X, frame.d)
+    model = _fit(interp_system(spec, frame, X, y), spec, frame, X)
     y = np.asarray(y, dtype=float)
-    sys = interp_system(spec, frame, X, y)
-    v, beta = sys.split(solve_block(sys))
-    model = FittedModel(spec=spec, frame=frame, centers=X, v=v, beta=beta)
-    fitted = eval_model(model, X)
+    fitted = eval_model(model, model.centers)
     # tolerance scale matches the solver's norm-wise residual guarantee
     scale = 1.0 + float(np.linalg.norm(y))
     worst = float(np.max(np.abs(fitted - y))) if len(y) else 0.0

@@ -29,7 +29,6 @@ class DataTable:
     d: int
     X: np.ndarray
     y: np.ndarray
-    source: str
 
 
 def _split_line(line: str, delimiter: str | None) -> list[str]:
@@ -46,20 +45,17 @@ def _detect_delimiter(line: str) -> str | None:
     return None  # whitespace
 
 
-def _check_rows(path: Path, raw_lines, delimiter, arity: int | None):
-    """Parse the non-blank lines one by one.
+def _check_rows(path: Path, lines, delimiter, arity: int | None):
+    """Parse the data lines, (line number, text) pairs, one by one.
 
     The only source of ParseError messages and line numbers, and the
     reference that the vectorized pass must reproduce.
     """
-    lines = [(i + 1, s) for i, raw in enumerate(raw_lines) if (s := raw.strip())]
     rows = []
-    for pos, (lineno, text) in enumerate(lines):
+    for lineno, text in lines:
         try:
             row = [float(f) for f in _split_line(text, delimiter)]
         except ValueError:
-            if pos == 0:  # header row
-                continue
             raise ParseError(f"{path}: non-numeric field", line=lineno) from None
         if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}: non-finite value", line=lineno)
@@ -111,11 +107,14 @@ def _read_rows(path: Path, arity: int | None):
     delimiter = _detect_delimiter(texts[0])
     try:
         [float(f) for f in _split_line(texts[0], delimiter)]
+        skip = 0
     except ValueError:
-        texts = texts[1:]  # header row
-    data = _vectorized_rows(texts, delimiter, arity)
+        skip = 1  # header row
+    data = _vectorized_rows(texts[skip:], delimiter, arity)
     if data is None:
-        data = _check_rows(path, raw_lines, delimiter, arity)
+        # numbered only for the row loop, whose errors carry line numbers
+        numbers = [i for i, raw in enumerate(raw_lines, 1) if raw.strip()]
+        data = _check_rows(path, list(zip(numbers, texts))[skip:], delimiter, arity)
     return data
 
 
@@ -126,11 +125,8 @@ def read_csv(path) -> DataTable:
     first non-blank line.  A single non-numeric leading row is treated as
     a header.  The last column is y, the others are the coordinates.
     """
-    path = Path(path)
-    data = _read_rows(path, arity=None)
-    return DataTable(
-        d=data.shape[1] - 1, X=data[:, :-1], y=data[:, -1], source=str(path)
-    )
+    data = _read_rows(Path(path), arity=None)
+    return DataTable(d=data.shape[1] - 1, X=data[:, :-1], y=data[:, -1])
 
 
 def read_points(path, d: int) -> np.ndarray:

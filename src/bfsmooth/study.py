@@ -59,10 +59,6 @@ class Region:
     def d(self) -> int:
         return len(self.a)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.b - self.a))
-
     def probe_grid(self, per_axis: int, shrink: float = 0.0) -> np.ndarray:
         """Closed regular grid spanning the (optionally shrunk) box."""
         width = self.b - self.a
@@ -109,6 +105,8 @@ class DensityFit:
 
 def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     """Exponentially spaced sample sizes ending at `maximum`."""
+    if not multiplier > 1:
+        raise ParameterError(f"multiplier must be > 1, got {multiplier}")
     sizes = [maximum]
     for _ in range(n_sizes - 1):
         sizes.append(max(2, int(round(sizes[-1] / multiplier))))
