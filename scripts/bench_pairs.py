@@ -6,8 +6,8 @@ For each seed, runs ``perfbench/run.py --workload W --seed S --seconds T
 BENCHMARK.json's ``run_seconds``, so both sides run as long as the
 benchmark does. It reads the JSON result on the last line of each run's
 output and prints, per end-to-end metric of BENCHMARK.json, both sides'
-median and quartiles and the number of pairs the change won; ties count
-for neither side.
+median and quartiles, the number of pairs the change won (ties count for
+neither side) and a verdict against the metric's ``bound`` (`verdict`).
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
@@ -46,10 +46,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """'worse' if the change's median is worse than the parent's by more than
+    bound x |parent median|; else 'unresolved' if the parent's q3 - q1 exceeds
+    that and not every change run beats every parent run; else 'ok'."""
+    if metric["better"] == "higher":  # compare as lower-is-better
+        parent, change = [-v for v in parent], [-v for v in change]
+    q1, median, q3 = quartiles(parent)
+    bound = metric["bound"] * abs(median)
+    if quartiles(change)[1] - median > bound:
+        return "worse"
+    if q3 - q1 > bound and max(change) >= min(parent):
+        return "unresolved"
+    return "ok"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """One row per metric from (parent, change) results of paired runs.
 
-    `metrics` are BENCHMARK.json end-to-end entries ({"name", "better"}).
+    `metrics` are BENCHMARK.json end-to-end entries (name, better, bound).
     A pair in which either side's value is None is left out of its row.
     """
     rows = []
@@ -61,20 +76,22 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         if not values:
             continue
         wins = sum((c < p) if lower else (c > p) for p, c in values)
+        parent, change = [p for p, _ in values], [c for _, c in values]
         rows.append({"name": name, "better": metric["better"],
-                     "parent": quartiles([p for p, _ in values]),
-                     "change": quartiles([c for _, c in values]),
-                     "wins": wins, "pairs": len(values)})
+                     "parent": quartiles(parent), "change": quartiles(change),
+                     "wins": wins, "pairs": len(values),
+                     "verdict": verdict(parent, change, metric)})
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<16} {'parent median (q1-q3)':<34} "
-             f"{'change median (q1-q3)':<34} change won"]
+             f"{'change median (q1-q3)':<34} {'verdict':<10} change won"]
     for row in rows:
         sides = [f"{m:.6g} ({q1:.6g}-{q3:.6g})"
                  for q1, m, q3 in (row["parent"], row["change"])]
         lines.append(f"{row['name']:<16} {sides[0]:<34} {sides[1]:<34} "
+                     f"{row['verdict']:<10} "
                      f"{row['wins']} of {row['pairs']} ({row['better']} is better)")
     return "\n".join(lines)
 

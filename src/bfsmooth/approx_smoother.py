@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ApproxParts, approx_parts
+from .assembly import ApproxParts, _check_rho, approx_parts
 from .errors import ParameterError, ParseError
 from .exact_smoother import _on_data
 from .interpolant import FittedModel, _fit, seminorm_sq_diff
@@ -119,8 +119,7 @@ def fit_approx(
     rho: float,
 ) -> FittedModel:
     """Fit the Approximate smoother with centers X' and parameter rho."""
-    if rho <= 0:  # fail before the O(N N'^2) assembly, not after it
-        raise ParameterError(f"rho must be > 0, got {rho}")
+    _check_rho(rho)  # fail before the O(N N'^2) assembly, not after it
     return fit_parts(approx_parts(spec, frame, X, y, Xp), rho)
 
 

@@ -80,9 +80,19 @@ def _data(frame: PolyFrame, X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _check_rho(rho: float, name: str = "rho") -> float:
+    """rho when it is finite and > 0; written so that NaN fails."""
+    if not 0 < rho < np.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {rho}")
+    return rho
+
+
 def _lam(spec: KernelSpec, N: int, rho: float) -> float:
-    """lam, the weight of G in the smoothing systems."""
-    return (2.0 * np.pi) ** (spec.d / 2.0) * N * rho
+    """lam, the weight of G in the smoothing systems, for a valid rho."""
+    lam = (2.0 * np.pi) ** (spec.d / 2.0) * N * _check_rho(rho)
+    if not lam < np.inf:
+        raise ParameterError(f"rho = {rho} makes lam = (2 pi)^(d/2) N rho overflow")
+    return lam
 
 
 def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
@@ -93,15 +103,14 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
     """The one dense builder: G_XX + lam I is written before the system is
     made.  rho = 0 gives the interpolation system."""
-    if rho < 0:
-        raise ParameterError(f"rho must be >= 0, got {rho}")
     X, y = _data(frame, X, y)
     N, M = len(X), frame.M
+    lam = _lam(spec, N, rho) if rho != 0 else 0.0
     P = unisolvency_matrix(frame, X)
     A = np.zeros((N + M, N + M))
     kernel_matrix(spec, X, X, out=A[:N, :N])
     diag = np.arange(N)
-    A[diag, diag] += _lam(spec, N, rho)
+    A[diag, diag] += lam
     A[:N, N:] = P
     A[N:, :N] = P.T
     rhs = np.concatenate([y, np.zeros(M)])
@@ -139,8 +148,6 @@ class ApproxParts:
     )
 
     def system(self, rho: float) -> BlockSystem:
-        if rho <= 0:
-            raise ParameterError(f"rho must be > 0, got {rho}")
         Np, M = self.G_pp.shape[0], self.PtP.shape[0]
         scale = _lam(self.spec, self.N, rho)
         n = Np + 2 * M

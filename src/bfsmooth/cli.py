@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: interpolate, smooth-exact, smooth-approx, eval, study.
+Subcommands: interpolate, smooth-exact, smooth-approx, eval, and study
+with density, convergence, rho-search or scaling.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
@@ -39,6 +40,7 @@ from .study import (
     grid_error_fn,
     residual_error_fn,
     rho_search,
+    scaling_study,
 )
 
 EXIT_OK = 0
@@ -105,15 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fit seeds --seed to --seed + K - 1, one line each, "
                    "and their median when K > 1 (default 1)")
 
+    def add_sweep_args(q, sizes):
+        q.add_argument("--kernel", required=True)
+        q.add_argument("--theta", required=True, type=int)
+        q.add_argument("--region", default="-1.5:1.5")
+        q.add_argument("--sizes", default=sizes, help="comma-separated point counts")
+
     q = study_sub.add_parser("convergence", help="measure convergence order")
-    q.add_argument("--kernel", required=True)
-    q.add_argument("--theta", required=True, type=int)
-    q.add_argument("--region", default="-1.5:1.5")
+    add_sweep_args(q, "50,100,200,400,800,1600")
     q.add_argument("--data-fn", default="sin", choices=sorted(DATA_FUNCTIONS))
     q.add_argument("--mode", default="interpolant",
                    choices=["interpolant", "exact", "approx"])
-    q.add_argument("--sizes", default="50,100,200,400,800,1600",
-                   help="comma-separated point counts")
     q.add_argument("--rho", type=float, default=None)
     q.add_argument("--couple", type=float, nargs="?", const=1.0, default=None,
                    metavar="AMPLITUDE",
@@ -133,6 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--error-grid", default=None,
                    help="error grid spec for the data-function criterion")
     q.add_argument("--data-fn", default=None, choices=sorted(DATA_FUNCTIONS))
+
+    q = study_sub.add_parser("scaling", help="time the Approximate smoother per size")
+    add_sweep_args(q, "10000,20000,40000")
+    q.add_argument("--grid", required=True, help="center grid spec a:b:n")
+    q.add_argument("--rho", required=True, type=float)
 
     return parser
 
@@ -164,6 +173,13 @@ def _problem(args, points):
     """(points, spec, frame): --kernel and --theta in the --data or --region d."""
     spec = parse_kernel(args.kernel, theta=args.theta, d=points.d)
     return points, spec, PolyFrame(d=points.d, theta=args.theta)
+
+
+def _sizes(args) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in args.sizes.split(","))
+    except ValueError:
+        raise ParseError(f"--sizes {args.sizes!r} must be integers") from None
 
 
 def _run_fit(args) -> int:
@@ -212,7 +228,8 @@ def _run_eval(args) -> int:
     return EXIT_OK
 
 
-def _run_study(args) -> int:
+def _study_text(args) -> str:
+    """The CSV text of a study subcommand."""
     if args.study_command == "density":
         if args.seeds < 1:
             raise InputError("--seeds must be >= 1")
@@ -229,14 +246,9 @@ def _run_study(args) -> int:
                 f"h1={np.median([f.h1 for f in fits]):.6g} "
                 f"a_exp={np.median([f.a_exp for f in fits]):.6g}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+        return "\n".join(lines) + "\n"
     if args.study_command == "convergence":
         region, spec, frame = _problem(args, Region(*parse_box(args.region)))
-        try:
-            sizes = tuple(int(t) for t in args.sizes.split(","))
-        except ValueError:
-            raise ParseError(f"--sizes {args.sizes!r} must be integers") from None
         coupling = None
         if args.couple is not None:
             coupling = RhoCoupling(
@@ -256,7 +268,7 @@ def _run_study(args) -> int:
                 )
             grid_counts = grid.counts
         config = SweepConfig(
-            sizes=sizes, seed=args.seed, rho=args.rho, coupling=coupling,
+            sizes=_sizes(args), seed=args.seed, rho=args.rho, coupling=coupling,
             grid_counts=grid_counts,
         )
         report = convergence_sweep(
@@ -270,8 +282,18 @@ def _run_study(args) -> int:
             )
         elif report.slope_flag:
             text += f"# {report.slope_flag}\n"
-        _emit(text, args.out)
-        return EXIT_OK
+        return text
+    if args.study_command == "scaling":
+        region, spec, frame = _problem(args, Region(*parse_box(args.region)))
+        Xp = make_grid(parse_grid(args.grid), theta=args.theta)
+        times = scaling_study(spec, frame, region, Xp, _sizes(args), args.rho, args.seed)
+        medians = [(N, float(np.median(t))) for N, t in times.items()]
+        lines = ["N,median_s,min_s"]
+        lines.extend(f"{N},{m:.6g},{min(times[N]):.6g}" for N, m in medians)
+        lines.append(f"# kernel={spec.label()} N'={len(Xp)} rho={args.rho:g}")
+        lines.extend(f"# {n1}/{n0}: time ratio {t1 / t0:.3g}, size ratio {n1 / n0:.3g}"
+                     for (n0, t0), (n1, t1) in zip(medians, medians[1:]))
+        return "\n".join(lines) + "\n"
     # rho-search
     table, spec, frame = _problem(args, io.read_csv(args.data))
     Xp = make_grid(parse_grid(args.grid), theta=args.theta)
@@ -287,8 +309,7 @@ def _run_study(args) -> int:
     lines = ["rho,error"]
     lines.extend(f"{r:.10g},{e:.10g}" for r, e in trace)
     lines.append(f"# best_rho={best:.10g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -298,15 +319,13 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _run_eval(args)
         if args.command == "study":
-            return _run_study(args)
+            _emit(_study_text(args), args.out)
+            return EXIT_OK
         return _run_fit(args)
-    except (ParseError, InputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SolveError,) as exc:
+    except SolveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except BfsmoothError as exc:
+    except (BfsmoothError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

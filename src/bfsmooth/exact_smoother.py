@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import exact_system
-from .errors import ParameterError
+from .assembly import _check_rho, exact_system
 from .interpolant import (
     FittedModel,
     _check_constraint,
@@ -31,10 +30,7 @@ IDENTITY_RTOL = 1e-8
 
 def fit_exact(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> FittedModel:
     """Fit the Exact smoother with smoothing parameter rho > 0."""
-    if rho <= 0:
-        raise ParameterError(
-            f"rho must be > 0 (use fit_interpolant for rho = 0), got {rho}"
-        )
+    _check_rho(rho)  # exact_system reads rho = 0 as the interpolant
     return _fit(exact_system(spec, frame, X, y, rho), spec, frame, X,
                 "exact_smoother", rho)
 

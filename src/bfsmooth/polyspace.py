@@ -189,9 +189,7 @@ def lagrange_apply(uf: UnisolventFrame, samples, x, fx=None):
         raise InputError(
             f"expected {uf.frame.M} samples on the minimal set, got {samples.shape}"
         )
-    values = uf.cardinal_values(x) @ samples
-    if values.shape == (1,):
-        values = values[0]
+    values = _maybe_scalar(uf.cardinal_values(x) @ samples, x)
     if fx is not None:
         return values, fx - values
     return values

@@ -1,5 +1,6 @@
 """Study harness: synthetic data, fill-distance measurement, the
-empirical density law, convergence-order sweeps and the rho search.
+empirical density law, convergence-order sweeps, the fit-time scaling
+of the Approximate smoother and the rho search.
 
 All experiments run on axis-aligned boxes.  Fill distance ("cavity
 density") h_X = sup over the box of the distance to X is measured on a
@@ -10,11 +11,13 @@ because dist(., X) is 1-Lipschitz.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .assembly import _check_rho
 from .errors import InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
@@ -38,6 +41,8 @@ BOUNDARY_SHRINK = 0.05
 # rho_search's step-factor floor (factor - 1) and step limit.
 RHO_TOL = 0.01
 MAX_ITER = 60
+# Fits per size in a scaling study.
+SCALING_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,20 @@ def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     sizes = [maximum]
     for _ in range(n_sizes - 1):
         sizes.append(max(2, int(round(sizes[-1] / multiplier))))
-    unique = sorted(set(sizes))
-    return unique
+    return sorted(set(sizes))
+
+
+def _sizes(sizes, least: int) -> tuple[int, ...]:
+    """Sample sizes as ints, strictly increasing, at least `least` of them."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < least or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"sizes must be strictly increasing, >= {least} of them")
+    return sizes
 
 
 def density_law(region: Region, sizes, seed) -> DensityFit:
     """Measure h_X for uniform samples of each size and fit h = h1 N^-a."""
-    sizes = [int(n) for n in sizes]
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("sizes must be strictly increasing with >= 2 entries")
+    sizes = _sizes(sizes, 2)
     rows = []
     for i, N in enumerate(sizes):
         X = gen_uniform(region, N, seed=(seed, i))
@@ -240,9 +250,9 @@ def convergence_sweep(
         raise ParameterError(f"unknown sweep mode {mode!r}")
     if mode != "interpolant" and config.rho is None and config.coupling is None:
         raise ParameterError(f"mode {mode!r} requires rho or a coupling")
-    sizes = tuple(int(n) for n in config.sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("sweep sizes must be increasing")
+    if config.rho is not None:
+        _check_rho(config.rho)
+    sizes = _sizes(config.sizes, 1)
     probes = region.probe_grid(ERROR_PROBES_PER_AXIS, BOUNDARY_SHRINK)
     f_probe = _sample(data_fn, probes)
     Xp = None
@@ -294,6 +304,24 @@ def convergence_sweep(
         prediction=predicted_orders(spec),
         slope_flag=flag,
     )
+
+
+def scaling_study(spec: KernelSpec, frame: PolyFrame, region: Region, centers,
+                  sizes, rho: float, seed) -> dict[int, list[float]]:
+    """Wall seconds of SCALING_ROUNDS `fit_approx` calls per size N_i, on
+    gen_uniform(region, N_i, (seed, i)) and y = sin(sum of x).  The sizes
+    are timed round-robin so that a drift in host speed hits each alike.
+    """
+    sizes = _sizes(sizes, 1)
+    draws = [gen_uniform(region, N, (seed, i)) for i, N in enumerate(sizes)]
+    data = [(X, np.sin(X.sum(axis=1))) for X in draws]
+    times = {N: [] for N in sizes}
+    for _ in range(SCALING_ROUNDS):
+        for N, (X, y) in zip(sizes, data):
+            start = time.perf_counter()
+            fit_approx(spec, frame, X, y, centers, rho)
+            times[N].append(time.perf_counter() - start)
+    return times
 
 
 class RepresenterData:
@@ -366,10 +394,9 @@ def rho_search(
     Returns (best_rho, trace) with trace entries (rho, error), one per
     scored candidate, repeats included.
     """
-    if rho0 <= 0:
-        raise ParameterError(f"rho0 must be > 0, got {rho0}")
-    if factor <= 1:
-        raise ParameterError(f"factor must be > 1, got {factor}")
+    _check_rho(rho0, "rho0")
+    if not 1 < factor < math.inf:
+        raise ParameterError(f"factor must be finite and > 1, got {factor}")
     trace: list[tuple[float, float]] = []
     scored: dict[float, float] = {}
 

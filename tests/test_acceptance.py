@@ -3,11 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +37,7 @@ from bfsmooth.study import (
     convergence_sweep,
     density_law,
     exponential_sizes,
+    gen_uniform,
 )
 
 BOX1 = Region(a=-1.5, b=1.5)
@@ -232,54 +231,36 @@ _SCALING_SIZES = (10_000, 20_000, 40_000)
 _SCALING_RHO = 1e-4
 
 
-def _scaling_problem():
+def test_criterion_9_scalability():
     frame = PolyFrame(1, 2)
     Xp = make_grid(GridSpec(a=-1.5, b=1.5, counts=(200,)), frame.theta)
-    data = {}
-    for N in _SCALING_SIZES:
-        rng = np.random.default_rng(N)
-        X = rng.uniform(-1.5, 1.5, (N, 1))
-        data[N] = (X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(N))
-    return frame, Xp, data
-
-
-def _scaling_times():
-    """Median fit_approx seconds per size, keyed by str(N)."""
-    frame, Xp, data = _scaling_problem()
-    # Round-robin over the sizes so that host speed drift hits each alike.
-    samples = {N: [] for N in data}
-    for _ in range(5):
-        for N, (X, y) in data.items():
-            start = time.perf_counter()
-            fit_approx(TPS, frame, X, y, Xp, _SCALING_RHO)
-            samples[N].append(time.perf_counter() - start)
-    return {str(N): float(np.median(s)) for N, s in samples.items()}
-
-
-def test_criterion_9_scalability():
-    frame, Xp, data = _scaling_problem()
-    shapes = {
-        approx_parts(TPS, frame, X, y, Xp).system(_SCALING_RHO).matrix.shape
-        for X, y in data.values()
-    }
+    shapes = set()
+    for i, N in enumerate(_SCALING_SIZES):
+        X = gen_uniform(BOX1, N, (0, i))
+        parts = approx_parts(TPS, frame, X, np.sin(X[:, 0]), Xp)
+        shapes.add(parts.system(_SCALING_RHO).matrix.shape)
     # Time in a child process with one BLAS thread: OpenBLAS fixes its
     # thread count when it loads, and on a small shared host 2-thread GEMMs
     # of a few ms jitter by tens of percent, which swamps the per-chunk
     # work whose growth with N this criterion measures.
-    here = Path(__file__).resolve().parent
-    paths = [str(here), str(Path(bfsmooth.__file__).resolve().parents[1])]
+    src = str(Path(bfsmooth.__file__).resolve().parents[1])
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]),
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     )
     child = subprocess.run(
-        [sys.executable, "-c",
-         "import json, test_acceptance as t; print(json.dumps(t._scaling_times()))"],
-        env=env, cwd=here, capture_output=True, text=True, timeout=600,
+        [sys.executable, "-m", "bfsmooth.cli", "--seed", "0", "study", "scaling",
+         "--kernel", "thinplate:s=1.5", "--theta", "2",
+         "--sizes", ",".join(map(str, _SCALING_SIZES)),
+         "--grid=-1.5:1.5:200", "--rho", str(_SCALING_RHO)],
+        env=env, capture_output=True, text=True, timeout=600,
     )
     assert child.returncode == 0, child.stderr
-    times = {int(N): t for N, t in json.loads(child.stdout).items()}
+    # CSV rows N,median_s,min_s after the header; comment lines start with #
+    times = {int(row[0]): float(row[1]) for row in
+             (line.split(",") for line in child.stdout.splitlines()[1:]
+              if not line.startswith("#"))}
     r1 = times[20_000] / times[10_000]
     r2 = times[40_000] / times[20_000]
     expected = (200 + 2 * frame.M,) * 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,10 +105,11 @@ class TestGridDensity:
 
 
 class TestFitApprox:
-    def test_rho_nonpositive_rejected(self):
+    @pytest.mark.parametrize("rho", [0.0, math.nan, math.inf, 1e307])
+    def test_invalid_rho_rejected(self, rho):
         spec, frame, X, y = _instance(0)
         with pytest.raises(ParameterError):
-            fit_approx(spec, frame, X, y, np.linspace(-1, 1, 5), rho=0.0)
+            fit_approx(spec, frame, X, y, np.linspace(-1, 1, 5), rho=rho)
 
     def test_chunk_one_matches_default(self, monkeypatch):
         spec, frame, X, y = _instance(8)

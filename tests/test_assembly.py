@@ -123,10 +123,11 @@ class TestExactSystem:
         expected[:N, :N] = (2 * np.pi) ** (spec.d / 2) * N * rho * np.eye(N)
         np.testing.assert_array_equal(diff, expected)
 
-    def test_negative_rho_rejected(self):
+    @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
+    def test_invalid_rho_rejected(self, rho):
         spec, frame, X, y = _random_instance(4, 10)
         with pytest.raises(ParameterError):
-            exact_system(spec, frame, X, y, rho=-1.0)
+            exact_system(spec, frame, X, y, rho=rho)
 
     def test_regular_on_random_instances(self):
         rng = np.random.default_rng(321)

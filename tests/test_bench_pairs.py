@@ -11,9 +11,9 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "latency_p50_s", "better": "lower"},
-           {"name": "items_per_s", "better": "higher"},
-           {"name": "err_max", "better": "lower"}]
+METRICS = [{"name": "latency_p50_s", "better": "lower", "bound": 0.25},
+           {"name": "items_per_s", "better": "higher", "bound": 0.25},
+           {"name": "err_max", "better": "lower", "bound": 0.25}]
 
 
 def _run_output(latency, items, err_max=0.01):
@@ -53,6 +53,36 @@ def test_summary_medians_quartiles_and_wins():
     assert rows["err_max"]["wins"] == 0
     text = bench_pairs.format_rows(bench_pairs.summarize(pairs, METRICS))
     assert "4 of 5" in text and "latency_p50_s" in text
+
+
+def _rows(parent, change):
+    """summarize() rows, by name, of paired (latency, items) canned runs."""
+    pairs = [(bench_pairs.parse_result(_run_output(*p)),
+              bench_pairs.parse_result(_run_output(*c)))
+             for p, c in zip(parent, change)]
+    return {row["name"]: row for row in bench_pairs.summarize(pairs, METRICS)}
+
+
+_WIDE = [0.6, 0.7, 1.0, 1.3, 1.4]  # (q3 - q1) / median = 0.6 > 0.25
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ([1.0] * 5, [1.3] * 5, "worse"),
+    ([1.0, 1.02, 0.98, 1.01, 0.99], [1.2] * 5, "ok"),
+    (_WIDE, [1.1] * 5, "unresolved"),
+    (_WIDE, [0.55] * 5, "ok"),  # every change run beats every parent run
+    (_WIDE, [1.3] * 5, "worse"),
+])
+def test_verdict_lower_is_better(parent, change, expected):
+    rows = _rows([(p, 30.0) for p in parent], [(c, 30.0) for c in change])
+    assert rows["latency_p50_s"]["verdict"] == expected
+    assert f" {expected} " in bench_pairs.format_rows(list(rows.values()))
+
+
+@pytest.mark.parametrize("change, expected", [(20.0, "worse"), (24.0, "ok")])
+def test_verdict_higher_is_better(change, expected):
+    rows = _rows([(1.0, 30.0)] * 5, [(1.0, change)] * 5)
+    assert rows["items_per_s"]["verdict"] == expected
 
 
 def test_summary_skips_missing_values():

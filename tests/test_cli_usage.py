@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bfsmooth.cli import _build_parser, main
@@ -48,3 +49,25 @@ def test_density_multiplier_must_exceed_one(multiplier, capsys):
 def test_exponential_sizes_rejects_multiplier(multiplier):
     with pytest.raises(ParameterError):
         exponential_sizes(3, 50, multiplier)
+
+
+@pytest.mark.parametrize("argv", [
+    ("smooth-exact", "--data", "DATA", "--rho", "nan"),
+    ("smooth-exact", "--data", "DATA", "--rho", "inf"),
+    ("smooth-exact", "--data", "DATA", "--rho", "1e307"),  # lam overflows
+    ("smooth-approx", "--data", "DATA", "--grid=-1.5:1.5:8", "--rho", "nan"),
+    ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--rho0", "nan"),
+    ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--factor", "nan"),
+    ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--factor", "inf"),
+    ("study", "convergence", "--mode", "exact", "--sizes", "20,40", "--rho", "-1"),
+    ("study", "convergence", "--mode", "exact", "--sizes", "20,40", "--rho", "nan"),
+    ("study", "scaling", "--grid=-1.5:1.5:4", "--sizes", "50", "--rho", "nan"),
+])
+def test_bad_rho_exit_2(argv, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    x = np.linspace(-1.5, 1.5, 30)
+    data.write_text("".join(f"{xi:.17g},{np.sin(xi):.17g}\n" for xi in x))
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    assert main([*argv, "--kernel", "thinplate:s=1.5", "--theta", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("must be finite" in err or "overflow" in err)

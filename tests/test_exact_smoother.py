@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,12 +48,12 @@ def _instance(seed, N=30, d=1, theta=2, spec=None):
 
 
 class TestFitExact:
-    def test_rho_nonpositive_rejected(self):
+    # 1e307 is finite, but lam = (2 pi)^(d/2) N rho overflows
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf, 1e307])
+    def test_invalid_rho_rejected(self, rho):
         spec, frame, X, y = _instance(0)
         with pytest.raises(ParameterError):
-            fit_exact(spec, frame, X, y, rho=0.0)
-        with pytest.raises(ParameterError):
-            fit_exact(spec, frame, X, y, rho=-0.1)
+            fit_exact(spec, frame, X, y, rho=rho)
 
     def test_constant_data(self):
         spec, frame, X, _ = _instance(1)

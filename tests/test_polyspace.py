@@ -204,6 +204,15 @@ class TestLagrangeOperators:
         uf = minimal_unisolvent_subset(PolyFrame(1, 2), [0.0, 1.0])
         assert lagrange_apply(uf, [3.0, 5.0], 0.5) == pytest.approx(4.0)
 
+    def test_single_point_shape_follows_input(self):
+        # eval_model's rule: a point given as a scalar is a float, as a
+        # (1, d) array an array of one value
+        uf = minimal_unisolvent_subset(PolyFrame(1, 2), [0.0, 1.0])
+        scalar = lagrange_apply(uf, [3.0, 5.0], 0.5)
+        assert type(scalar) is float and scalar == pytest.approx(4.0)
+        array = lagrange_apply(uf, [3.0, 5.0], [[0.5]])
+        assert isinstance(array, np.ndarray) and array.shape == (1,)
+
     def test_projection_idempotent(self):
         frame, uf, rng = self._setup(seed=2)
         samples = rng.standard_normal(frame.M)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bfsmooth import study
 from bfsmooth.errors import ParameterError, SearchError
 from bfsmooth.interpolant import (
     FittedModel,
@@ -13,6 +14,7 @@ from bfsmooth.interpolant import (
 from bfsmooth.kernels import KernelSpec, kernel_matrix, predicted_orders
 from bfsmooth.polyspace import PolyFrame, minimal_unisolvent_subset
 from bfsmooth.study import (
+    SCALING_ROUNDS,
     Region,
     RepresenterData,
     RhoCoupling,
@@ -25,6 +27,7 @@ from bfsmooth.study import (
     grid_error_fn,
     residual_error_fn,
     rho_search,
+    scaling_study,
 )
 
 BOX1 = Region(a=-1.5, b=1.5)
@@ -182,11 +185,13 @@ class TestConvergenceSweep:
             X = gen_uniform(region, row.N, (3, i))
             assert row.h == cavity_density(region, X, 256)
 
-    def test_exact_mode_needs_rho(self):
+    # rho=None: exact mode has no rho at all
+    @pytest.mark.parametrize("rho", [None, -1.0, 0.0, math.nan])
+    def test_exact_mode_needs_valid_rho(self, rho):
         with pytest.raises(ParameterError):
             convergence_sweep(
                 TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, "exact",
-                SweepConfig(sizes=(30, 60)),
+                SweepConfig(sizes=(30, 60), rho=rho),
             )
 
     def test_approx_mode_saturates_at_grid_resolution(self):
@@ -361,11 +366,13 @@ class TestRhoSearch:
         assert best == pytest.approx(0.1)  # tie resolved toward the minimum tried
         assert len(trace) == 3  # rho0 and one factor step each way
 
-    def test_invalid_arguments(self):
+    @pytest.mark.parametrize("rho0, factor", [
+        (0.0, 10.0), (math.nan, 10.0), (math.inf, 10.0),
+        (1.0, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_invalid_arguments(self, rho0, factor):
         with pytest.raises(ParameterError):
-            rho_search(lambda r: r, rho0=0.0)
-        with pytest.raises(ParameterError):
-            rho_search(lambda r: r, rho0=1.0, factor=1.0)
+            rho_search(lambda r: r, rho0=rho0, factor=factor)
 
     def test_each_distinct_rho_evaluated_once(self):
         calls = []
@@ -439,6 +446,28 @@ class TestRhoSearch:
         grid = np.linspace(-1.4, 1.4, 40)[:, None]
         delta1 = grid_error_fn(fitter, truth, grid)
         assert delta1(1e-2) < delta1(1e-8)
+
+
+class TestScalingStudy:
+    def test_round_robin_over_drawn_sizes(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(study, "fit_approx",
+                            lambda spec, frame, X, y, Xp, rho: fits.append((X, y)))
+        Xp = np.linspace(-1.5, 1.5, 4)
+        times = scaling_study(TPS, PolyFrame(1, 2), BOX1, Xp, (50, 100), 1e-4, 7)
+        assert [len(X) for X, _ in fits] == [50, 100] * SCALING_ROUNDS
+        for i, N in enumerate((50, 100)):
+            X = gen_uniform(BOX1, N, (7, i))
+            np.testing.assert_array_equal(fits[i][0], X)
+            np.testing.assert_array_equal(fits[i][1], np.sin(X[:, 0]))
+        assert list(times) == [50, 100]
+        assert all(len(t) == SCALING_ROUNDS for t in times.values())
+
+    @pytest.mark.parametrize("sizes", [(), (100, 50), (50, 50)])
+    def test_sizes_must_increase(self, sizes):
+        with pytest.raises(ParameterError):
+            scaling_study(TPS, PolyFrame(1, 2), BOX1, np.linspace(-1.5, 1.5, 4),
+                          sizes, 1e-4, 0)
 
 
 class TestGridErrorFn:
