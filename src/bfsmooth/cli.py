@@ -110,11 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_sweep_args(q, sizes):
         q.add_argument("--kernel", required=True)
         q.add_argument("--theta", required=True, type=int)
-        q.add_argument("--region", default="-1.5:1.5")
         q.add_argument("--sizes", default=sizes, help="comma-separated point counts")
 
     q = study_sub.add_parser("convergence", help="measure convergence order")
     add_sweep_args(q, "50,100,200,400,800,1600")
+    q.add_argument("--region", default="-1.5:1.5")
     q.add_argument("--data-fn", default="sin", choices=sorted(DATA_FUNCTIONS))
     q.add_argument("--mode", default="interpolant",
                    choices=["interpolant", "exact", "approx"])
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = study_sub.add_parser("scaling", help="time the Approximate smoother per size")
     add_sweep_args(q, "10000,20000,40000")
-    q.add_argument("--grid", required=True, help="center grid spec a:b:n")
+    q.add_argument("--grid", required=True, help="center grid a:b:n; data drawn in a:b")
     q.add_argument("--rho", required=True, type=float)
 
     return parser
@@ -170,7 +170,7 @@ def _predictions_csv(model, points) -> str:
 
 
 def _problem(args, points):
-    """(points, spec, frame): --kernel and --theta in the --data or --region d."""
+    """(points, spec, frame): --kernel and --theta in the d of a table or a box."""
     spec = parse_kernel(args.kernel, theta=args.theta, d=points.d)
     return points, spec, PolyFrame(d=points.d, theta=args.theta)
 
@@ -284,8 +284,9 @@ def _study_text(args) -> str:
             text += f"# {report.slope_flag}\n"
         return text
     if args.study_command == "scaling":
-        region, spec, frame = _problem(args, Region(*parse_box(args.region)))
-        Xp = make_grid(parse_grid(args.grid), theta=args.theta)
+        grid = parse_grid(args.grid)
+        region, spec, frame = _problem(args, Region(grid.a, grid.b))
+        Xp = make_grid(grid, theta=args.theta)
         times = scaling_study(spec, frame, region, Xp, _sizes(args), args.rho, args.seed)
         medians = [(N, float(np.median(t))) for N, t in times.items()]
         lines = ["N,median_s,min_s"]

@@ -41,8 +41,7 @@ BOUNDARY_SHRINK = 0.05
 # rho_search's step-factor floor (factor - 1) and step limit.
 RHO_TOL = 0.01
 MAX_ITER = 60
-# Fits per size in a scaling study.
-SCALING_ROUNDS = 5
+SCALING_ROUNDS = 5  # fits per size in a scaling study
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,8 @@ def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     sizes = [maximum]
     for _ in range(n_sizes - 1):
         sizes.append(max(2, int(round(sizes[-1] / multiplier))))
-    return sorted(set(sizes))
+    unique = sorted(set(sizes))
+    return unique
 
 
 def _sizes(sizes, least: int) -> tuple[int, ...]:
@@ -250,7 +250,7 @@ def convergence_sweep(
         raise ParameterError(f"unknown sweep mode {mode!r}")
     if mode != "interpolant" and config.rho is None and config.coupling is None:
         raise ParameterError(f"mode {mode!r} requires rho or a coupling")
-    if config.rho is not None:
+    if mode != "interpolant" and config.coupling is None:
         _check_rho(config.rho)
     sizes = _sizes(config.sizes, 1)
     probes = region.probe_grid(ERROR_PROBES_PER_AXIS, BOUNDARY_SHRINK)
@@ -309,9 +309,8 @@ def convergence_sweep(
 def scaling_study(spec: KernelSpec, frame: PolyFrame, region: Region, centers,
                   sizes, rho: float, seed) -> dict[int, list[float]]:
     """Wall seconds of SCALING_ROUNDS `fit_approx` calls per size N_i, on
-    gen_uniform(region, N_i, (seed, i)) and y = sin(sum of x).  The sizes
-    are timed round-robin so that a drift in host speed hits each alike.
-    """
+    gen_uniform(region, N_i, (seed, i)) and y = sin(sum of x), timed
+    round-robin so that a drift in host speed hits each size alike."""
     sizes = _sizes(sizes, 1)
     draws = [gen_uniform(region, N, (seed, i)) for i, N in enumerate(sizes)]
     data = [(X, np.sin(X.sum(axis=1))) for X in draws]

@@ -37,7 +37,6 @@ from bfsmooth.study import (
     convergence_sweep,
     density_law,
     exponential_sizes,
-    gen_uniform,
 )
 
 BOX1 = Region(a=-1.5, b=1.5)
@@ -234,10 +233,11 @@ _SCALING_RHO = 1e-4
 def test_criterion_9_scalability():
     frame = PolyFrame(1, 2)
     Xp = make_grid(GridSpec(a=-1.5, b=1.5, counts=(200,)), frame.theta)
+    # The system's shape depends only on N, not on where X lies or on y.
     shapes = set()
-    for i, N in enumerate(_SCALING_SIZES):
-        X = gen_uniform(BOX1, N, (0, i))
-        parts = approx_parts(TPS, frame, X, np.sin(X[:, 0]), Xp)
+    for N in _SCALING_SIZES:
+        X = np.linspace(-1.5, 1.5, N)[:, None]
+        parts = approx_parts(TPS, frame, X, np.zeros(N), Xp)
         shapes.add(parts.system(_SCALING_RHO).matrix.shape)
     # Time in a child process with one BLAS thread: OpenBLAS fixes its
     # thread count when it loads, and on a small shared host 2-thread GEMMs

@@ -474,13 +474,12 @@ class TestCli:
     _SCALING = ("study", "scaling", "--kernel", "thinplate:s=1.5", "--theta", "2",
                 "--sizes", "500,1000", "--rho", "1e-4")
 
-    @pytest.mark.parametrize("region, grid, centers", [
-        ("-1.5:1.5", "-1.5:1.5:4", 4),
-        ("-1.5,-1.5:1.5,1.5", "-1.5,-1.5:1.5,1.5:4,4", 16),
+    @pytest.mark.parametrize("grid, centers", [
+        ("-1.5:1.5:4", 4),
+        ("-1.5,-1.5:1.5,1.5:4,4", 16),
     ])
-    def test_study_scaling(self, tmp_path, region, grid, centers):
-        text = self._study(tmp_path, *self._SCALING, f"--region={region}",
-                           f"--grid={grid}")
+    def test_study_scaling(self, tmp_path, grid, centers):
+        text = self._study(tmp_path, *self._SCALING, f"--grid={grid}")
         assert text.startswith("N,median_s,min_s\n")
         rows = self._rows(text)
         assert [row[0] for row in rows] == ["500", "1000"]
@@ -488,13 +487,8 @@ class TestCli:
         assert f" N'={centers} " in text
         assert "# 1000/500: time ratio " in text and ", size ratio 2\n" in text
 
-    @pytest.mark.parametrize("argv", [
-        ("--sizes", "50,abc", "--grid=-1.5:1.5:4"),
-        ("--grid=-1.5,-1.5:1.5,1.5:4,4",),
-        ("--region=-1.5,-1.5:1.5,1.5", "--grid=-1.5:1.5:4"),
-    ])
-    def test_study_scaling_bad_input_exit_2(self, argv, capsys):
-        assert main([*self._SCALING, *argv]) == 2
+    def test_study_scaling_bad_sizes_exit_2(self, capsys):
+        assert main([*self._SCALING, "--sizes", "50,abc", "--grid=-1.5:1.5:4"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_determinism(self, sine_csv, tmp_path):

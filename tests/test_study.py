@@ -194,6 +194,17 @@ class TestConvergenceSweep:
                 SweepConfig(sizes=(30, 60), rho=rho),
             )
 
+    # only a smoothing mode without a coupling reads config.rho
+    @pytest.mark.parametrize("mode, coupling", [
+        ("interpolant", None), ("exact", RhoCoupling(eta_G=1.0)),
+    ])
+    def test_unread_rho_not_checked(self, mode, coupling):
+        report = convergence_sweep(
+            TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, mode,
+            SweepConfig(sizes=(30, 60), rho=0.0, coupling=coupling),
+        )
+        assert all(row.ok for row in report.rows)
+
     def test_approx_mode_saturates_at_grid_resolution(self):
         def sweep(per_axis):
             config = SweepConfig(sizes=(50, 100, 200, 400), seed=0, rho=1e-6,
