@@ -7,7 +7,13 @@ BENCHMARK.json's ``run_seconds``, so both sides run as long as the
 benchmark does. It reads the JSON result on the last line of each run's
 output and prints, per end-to-end metric of BENCHMARK.json, both sides'
 median and quartiles, the number of pairs the change won (ties count for
-neither side) and a verdict against the metric's ``bound`` (`verdict`).
+neither side) and a verdict against the metric's ``bound`` (`verdict`);
+``gain`` marks a claimed gain that holds.
+
+After each pair it also compares the per-op records the two runs saved
+(``.bench_work/results/W-seedS-trace0.json`` in each checkout): every op
+index both ran must show the same ``err_max`` and ``items``. It exits 1
+when any of them differ.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
@@ -24,6 +30,8 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+GAIN_SHARE = 0.9  # share of the pairs a claimed gain must win
+OP_OUTPUTS = ("err_max", "items")  # per-op record fields both sides must agree on
 
 
 def parse_result(stdout: str) -> dict:
@@ -46,16 +54,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs (parent[i], change[i]) the change won; ties count for neither."""
+    if better == "higher":
+        return sum(c > p for p, c in zip(parent, change))
+    return sum(c < p for p, c in zip(parent, change))
+
+
 def verdict(parent: list[float], change: list[float], metric: dict) -> str:
-    """'worse' if the change's median is worse than the parent's by more than
-    bound x |parent median|; else 'unresolved' if the parent's q3 - q1 exceeds
-    that and not every change run beats every parent run; else 'ok'."""
+    """Of paired runs: 'worse' if the change's median is worse than the
+    parent's by more than bound x |parent median|; else 'gain' if the change
+    won at least GAIN_SHARE of the pairs and its median is better by more
+    than the parent's q3 - q1; else 'unresolved' if the parent's q3 - q1
+    exceeds the bound and not every change run beats every parent run;
+    else 'ok'."""
+    won = wins(parent, change, metric["better"])
     if metric["better"] == "higher":  # compare as lower-is-better
         parent, change = [-v for v in parent], [-v for v in change]
     q1, median, q3 = quartiles(parent)
     bound = metric["bound"] * abs(median)
-    if quartiles(change)[1] - median > bound:
+    gap = median - quartiles(change)[1]  # > 0 when the change is better
+    if -gap > bound:
         return "worse"
+    if won >= GAIN_SHARE * len(parent) and gap > q3 - q1:
+        return "gain"
     if q3 - q1 > bound and max(change) >= min(parent):
         return "unresolved"
     return "ok"
@@ -69,19 +91,29 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     """
     rows = []
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                   for p, c in pairs]
         values = [(p, c) for p, c in values if p is not None and c is not None]
         if not values:
             continue
-        wins = sum((c < p) if lower else (c > p) for p, c in values)
         parent, change = [p for p, _ in values], [c for _, c in values]
         rows.append({"name": name, "better": metric["better"],
                      "parent": quartiles(parent), "change": quartiles(change),
-                     "wins": wins, "pairs": len(values),
+                     "wins": wins(parent, change, metric["better"]),
+                     "pairs": len(values),
                      "verdict": verdict(parent, change, metric)})
     return rows
+
+
+def op_differences(parent_ops: list[dict], change_ops: list[dict]) -> list[str]:
+    """err_max and items that differ between two runs' op records, on the
+    op indices both runs reached (a failed op has neither)."""
+    diffs = []
+    for p, c in zip(parent_ops, change_ops):
+        diffs.extend(f"op {p['op']} {key}: parent {p.get(key)!r}, change {c.get(key)!r}"
+                     for key in OP_OUTPUTS if p.get(key) != c.get(key))
+    return diffs
 
 
 def format_rows(rows: list[dict]) -> str:
@@ -97,13 +129,18 @@ def format_rows(rows: list[dict]) -> str:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run's JSON result, with the per-op records it saved
+    added under "ops"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}")
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    saved = root / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
+    result["ops"] = json.loads(saved.read_text())["ops"]
+    return result
 
 
 def main(argv=None) -> int:
@@ -116,7 +153,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads(BENCHMARK.read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    pairs = []
+    pairs, differing = [], 0
     for i, seed in enumerate(parse_seeds(args.seeds)):
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -129,7 +166,18 @@ def main(argv=None) -> int:
                               for m in metrics)
             print(f"seed {seed} {side}{' (first)' if side == order[0] else ''}: "
                   f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
+        parent_ops, change_ops = sides["parent"]["ops"], sides["change"]["ops"]
+        diffs = op_differences(parent_ops, change_ops)
+        differing += bool(diffs)
+        print(f"seed {seed} per-op {'/'.join(OP_OUTPUTS)} on "
+              f"{min(len(parent_ops), len(change_ops))} common ops: "
+              f"{'DIFFER' if diffs else 'identical'}", flush=True)
+        for line in diffs:
+            print(f"  {line}")
     print(format_rows(summarize(pairs, metrics)))
+    if differing:
+        print(f"per-op outputs differ in {differing} of {len(pairs)} pairs")
+        return 1
     return 0
 
 

@@ -153,8 +153,12 @@ class ApproxParts:
         n = Np + 2 * M
         A = np.zeros((n, n))
         # written in place: no (N', N') temporaries per rho
-        corner = np.multiply(scale, self.G_pp, out=A[:Np, :Np])
-        corner += self.BBt
+        try:
+            with np.errstate(over="raise"):
+                corner = np.multiply(scale, self.G_pp, out=A[:Np, :Np])
+                corner += self.BBt
+        except FloatingPointError:
+            raise ParameterError(f"rho = {rho} makes lam G_X'X' + B B^T overflow") from None
         A[:Np, Np : Np + M] = self.BP
         A[Np : Np + M, :Np] = self.BP.T
         A[Np : Np + M, Np : Np + M] = self.PtP

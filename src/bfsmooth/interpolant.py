@@ -9,6 +9,7 @@ smoothers.  On that space the seminorm is computable in closed form:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,12 @@ def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
 
 def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     """Fit the minimal-seminorm interpolant of the data (X, y)."""
-    model = _fit(interp_system(spec, frame, X, y), spec, frame, X)
-    y = np.asarray(y, dtype=float)
-    fitted = eval_model(model, model.centers)
+    sys = interp_system(spec, frame, X, y)
+    model = _fit(sys, spec, frame, X)
+    N = sys.layout[0]
+    y = sys.rhs[:N]
+    # s at X from the system's first block row [G_XX, P_X] [v; beta]
+    fitted = sys.matrix[:N] @ np.concatenate([model.v, model.beta])
     # tolerance scale matches the solver's norm-wise residual guarantee
     scale = 1.0 + float(np.linalg.norm(y))
     worst = float(np.max(np.abs(fitted - y))) if len(y) else 0.0
@@ -79,11 +83,21 @@ def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     return model
 
 
-def eval_model(model: FittedModel, x):
-    """Evaluate the model at one point or an array of points."""
-    pts = as_points(x, model.frame.d)
-    values = np.zeros(len(pts))
-    n_c = len(model.centers)
+def eval_model(model: FittedModel | Sequence[FittedModel], x):
+    """Evaluate a model at one point or an array of points.
+
+    `model` may also be a sequence of k models that share spec, frame and
+    centers, such as one center set fitted at several rho; anything else
+    raises ParameterError.  The result then has shape (k, |x|), one row
+    per model, and each row is the single-model result bit for bit: every
+    kernel tile is built once and multiplied by each model's v in turn.
+    """
+    single = isinstance(model, FittedModel)
+    models = [model] if single else _shared_basis(model)
+    first = models[0]
+    pts = as_points(x, first.frame.d)
+    values = np.zeros((len(models), len(pts)))
+    n_c = len(first.centers)
     if n_c:
         # whole multiples of 8 rows: with OpenBLAS the tiled matvec then
         # matches the untiled one bit for bit where that runs on one thread
@@ -91,10 +105,28 @@ def eval_model(model: FittedModel, x):
         buffer = np.empty((min(rows, len(pts)), n_c))
         for lo in range(0, len(pts), rows):
             Q = pts[lo : lo + rows]
-            tile = kernel_matrix(model.spec, Q, model.centers, out=buffer[: len(Q)])
-            values[lo : lo + rows] += tile @ model.v
-    values += model.frame.monomials(pts) @ model.beta
-    return _maybe_scalar(values, x)
+            tile = kernel_matrix(first.spec, Q, first.centers, out=buffer[: len(Q)])
+            for row, m in zip(values, models):
+                row[lo : lo + rows] += tile @ m.v
+    monomials = first.frame.monomials(pts)
+    for row, m in zip(values, models):
+        row += monomials @ m.beta
+    return _maybe_scalar(values[0], x) if single else values
+
+
+def _shared_basis(models) -> list[FittedModel]:
+    """The models as a non-empty list, all with the first one's spec,
+    frame and centers."""
+    models = list(models)
+    if not models or not all(isinstance(m, FittedModel) for m in models):
+        raise ParameterError("expected a model or a non-empty sequence of models")
+    first = models[0]
+    for m in models[1:]:
+        if (m.spec != first.spec or m.frame != first.frame
+                or not np.array_equal(m.centers, first.centers)):
+            raise ParameterError("models evaluated together must share "
+                                 "spec, frame and centers")
+    return models
 
 
 def _check_constraint(model: FittedModel):

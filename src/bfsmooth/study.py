@@ -357,6 +357,7 @@ def grid_error_fn(fitter, data_fn, error_grid):
 
     `error_grid` is an (n, d) array; a 1-d array is n points on a line
     (d = 1).  `data_fn` is called once per grid point with a (d,) array.
+    The returned function takes rho as `residual_error_fn`'s does.
     """
     grid = np.asarray(error_grid, dtype=float)
     grid = grid.reshape(len(grid), -1)
@@ -364,13 +365,21 @@ def grid_error_fn(fitter, data_fn, error_grid):
 
 
 def residual_error_fn(fitter, X, y):
-    """delta_2: sum of squared residuals at the data points."""
+    """delta_2: sum of squared residuals at the data points.
+
+    The returned function takes a scalar rho, giving a float, or a 1-d
+    array of k rho, giving k errors.  It calls `fitter` once per rho, in
+    array order, and evaluates the k models at X in one `eval_model` call,
+    so each kernel tile at X is built once per call, not once per rho.
+    The fitted models must share spec, frame and centers.
+    """
     y = np.asarray(y, dtype=float)
 
-    def err(rho: float) -> float:
-        model = fitter(rho)
-        fitted = np.atleast_1d(eval_model(model, X))
-        return float(np.sum((fitted - y) ** 2))
+    def err(rho):
+        models = [fitter(float(r)) for r in np.atleast_1d(rho)]
+        errors = np.array([float(np.sum((fitted - y) ** 2))
+                           for fitted in eval_model(models, X)])
+        return float(errors[0]) if np.ndim(rho) == 0 else errors
 
     return err
 
@@ -390,6 +399,10 @@ def rho_search(
     after MAX_ITER steps.
     Each distinct rho is evaluated once (an exact float key; a step back,
     rho * factor / factor, is often exactly rho) and its error reused.
+    `error_fn` is called once per step that has a candidate not yet
+    scored, with a 1-d float array of those candidates ([rho0] first, then
+    up before down), and must return one error per rho in that order; a
+    different count raises ParameterError.
     Returns (best_rho, trace) with trace entries (rho, error), one per
     scored candidate, repeats included.
     """
@@ -399,20 +412,29 @@ def rho_search(
     trace: list[tuple[float, float]] = []
     scored: dict[float, float] = {}
 
-    def evaluate(rho: float) -> float:
-        if rho not in scored:
-            value = float(error_fn(rho))
-            if not math.isfinite(value):
-                raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
-            scored[rho] = value
-        trace.append((rho, scored[rho]))
-        return scored[rho]
+    def evaluate(rhos: list[float]) -> list[float]:
+        new = [rho for rho in dict.fromkeys(rhos) if rho not in scored]
+        if new:
+            values = error_fn(np.array(new, dtype=float))
+            values = np.ravel(np.asarray(values, dtype=float))
+            if len(values) != len(new):
+                raise ParameterError(f"error_fn returned {len(values)} errors "
+                                     f"for {len(new)} rho")
+            fresh = dict(zip(new, values))
+        for rho in rhos:
+            if rho not in scored:
+                value = float(fresh[rho])
+                if not math.isfinite(value):
+                    raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
+                scored[rho] = value
+            trace.append((rho, scored[rho]))
+        return [scored[rho] for rho in rhos]
 
-    rho, err = rho0, evaluate(rho0)
+    rho, (err,) = rho0, evaluate([rho0])
     for _ in range(MAX_ITER):
-        candidates = [(evaluate(rho * factor), rho * factor),
-                      (evaluate(rho / factor), rho / factor)]
-        best_err, best_rho = min(candidates)
+        up, down = rho * factor, rho / factor
+        err_up, err_down = evaluate([up, down])
+        best_err, best_rho = min((err_up, up), (err_down, down))
         if best_err <= err:
             change = abs(err - best_err) / max(abs(err), 1e-300)
             rho, err = best_rho, best_err

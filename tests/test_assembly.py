@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bfsmooth import assembly
+from bfsmooth import assembly, interpolant
 from bfsmooth.assembly import (
     RESIDUAL_RTOL,
     ApproxParts,
@@ -207,6 +207,17 @@ class TestApproxSystem:
         spec, frame, X, y = _random_instance(9, 20)
         with pytest.raises(ParameterError):
             approx_parts(spec, frame, X, y, np.linspace(-1, 1, 5)).system(0.0)
+
+    def test_overflowing_corner_is_a_parameter_error(self):
+        # lam is finite, lam G_X'X' + B B^T is not: an input error, not inf
+        spec, frame, X, y = _random_instance(11, 30)
+        parts = approx_parts(spec, frame, X, y, np.linspace(-1.4, 1.4, 8))
+        rho = 0.5 * np.finfo(float).max / ((2.0 * np.pi) ** 0.5 * parts.N)
+        assert assembly._lam(spec, parts.N, rho) < np.inf
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(assembly._lam(spec, parts.N, rho) * parts.G_pp))
+        with pytest.raises(ParameterError, match="overflow"):
+            parts.system(rho)
 
     def test_corner_block_bits(self):
         spec, frame, X, y = _random_instance(10, 300)
@@ -483,8 +494,10 @@ class TestSpectralCandidate:
             np.testing.assert_allclose(sys.split(solve_block(sys))[0], 0.0, atol=1e-10)
         assert builds == []
 
-    def test_rho_search_unchanged_without_factor(self, monkeypatch):
-        # a small copy of the benchmark's rho search (grid criterion)
+    @staticmethod
+    def _small_search():
+        """A small copy of the benchmark's rho search (grid criterion): the
+        parts, fresh per call, and the data function and error grid."""
         spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
         frame = PolyFrame(2, 2)
         rng = np.random.default_rng(23)
@@ -493,6 +506,11 @@ class TestSpectralCandidate:
         box = {"a": (-1.5, -1.5), "b": (1.5, 1.5)}
         Xp = make_grid(GridSpec(counts=(10, 10), **box), frame.theta)
         error_grid = make_grid(GridSpec(counts=(20, 20), **box))
+        return (lambda: approx_parts(spec, frame, X, y, Xp),
+                lambda p: float(np.sin(np.sum(p))), error_grid)
+
+    def test_rho_search_unchanged_without_factor(self, monkeypatch):
+        make_parts, truth, error_grid = self._small_search()
         lu_calls = []
 
         def lu_spy(*args, _lu=scipy.linalg.lu_factor, **kwargs):
@@ -503,9 +521,7 @@ class TestSpectralCandidate:
 
         def search():
             lu_calls.clear()
-            parts = approx_parts(spec, frame, X, y, Xp)
-            error_fn = grid_error_fn(partial(fit_parts, parts),
-                                     lambda p: float(np.sin(np.sum(p))), error_grid)
+            error_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
             best, trace = rho_search(error_fn, 0.1, err_tol=0.0)
             return best, trace, len(lu_calls)
 
@@ -519,6 +535,32 @@ class TestSpectralCandidate:
         # one solve per distinct rho: the search reuses a repeated rho's error
         assert lu_without == len(set(r for r, _ in trace_lu))
         assert lu_with < len(trace) // 2
+
+    def test_rho_search_one_kernel_pass_per_step(self, monkeypatch):
+        make_parts, truth, error_grid = self._small_search()
+        # the scalar loop first, on its own parts, with the real kernel
+        scalar_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
+        want = rho_search(lambda rhos: [scalar_fn(float(r)) for r in rhos], 0.1,
+                          err_tol=0.0)
+        passes, steps = [], []
+
+        def spy(spec, P, Q, *args, _kernel=interpolant.kernel_matrix, **kwargs):
+            out = _kernel(spec, P, Q, *args, **kwargs)
+            passes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(interpolant, "kernel_matrix", spy)
+        error_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
+
+        def recording(rhos):
+            steps.append(len(rhos))
+            return error_fn(rhos)
+
+        got = rho_search(recording, 0.1, err_tol=0.0)
+        # 400 x 100 entries is one tile: one pass per step with a new rho
+        assert passes == [(400, 100)] * len(steps)
+        assert sum(steps) == len(set(r for r, _ in got[1])) > len(steps)
+        assert got == want
 
 
 class TestCardinalCandidate:

@@ -66,12 +66,20 @@ def _rows(parent, change):
 _WIDE = [0.6, 0.7, 1.0, 1.3, 1.4]  # (q3 - q1) / median = 0.6 > 0.25
 
 
+_TIGHT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]  # q3 - q1 = 0.015
+
+
 @pytest.mark.parametrize("parent, change, expected", [
     ([1.0] * 5, [1.3] * 5, "worse"),
     ([1.0, 1.02, 0.98, 1.01, 0.99], [1.2] * 5, "ok"),
     (_WIDE, [1.1] * 5, "unresolved"),
-    (_WIDE, [0.55] * 5, "ok"),  # every change run beats every parent run
+    # every change run beats every parent run, but by less than q3 - q1
+    (_WIDE, [0.55] * 5, "ok"),
     (_WIDE, [1.3] * 5, "worse"),
+    # a gain: at least 9 of 10 pairs won, medians apart by more than q3 - q1
+    (_TIGHT, [0.9] * 9 + [1.1], "gain"),
+    (_TIGHT, [0.9] * 8 + [1.1] * 2, "ok"),  # 8 of 10 won
+    (_WIDE, [0.39] * 5, "gain"),  # gap 0.61 > q3 - q1 = 0.6
 ])
 def test_verdict_lower_is_better(parent, change, expected):
     rows = _rows([(p, 30.0) for p in parent], [(c, 30.0) for c in change])
@@ -79,7 +87,8 @@ def test_verdict_lower_is_better(parent, change, expected):
     assert f" {expected} " in bench_pairs.format_rows(list(rows.values()))
 
 
-@pytest.mark.parametrize("change, expected", [(20.0, "worse"), (24.0, "ok")])
+@pytest.mark.parametrize("change, expected",
+                         [(20.0, "worse"), (24.0, "ok"), (36.0, "gain")])
 def test_verdict_higher_is_better(change, expected):
     rows = _rows([(1.0, 30.0)] * 5, [(1.0, change)] * 5)
     assert rows["items_per_s"]["verdict"] == expected
@@ -93,7 +102,26 @@ def test_summary_skips_missing_values():
     assert rows[0]["parent"] == (1.0, 1.0, 1.0)
 
 
-def test_main_alternates_order(monkeypatch, capsys, tmp_path):
+def _ops(err_max, items=30):
+    return [{"op": i, "error": None, "err_max": e, "items": items}
+            for i, e in enumerate(err_max)]
+
+
+def test_op_differences_on_common_ops():
+    parent = _ops([0.01, 0.02, 0.03])
+    assert bench_pairs.op_differences(parent, _ops([0.01, 0.02])) == []
+    change = _ops([0.01, 0.025, 0.03, 0.04])
+    change[2]["items"] = 31
+    assert bench_pairs.op_differences(parent, change) == [
+        "op 1 err_max: parent 0.02, change 0.025",
+        "op 2 items: parent 30, change 31",
+    ]
+    failed = {"op": 0, "error": "SolveError: x"}  # a failed op has neither field
+    assert bench_pairs.op_differences([failed], [dict(failed)]) == []
+    assert len(bench_pairs.op_differences(parent[:1], [failed])) == 2
+
+
+def _fake_runs(monkeypatch, change_err_max):
     # run_side replaced by canned results: no benchmark process is started
     calls = []
 
@@ -102,13 +130,34 @@ def test_main_alternates_order(monkeypatch, capsys, tmp_path):
         assert seconds == json.loads(
             bench_pairs.BENCHMARK.read_text())["run_seconds"]
         latency = 1.0 if root.name == "parent" else 0.6
-        return bench_pairs.parse_result(_run_output(latency, 1.0 / latency))
+        result = bench_pairs.parse_result(_run_output(latency, 1.0 / latency))
+        err_max = [0.01, 0.02] if root.name == "parent" else change_err_max
+        result["ops"] = _ops(err_max)
+        return result
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
-    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                      "--workload", "rho_tune", "--seeds", "1-3"])
+    return calls
+
+
+def test_main_alternates_order(monkeypatch, capsys, tmp_path):
+    calls = _fake_runs(monkeypatch, [0.01, 0.02, 0.03])
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "rho_tune", "--seeds", "1-3"])
+    assert code == 0
     assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
                      ("parent", 3), ("change", 3)]
     out = capsys.readouterr().out
     assert "seed 2 change (first)" in out
+    assert "seed 2 per-op err_max/items on 2 common ops: identical" in out
     assert "3 of 3 (lower is better)" in out
+
+
+def test_main_fails_on_per_op_differences(monkeypatch, capsys, tmp_path):
+    _fake_runs(monkeypatch, [0.01, 0.021])
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "rho_tune", "--seeds", "1-2"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "seed 1 per-op err_max/items on 2 common ops: DIFFER" in out
+    assert "op 1 err_max: parent 0.02, change 0.021" in out
+    assert "per-op outputs differ in 2 of 2 pairs" in out

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bfsmooth import interpolant
+from bfsmooth import assembly, interpolant
 from bfsmooth.assembly import interp_system, solve_block
 from bfsmooth.errors import ContractError, ParameterError
 from bfsmooth.interpolant import (
@@ -75,6 +75,20 @@ class TestFitInterpolant:
             eval_model(model2, probes), eval_model(model, probes), atol=1e-10
         )
 
+    def test_one_kernel_build_per_fit(self, monkeypatch):
+        # s at X comes from the solved system, not from a second G_XX
+        builds = []
+
+        def spy(*args, _kernel=kernel_matrix, **kwargs):
+            out = _kernel(*args, **kwargs)
+            builds.append(out.shape)
+            return out
+
+        monkeypatch.setattr(assembly, "kernel_matrix", spy)
+        monkeypatch.setattr(interpolant, "kernel_matrix", spy)
+        _, X, _, _, _ = _random_fit(7, N=25)
+        assert builds == [(25, 25)]
+
     def test_refit_is_idempotent(self):
         model, X, _, spec, frame = _random_fit(2)
         probes = np.linspace(-1.4, 1.4, 20)
@@ -130,28 +144,74 @@ class TestEvalModel:
         want += frame.monomials(Q) @ model.beta
         np.testing.assert_allclose(eval_model(model, Q), want, rtol=1e-13, atol=1e-13)
 
-    def test_peak_allocation_is_one_tile(self):
-        # 3600 queries x 900 centers would be a 26 MB kernel matrix
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_peak_allocation_is_one_tile(self, k):
+        # 3600 queries x 900 centers would be a 26 MB kernel matrix; k > 1
+        # models also return a (k, 3600) array
         rng = np.random.default_rng(7)
         spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
-        model = FittedModel(spec=spec, frame=PolyFrame(2, 2),
-                            centers=rng.uniform(-1.5, 1.5, (900, 2)),
-                            v=rng.standard_normal(900), beta=rng.standard_normal(3))
+        centers = rng.uniform(-1.5, 1.5, (900, 2))
+        models = [FittedModel(spec=spec, frame=PolyFrame(2, 2), centers=centers,
+                              v=rng.standard_normal(900), beta=rng.standard_normal(3))
+                  for _ in range(k)]
         Q = rng.uniform(-1.5, 1.5, (3600, 2))
+        outputs = 0 if k == 1 else 8 * k * len(Q)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            eval_model(model, Q)
+            eval_model(models[0] if k == 1 else models, Q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 1.25 * 8 * interpolant._EVAL_TILE_ENTRIES
+        assert peak - before <= 1.25 * 8 * interpolant._EVAL_TILE_ENTRIES + outputs
 
     def test_shape_contracts(self):
         model, _, _, _, _ = _random_fit(4)
         assert isinstance(eval_model(model, 0.3), float)
         assert eval_model(model, np.array([[0.3], [0.4]])).shape == (2,)
+        assert eval_model([model], 0.3).shape == (1, 1)
+        assert eval_model((model, model), np.array([0.3, 0.4])).shape == (2, 2)
+
+
+class TestEvalModels:
+    """Several models over one center set, evaluated in one pass."""
+
+    @staticmethod
+    def _models(seed, k=3, n_c=300, **changes):
+        rng = np.random.default_rng(seed)
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
+        centers = rng.uniform(-1.5, 1.5, (n_c, 2))
+        return [FittedModel(**{"spec": spec, "frame": PolyFrame(2, 2),
+                               "centers": centers, "v": rng.standard_normal(n_c),
+                               "beta": rng.standard_normal(3), **changes})
+                for _ in range(k)]
+
+    # 300 centers: 872-row tiles, so 1744 queries are two whole tiles and
+    # 2000 are three with a short last one
+    @pytest.mark.parametrize("n_query", [1, 50, 1744, 2000])
+    def test_rows_equal_single_calls(self, n_query):
+        models = self._models(8)
+        Q = np.random.default_rng(9).uniform(-1.5, 1.5, (n_query, 2))
+        got = eval_model(models, Q)
+        assert got.shape == (3, n_query)
+        for row, model in zip(got, models):
+            assert np.array_equal(row, np.atleast_1d(eval_model(model, Q)))
+
+    def test_models_must_share_basis(self):
+        base = self._models(10, k=1)[0]
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.5)
+        others = [
+            self._models(10, k=1, spec=spec)[0],
+            self._models(10, k=1, frame=PolyFrame(2, 1), beta=[0.5])[0],
+            self._models(11, k=1)[0],  # other centers
+            "not a model",
+        ]
+        for other in others:
+            with pytest.raises(ParameterError):
+                eval_model([base, other], [0.1, 0.2])
+        with pytest.raises(ParameterError):
+            eval_model([], [0.1, 0.2])
 
 
 class TestSeminorm:

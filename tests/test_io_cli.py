@@ -357,6 +357,15 @@ class TestCli:
         assert code == 0
         assert "best_rho=" in out.read_text()
 
+    def test_study_rho_search_overflowing_rho0_is_input_error(self, sine_csv, capsys):
+        code = main([
+            "study", "rho-search", "--data", str(sine_csv),
+            "--kernel", "thinplate:s=1.5", "--theta", "2", "--grid=-1.5:1.5:8",
+            "--rho0", "1e305",
+        ])
+        assert code == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_study_rho_search_error_grid(self, sine_csv, tmp_path, capsys):
         out = tmp_path / "rho.csv"
         argv = [

@@ -369,9 +369,9 @@ class TestRhoSearch:
     def test_flat_curve_stops_immediately(self):
         calls = []
 
-        def err(rho):
-            calls.append(rho)
-            return 1.0
+        def err(rhos):
+            calls.extend(rhos)
+            return np.ones(len(rhos))
 
         best, trace = rho_search(err, rho0=1.0, factor=10.0)
         assert best == pytest.approx(0.1)  # tie resolved toward the minimum tried
@@ -389,9 +389,9 @@ class TestRhoSearch:
         calls = []
         err = _log_quadratic(10**-2.5)
 
-        def counting(rho):
-            calls.append(rho)
-            return err(rho)
+        def counting(rhos):
+            calls.extend(rhos)
+            return err(rhos)
 
         _, trace = rho_search(counting, rho0=1.0, err_tol=0.0)
         rhos = [r for r, _ in trace]
@@ -414,7 +414,7 @@ class TestRhoSearch:
         err = _log_quadratic(0.1)
 
         def cliff(rho):
-            return err(rho) if rho >= 0.05 else float("nan")
+            return np.where(rho >= 0.05, err(rho), np.nan)
 
         with pytest.raises(SearchError) as want:
             _unmemoized_rho_search(cliff, 1.0)
@@ -423,6 +423,61 @@ class TestRhoSearch:
         assert got.value.trace == want.value.trace
         rhos = [r for r, _ in got.value.trace]
         assert len(set(rhos)) < len(rhos)
+
+    @pytest.mark.parametrize("target", [1e-3, 10**-2.5, 3e-7])
+    def test_one_call_per_step_with_its_unscored_rho(self, target):
+        calls = []
+        err = _log_quadratic(target)
+
+        def recording(rhos):
+            assert isinstance(rhos, np.ndarray) and rhos.dtype == float
+            calls.append(rhos.tolist())
+            return err(rhos)
+
+        _, trace = rho_search(recording, 1.0, err_tol=0.0)
+        rhos = [r for r, _ in trace]
+        # the trace is rho0, then (up, down) per step
+        steps = [rhos[:1]] + [rhos[i : i + 2] for i in range(1, len(rhos), 2)]
+        seen, want = set(), []
+        for step in steps:
+            new = [r for r in dict.fromkeys(step) if r not in seen]
+            seen.update(new)
+            if new:
+                want.append(new)
+        assert calls == want
+        # steps that step back onto a scored rho pass one rho, or make no call
+        assert any(len(c) == 1 for c in calls[1:])
+
+    @pytest.mark.parametrize("error_fn", [
+        lambda rhos: np.ones(len(rhos) + 1),
+        lambda rhos: 1.0,  # one value: right for rho0 alone, not for a step
+    ])
+    def test_wrong_length_return_raises(self, error_fn):
+        with pytest.raises(ParameterError, match="errors for"):
+            rho_search(error_fn, 1.0)
+
+    def test_residual_error_fn_scalar_and_array_agree(self):
+        rng = np.random.default_rng(9)
+        frame = PolyFrame(1, 2)
+        X = rng.uniform(-1.5, 1.5, (30, 1))
+        y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(30)
+        from bfsmooth.exact_smoother import fit_exact
+
+        fitted_rho = []
+
+        def fitter(rho):
+            fitted_rho.append(rho)
+            return fit_exact(TPS, frame, X, y, rho)
+
+        delta2 = residual_error_fn(fitter, X, y)
+        rhos = np.array([1e-6, 1e-2, 1.0])
+        got = delta2(rhos)
+        assert fitted_rho == [1e-6, 1e-2, 1.0]
+        assert all(type(r) is float for r in fitted_rho)
+        assert got.shape == (3,)
+        assert got.tolist() == [delta2(r) for r in rhos]
+        assert isinstance(delta2(1e-2), float)
+        assert delta2(np.array([1e-2])).shape == (1,)
 
     def test_residual_criterion_degenerates_to_small_rho(self):
         # the pure-residual criterion always rewards less smoothing, so the
