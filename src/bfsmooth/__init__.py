@@ -40,6 +40,7 @@ from .interpolant import (
 from .exact_smoother import SmootherDiagnostics, diagnostics, fit_exact, functional_value
 from .approx_smoother import (
     GridSpec,
+    Region,
     SmootherComparison,
     compare,
     fit_approx,
@@ -50,7 +51,6 @@ from .approx_smoother import (
 )
 from .study import (
     DensityFit,
-    Region,
     RepresenterData,
     RhoCoupling,
     StudyReport,

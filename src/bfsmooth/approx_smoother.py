@@ -3,7 +3,8 @@
 The smoothing functional is the same J_e as for the Exact smoother but
 the minimization runs over the span generated by the centers X' only.
 The resulting system has N' + 2M rows regardless of how many data
-points there are, so doubling N only doubles assembly time.
+points there are, so doubling N only doubles assembly time.  The box
+type `Region` lives here too: a `GridSpec` is a box with node counts.
 """
 
 from __future__ import annotations
@@ -22,92 +23,106 @@ from .polyspace import PolyFrame, as_points
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """A regular rectangular grid: corner a, corner b, counts per axis.
+class Region:
+    """Axis-aligned box [a, b] in R^d."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if a.shape != b.shape or not np.all(b > a):
+            raise ParameterError("box requires b > a componentwise")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def d(self) -> int:
+        return len(self.a)
+
+    def probe_grid(self, per_axis: int, shrink: float = 0.0) -> np.ndarray:
+        """Closed regular grid spanning the (optionally shrunk) box."""
+        width = self.b - self.a
+        lo = self.a + shrink * width
+        hi = self.b - shrink * width
+        return _mesh([np.linspace(lo[i], hi[i], per_axis) for i in range(self.d)])
+
+
+@dataclass(frozen=True)
+class GridSpec(Region):
+    """A regular grid on the box [a, b] with `counts` nodes per axis.
 
     Grid steps satisfy counts * h = b - a, so nodes are a + h * alpha for
     0 <= alpha < counts and b itself is *not* a node.
     """
 
-    a: np.ndarray
-    b: np.ndarray
     counts: tuple[int, ...]
     h: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        super().__post_init__()
         counts = tuple(int(n) for n in np.atleast_1d(self.counts))
-        if a.shape != b.shape or len(counts) != len(a):
+        if len(counts) != self.d:
             raise ParameterError("a, b and counts must have matching lengths")
-        if not np.all(b > a):
-            raise ParameterError("grid requires b > a componentwise")
         if any(n < 1 for n in counts):
             raise ParameterError("grid counts must be >= 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "h", (b - a) / np.array(counts, dtype=float))
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.counts))
+        object.__setattr__(self, "h", (self.b - self.a) / np.array(counts, dtype=float))
 
 
-def parse_box(text: str, counts: bool = False) -> list[list]:
-    """Parse the CLI box syntax 'a1,...,ad:b1,...,bd' into corner lists [a, b].
-
-    With `counts`, the grid syntax 'a1,...:b1,...:n1,...,nd' is read and
-    the integer counts come third.  Shape checks are left to the box type
-    built from the lists.
-    """
-    what, form, kinds = (
-        ("grid", "a:b:n", (float, float, int)) if counts else ("box", "a:b", (float, float))
-    )
+def _parse(text: str, what: str, form: str, kinds, box_type):
+    """Split 'x1,..:y1,..[:..]' into one list per part, typed by `kinds`,
+    and build `box_type` from them; any fault is a ParseError."""
     parts = text.split(":")
     if len(parts) != len(kinds):
         raise ParseError(f"{what} spec {text!r} must have form {form}")
     try:
-        return [[kind(t) for t in part.split(",")] for kind, part in zip(kinds, parts)]
+        items = [[kind(t) for t in part.split(",")] for kind, part in zip(kinds, parts)]
     except ValueError as exc:
         raise ParseError(f"bad {what} spec {text!r}: {exc}") from None
+    try:
+        return box_type(*items)
+    except ParameterError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_box(text: str) -> Region:
+    """Parse the CLI box syntax 'a1,...,ad:b1,...,bd' (a closed box)."""
+    return _parse(text, "box", "a:b", (float, float), Region)
 
 
 def parse_grid(text: str) -> GridSpec:
     """Parse the CLI grid syntax 'a1,...,ad:b1,...,bd:n1,...,nd'."""
-    a, b, counts = parse_box(text, counts=True)
-    try:
-        return GridSpec(a=np.array(a), b=np.array(b), counts=tuple(counts))
-    except ParameterError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parse(text, "grid", "a:b:n", (float, float, int), GridSpec)
+
+
+def _mesh(axes) -> np.ndarray:
+    """All combinations of the per-axis nodes, row-major (last axis fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def make_grid(gs: GridSpec, theta: int | None = None) -> np.ndarray:
     """Enumerate grid nodes a + h * alpha, row-major (last axis fastest).
 
-    When `theta` is given and some axis has fewer than theta points, the
-    grid is not guaranteed theta-unisolvent and a warning is emitted.
+    When `theta` is given and some axis has fewer than theta nodes, the
+    grid is not theta-unisolvent (a polynomial of degree < theta in that
+    coordinate vanishes on it) and a warning is emitted.
     """
     if theta is not None and any(n < theta for n in gs.counts):
         warnings.warn(
             f"grid counts {gs.counts} below theta={theta}: "
-            "unisolvency is not guaranteed",
+            f"the grid is not {theta}-unisolvent",
             stacklevel=2,
         )
-    axes = [gs.a[i] + gs.h[i] * np.arange(gs.counts[i]) for i in range(gs.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return _mesh([gs.a[i] + gs.h[i] * np.arange(gs.counts[i]) for i in range(gs.d)])
 
 
 def grid_density(gs: GridSpec) -> float:
-    """Exact fill distance of a regular grid: d^(d/2) vol = N' h^d."""
-    d = gs.d
-    vol = float(np.prod(gs.b - gs.a))
-    return (d ** (d / 2.0) * vol / gs.total) ** (1.0 / d)
+    """Exact fill distance of a regular grid on its box: |h|, the distance
+    from the corner b to its nearest node b - h."""
+    return float(np.linalg.norm(gs.h))
 
 
 def fit_approx(

@@ -31,7 +31,6 @@ from .kernels import parse_kernel, predicted_orders
 from .polyspace import PolyFrame
 from .study import (
     DENSITY_A,
-    Region,
     RhoCoupling,
     SweepConfig,
     convergence_sweep,
@@ -233,7 +232,7 @@ def _study_text(args) -> str:
     if args.study_command == "density":
         if args.seeds < 1:
             raise InputError("--seeds must be >= 1")
-        region = Region(*parse_box(args.region))
+        region = parse_box(args.region)
         sizes = exponential_sizes(args.n_sizes, args.max_size, args.multiplier)
         seeds = range(args.seed, args.seed + args.seeds)
         fits = [density_law(region, sizes, seed=s) for s in seeds]
@@ -248,7 +247,7 @@ def _study_text(args) -> str:
             )
         return "\n".join(lines) + "\n"
     if args.study_command == "convergence":
-        region, spec, frame = _problem(args, Region(*parse_box(args.region)))
+        region, spec, frame = _problem(args, parse_box(args.region))
         coupling = None
         if args.couple is not None:
             coupling = RhoCoupling(
@@ -267,6 +266,8 @@ def _study_text(args) -> str:
                     f"--region {args.region}"
                 )
             grid_counts = grid.counts
+        elif args.mode == "approx":
+            raise InputError("--mode approx requires --grid")
         config = SweepConfig(
             sizes=_sizes(args), seed=args.seed, rho=args.rho, coupling=coupling,
             grid_counts=grid_counts,
@@ -284,10 +285,9 @@ def _study_text(args) -> str:
             text += f"# {report.slope_flag}\n"
         return text
     if args.study_command == "scaling":
-        grid = parse_grid(args.grid)
-        region, spec, frame = _problem(args, Region(grid.a, grid.b))
+        grid, spec, frame = _problem(args, parse_grid(args.grid))
         Xp = make_grid(grid, theta=args.theta)
-        times = scaling_study(spec, frame, region, Xp, _sizes(args), args.rho, args.seed)
+        times = scaling_study(spec, frame, grid, Xp, _sizes(args), args.rho, args.seed)
         medians = [(N, float(np.median(t))) for N, t in times.items()]
         lines = ["N,median_s,min_s"]
         lines.extend(f"{N},{m:.6g},{min(times[N]):.6g}" for N, m in medians)

@@ -21,7 +21,7 @@ from .assembly import _check_rho
 from .errors import InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
-from .approx_smoother import GridSpec, fit_approx, make_grid
+from .approx_smoother import GridSpec, Region, fit_approx, make_grid
 from .kernels import (
     KernelSpec,
     OrderPrediction,
@@ -34,43 +34,17 @@ from .polyspace import PolyFrame, UnisolventFrame, _maybe_scalar, as_points
 # Reference values of the 1-d empirical density law h_X ~ h1 * N^(-a).
 DENSITY_H1 = 3.09
 DENSITY_A = 0.81
-# Convergence sweeps take the error on this many probes per axis, over the
-# box shrunk by this fraction of its width on each side.
-ERROR_PROBES_PER_AXIS = 100
+# Probe grids as (most points, most per axis): a grid takes the most points
+# per axis whose d-th power is within the total.  Fill distances use
+# DENSITY_PROBES; convergence sweeps take the error on ERROR_PROBES over the
+# box shrunk by BOUNDARY_SHRINK of its width on each side.
+DENSITY_PROBES = (65_536, 10_000)
+ERROR_PROBES = (10_000, 100)
 BOUNDARY_SHRINK = 0.05
 # rho_search's step-factor floor (factor - 1) and step limit.
 RHO_TOL = 0.01
 MAX_ITER = 60
 SCALING_ROUNDS = 5  # fits per size in a scaling study
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned box [a, b] in R^d."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.shape != b.shape or not np.all(b > a):
-            raise ParameterError("region requires b > a componentwise")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def d(self) -> int:
-        return len(self.a)
-
-    def probe_grid(self, per_axis: int, shrink: float = 0.0) -> np.ndarray:
-        """Closed regular grid spanning the (optionally shrunk) box."""
-        width = self.b - self.a
-        lo = self.a + shrink * width
-        hi = self.b - shrink * width
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
 
 
 def gen_uniform(region: Region, N: int, seed) -> np.ndarray:
@@ -93,8 +67,10 @@ def cavity_density(region: Region, X, probe_per_axis: int) -> float:
     return float(np.max(dist))
 
 
-def _default_density_probes(d: int) -> int:
-    return 10_000 if d == 1 else 256
+def _probes_per_axis(d: int, probes: tuple[int, int]) -> int:
+    """The most points per axis n, at most probes[1], with n^d <= probes[0]."""
+    total, most = probes
+    return max(n for n in range(1, most + 1) if n**d <= total)
 
 
 @dataclass(frozen=True)
@@ -108,9 +84,11 @@ class DensityFit:
 
 
 def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
-    """Exponentially spaced sample sizes ending at `maximum`."""
+    """Exponentially spaced sample sizes, each >= 2, ending at `maximum`."""
     if not multiplier > 1:
         raise ParameterError(f"multiplier must be > 1, got {multiplier}")
+    if maximum < 2:
+        raise ParameterError(f"maximum size must be >= 2, got {maximum}")
     sizes = [maximum]
     for _ in range(n_sizes - 1):
         sizes.append(max(2, int(round(sizes[-1] / multiplier))))
@@ -129,10 +107,11 @@ def _sizes(sizes, least: int) -> tuple[int, ...]:
 def density_law(region: Region, sizes, seed) -> DensityFit:
     """Measure h_X for uniform samples of each size and fit h = h1 N^-a."""
     sizes = _sizes(sizes, 2)
+    per_axis = _probes_per_axis(region.d, DENSITY_PROBES)
     rows = []
     for i, N in enumerate(sizes):
         X = gen_uniform(region, N, seed=(seed, i))
-        rows.append((N, cavity_density(region, X, _default_density_probes(region.d))))
+        rows.append((N, cavity_density(region, X, per_axis)))
     logN = np.log10([n for n, _ in rows])
     logh = np.log10([h for _, h in rows])
     slope, intercept = np.polyfit(logN, logh, 1)
@@ -174,8 +153,8 @@ class RhoCoupling:
 class SweepConfig:
     """Configuration of a convergence sweep.
 
-    The probe grids are fixed: ERROR_PROBES_PER_AXIS and BOUNDARY_SHRINK
-    for the error, and `density_law`'s for the fill distance.
+    The probe grids are fixed: ERROR_PROBES and BOUNDARY_SHRINK for the
+    error, and `density_law`'s for the fill distance.
     """
 
     sizes: tuple[int, ...]
@@ -253,7 +232,8 @@ def convergence_sweep(
     if mode != "interpolant" and config.coupling is None:
         _check_rho(config.rho)
     sizes = _sizes(config.sizes, 1)
-    probes = region.probe_grid(ERROR_PROBES_PER_AXIS, BOUNDARY_SHRINK)
+    per_axis = _probes_per_axis(region.d, ERROR_PROBES)
+    probes = region.probe_grid(per_axis, BOUNDARY_SHRINK)
     f_probe = _sample(data_fn, probes)
     Xp = None
     if mode == "approx":
@@ -266,7 +246,7 @@ def convergence_sweep(
     for i, N in enumerate(sizes):
         X = gen_uniform(region, N, (config.seed, i))
         y = _sample(data_fn, X)
-        h = cavity_density(region, X, _default_density_probes(region.d))
+        h = cavity_density(region, X, _probes_per_axis(region.d, DENSITY_PROBES))
         if mode == "interpolant":
             rho = 0.0
         elif config.coupling is not None:
@@ -395,8 +375,8 @@ def rho_search(
     At each step both rho * factor and rho / factor are tried and the
     best of the three is kept; once neither direction improves, the
     factor shrinks (square root).  Stops when the relative change of the
-    error falls below err_tol, when the factor is within RHO_TOL of 1, or
-    after MAX_ITER steps.
+    error is at most err_tol (a tie stops even at err_tol = 0), when the
+    factor is within RHO_TOL of 1, or after MAX_ITER steps.
     Each distinct rho is evaluated once (an exact float key; a step back,
     rho * factor / factor, is often exactly rho) and its error reused.
     `error_fn` is called once per step that has a candidate not yet
@@ -438,7 +418,7 @@ def rho_search(
         if best_err <= err:
             change = abs(err - best_err) / max(abs(err), 1e-300)
             rho, err = best_rho, best_err
-            if change < err_tol:
+            if change <= err_tol:
                 break
         else:
             factor = math.sqrt(factor)

@@ -6,11 +6,13 @@ import pytest
 from bfsmooth import assembly
 from bfsmooth.approx_smoother import (
     GridSpec,
+    Region,
     compare,
     fit_approx,
     fit_parts,
     grid_density,
     make_grid,
+    parse_box,
     parse_grid,
 )
 from bfsmooth.assembly import RESIDUAL_RTOL, approx_parts, solve_block
@@ -19,6 +21,7 @@ from bfsmooth.exact_smoother import fit_exact, functional_value
 from bfsmooth.interpolant import eval_model
 from bfsmooth.kernels import KernelSpec
 from bfsmooth.polyspace import PolyFrame, is_unisolvent, unisolvency_matrix
+from bfsmooth.study import cavity_density
 from conftest import scattered_points
 
 TPS = KernelSpec("thinplate", theta=2, d=1, s=1.5)
@@ -66,11 +69,28 @@ class TestGridSpec:
         with pytest.warns(UserWarning):
             make_grid(gs, theta=3)
 
+    def test_axis_count_below_theta_is_never_unisolvent(self):
+        # one axis with 2 < theta = 3 nodes, however many on the other
+        gs = GridSpec(a=(0, 0), b=(1, 1), counts=(2, 9))
+        with pytest.warns(UserWarning, match="grid is not 3-unisolvent"):
+            nodes = make_grid(gs, theta=3)
+        assert not is_unisolvent(PolyFrame(2, 3), nodes)
+
     def test_invalid_corners(self):
         with pytest.raises(ParameterError):
             GridSpec(a=1.0, b=0.0, counts=(2,))
         with pytest.raises(ParameterError):
             GridSpec(a=0.0, b=1.0, counts=(0,))
+
+    def test_is_a_region_with_its_corner_checks(self):
+        gs = GridSpec(a=(0, -1), b=(2, 1), counts=(4, 2))
+        assert isinstance(gs, Region) and gs.d == 2
+        for a, b in [(1.0, 0.0), ((0, 0), (1, 0)), ((0, 0), 1.0)]:
+            with pytest.raises(ParameterError) as region_fault:
+                Region(a=a, b=b)
+            with pytest.raises(ParameterError) as grid_fault:
+                GridSpec(a=a, b=b, counts=(2,) * np.size(a))
+            assert str(grid_fault.value) == str(region_fault.value)
 
 
 class TestParseGrid:
@@ -89,6 +109,25 @@ class TestParseGrid:
             parse_grid(text)
 
 
+class TestParseBox:
+    def test_box_is_a_region_not_a_grid(self):
+        box = parse_box("-1,0:1,2")
+        assert type(box) is Region
+        np.testing.assert_array_equal(box.a, [-1.0, 0.0])
+        np.testing.assert_array_equal(box.b, [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("0:1:3", "box spec '0:1:3' must have form a:b"),
+        ("0:x", "bad box spec '0:x': could not convert string to float: 'x'"),
+        ("1:0", "box requires b > a componentwise"),
+        ("0,0:1", "box requires b > a componentwise"),
+    ])
+    def test_bad_specs(self, text, message):
+        with pytest.raises(ParseError) as fault:
+            parse_box(text)
+        assert str(fault.value) == message
+
+
 class TestGridDensity:
     def test_d1_example(self):
         gs = GridSpec(a=0.0, b=3.0, counts=(4,))
@@ -97,6 +136,17 @@ class TestGridDensity:
     def test_d2_example(self):
         gs = GridSpec(a=(0, 0), b=(1, 1), counts=(2, 2))
         assert grid_density(gs) == pytest.approx(np.sqrt(0.5))
+
+    @pytest.mark.parametrize("a, b, counts", [
+        ((0, 0), (1, 1), (2, 4)),  # |h| = 0.559
+        ((0, 0), (3, 1), (3, 4)),  # |h| = 1.031
+        ((0, -1, 0), (1, 1, 2), (3, 2, 5)),
+    ])
+    def test_anisotropic_is_step_norm_and_measured(self, a, b, counts):
+        gs = GridSpec(a=a, b=b, counts=counts)
+        # the corner b is a probe, |h| from its nearest node b - h
+        measured = cavity_density(gs, make_grid(gs), 61)
+        assert grid_density(gs) == pytest.approx(measured, rel=1e-12)
 
     def test_quadrupling_halves_density_d2(self):
         coarse = GridSpec(a=(0, 0), b=(1, 1), counts=(3, 3))

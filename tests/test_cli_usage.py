@@ -45,6 +45,14 @@ def test_density_multiplier_must_exceed_one(multiplier, capsys):
     assert err.startswith("error: ") and "multiplier" in err
 
 
+def test_density_max_size_below_two_exit_2(capsys):
+    # it used to print a row at N = 2 and exit 0
+    assert main(["study", "density", "--max-size", "1", "--n-sizes", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "maximum" in captured.err
+
+
 @pytest.mark.parametrize("multiplier", [0.0, -2.0, 1.0, float("nan")])
 def test_exponential_sizes_rejects_multiplier(multiplier):
     with pytest.raises(ParameterError):

@@ -452,6 +452,10 @@ class TestCli:
                      "--rho", "1e-6"]) == 2
         assert "must equal --region -1.5:1.5" in capsys.readouterr().err
 
+    def test_study_convergence_approx_needs_grid(self, capsys):
+        assert main([*self._CONVERGENCE, "--mode", "approx", "--rho", "1e-6"]) == 2
+        assert capsys.readouterr().err == "error: --mode approx requires --grid\n"
+
     def test_study_convergence_grid_on_its_region(self, tmp_path):
         text = self._study(tmp_path, *self._CONVERGENCE, "--mode", "approx",
                            "--region=0:3", "--grid=0:3:20", "--rho", "1e-6")

@@ -126,6 +126,41 @@ class TestExponentialSizes:
     def test_count(self):
         assert len(exponential_sizes(20, 5000, 1.3)) == 20
 
+    @pytest.mark.parametrize("maximum", [1, 0, -5])
+    def test_maximum_below_two_rejected(self, maximum):
+        # a floor of 2 would put sizes above such a maximum
+        with pytest.raises(ParameterError, match="maximum"):
+            exponential_sizes(3, maximum, 1.2)
+
+    def test_never_exceeds_maximum(self):
+        assert exponential_sizes(3, 2, 1.2) == [2]
+        assert max(exponential_sizes(30, 7, 1.1)) == 7
+
+
+class TestProbeBudgets:
+    @pytest.mark.parametrize("d, density, error", [
+        (1, 10_000, 100), (2, 256, 100), (3, 40, 21), (4, 16, 10),
+    ])
+    def test_per_axis_within_budget(self, d, density, error, monkeypatch):
+        asked = []
+        build = Region.probe_grid
+
+        def spy(region, per_axis, shrink=0.0):
+            asked.append(per_axis)
+            return build(region, 2, shrink)  # a corner grid stands in
+
+        monkeypatch.setattr(Region, "probe_grid", spy)
+        region = Region(a=np.zeros(d), b=np.ones(d))
+        density_law(region, (6, 12), seed=0)
+        assert asked == [density, density]
+        asked.clear()
+        spec = KernelSpec("thinplate", theta=2, d=d, s=1.5)
+        convergence_sweep(spec, PolyFrame(d, 2), region, lambda x: 0.0,
+                          "interpolant", SweepConfig(sizes=(12,)))
+        assert asked == [error, density]
+        assert error**d <= 10_000 < (error + 1) ** d or error == 100
+        assert density**d <= 65_536 < (density + 1) ** d or density == 10_000
+
 
 class TestRhoCoupling:
     def test_exponent(self):
@@ -340,7 +375,7 @@ def _unmemoized_rho_search(error_fn, rho0, factor=10.0, err_tol=0.01,
         if best_err <= err:
             change = abs(err - best_err) / max(abs(err), 1e-300)
             rho, err = best_rho, best_err
-            if change < err_tol:
+            if change <= err_tol:
                 break
         else:
             factor = math.sqrt(factor)
@@ -365,6 +400,22 @@ class TestRhoSearch:
         # brute-force comparison over the trace
         assert min(e for _, e in trace) == min(err(r) for r, _ in trace)
         assert abs(np.log10(best) - np.log10(target)) <= 1.0
+
+    def test_exact_tie_stops_at_zero_tolerance(self):
+        # 1e-2 and 1e-3 score the same; the search moves onto the smaller
+        # and stops, where it used to walk between them for MAX_ITER steps
+        calls = []
+        err = _log_quadratic(10**-2.5)
+
+        def recording(rhos):
+            calls.append(rhos.tolist())
+            return err(rhos)
+
+        best, trace = rho_search(recording, 1.0, err_tol=0.0)
+        assert best == 1e-3
+        assert [r for r, _ in trace] == [1.0, 10.0, 0.1, 1.0, 0.01, 0.1, 1e-3]
+        assert trace[-1][1] == trace[-3][1]  # the tie
+        assert len(calls) == 4
 
     def test_flat_curve_stops_immediately(self):
         calls = []
