@@ -54,7 +54,6 @@ from .study import (
     RepresenterData,
     RhoCoupling,
     StudyReport,
-    SweepConfig,
     cavity_density,
     convergence_sweep,
     density_law,

@@ -32,7 +32,6 @@ from .polyspace import PolyFrame
 from .study import (
     DENSITY_A,
     RhoCoupling,
-    SweepConfig,
     convergence_sweep,
     density_law,
     exponential_sizes,
@@ -115,16 +114,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sweep_args(q, "50,100,200,400,800,1600")
     q.add_argument("--region", default="-1.5:1.5")
     q.add_argument("--data-fn", default="sin", choices=sorted(DATA_FUNCTIONS))
-    q.add_argument("--mode", default="interpolant",
-                   choices=["interpolant", "exact", "approx"])
-    q.add_argument("--rho", type=float, default=None)
-    q.add_argument("--couple", type=float, nargs="?", const=1.0, default=None,
-                   metavar="AMPLITUDE",
-                   help="couple rho to the fill distance, scaled by AMPLITUDE "
-                   "(default 1; the acceptance criteria use 100)")
+    rho = q.add_mutually_exclusive_group()
+    rho.add_argument("--rho", type=float, default=None,
+                     help="fixed rho: fit the Exact smoother (the Approximate "
+                     "one with --grid); neither --rho nor --couple fits the interpolant")
+    rho.add_argument("--couple", type=float, nargs="?", const=1.0, default=None,
+                     metavar="AMPLITUDE",
+                     help="rho coupled to the fill distance, scaled by AMPLITUDE "
+                     "(default 1; the acceptance criteria use 100)")
     q.add_argument("--couple-a", type=float, default=DENSITY_A)
     q.add_argument("--grid", default=None,
-                   help="approx-mode center grid a:b:n; a:b must equal --region")
+                   help="center grid a:b:n: fit the Approximate smoother; a:b "
+                   "must equal --region, and it needs --rho or --couple")
 
     q = study_sub.add_parser("rho-search", help="search for the best rho")
     q.add_argument("--data", required=True)
@@ -248,16 +249,17 @@ def _study_text(args) -> str:
         return "\n".join(lines) + "\n"
     if args.study_command == "convergence":
         region, spec, frame = _problem(args, parse_box(args.region))
-        coupling = None
+        rho, centers = args.rho, None
         if args.couple is not None:
-            coupling = RhoCoupling(
+            rho = RhoCoupling(
                 eta_G=predicted_orders(spec).eta_G, a_exp=args.couple_a,
                 amplitude=args.couple,
             )
-        grid_counts = None
         if args.grid:
+            if rho is None:
+                raise InputError("--grid requires --rho or --couple")
             grid = parse_grid(args.grid)
-            # the sweep's centers always span the region; a grid box is a check
+            # the centers span the box the data is drawn in
             same_box = (np.array_equal(grid.a, region.a)
                         and np.array_equal(grid.b, region.b))
             if not same_box:
@@ -265,16 +267,9 @@ def _study_text(args) -> str:
                     f"--grid box {args.grid.rpartition(':')[0]} must equal "
                     f"--region {args.region}"
                 )
-            grid_counts = grid.counts
-        elif args.mode == "approx":
-            raise InputError("--mode approx requires --grid")
-        config = SweepConfig(
-            sizes=_sizes(args), seed=args.seed, rho=args.rho, coupling=coupling,
-            grid_counts=grid_counts,
-        )
-        report = convergence_sweep(
-            spec, frame, region, DATA_FUNCTIONS[args.data_fn], args.mode, config
-        )
+            centers = make_grid(grid, theta=args.theta)
+        report = convergence_sweep(spec, frame, region, DATA_FUNCTIONS[args.data_fn],
+                                   _sizes(args), args.seed, rho, centers)
         text = report.to_csv()
         if report.slope is not None:
             text += (

@@ -21,7 +21,7 @@ from .assembly import _check_rho
 from .errors import InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
-from .approx_smoother import GridSpec, Region, fit_approx, make_grid
+from .approx_smoother import Region, fit_approx
 from .kernels import (
     KernelSpec,
     OrderPrediction,
@@ -150,21 +150,6 @@ class RhoCoupling:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Configuration of a convergence sweep.
-
-    The probe grids are fixed: ERROR_PROBES and BOUNDARY_SHRINK for the
-    error, and `density_law`'s for the fill distance.
-    """
-
-    sizes: tuple[int, ...]
-    seed: int = 0
-    rho: float | None = None
-    coupling: RhoCoupling | None = None
-    grid_counts: tuple[int, ...] | None = None  # approx mode centers
-
-
-@dataclass(frozen=True)
 class SweepRow:
     N: int
     h: float
@@ -214,59 +199,51 @@ def convergence_sweep(
     frame: PolyFrame,
     region: Region,
     data_fn,
-    mode: str,
-    config: SweepConfig,
+    sizes,
+    seed=0,
+    rho=None,
+    centers=None,
 ) -> StudyReport:
     """Measure max-abs error on interior probes across increasing sizes.
 
     `data_fn` is called once per probe and data point with a (d,) array.
-    mode is one of 'interpolant', 'exact', 'approx'.  For the smoothing
-    modes rho comes from config.rho (fixed) or config.coupling (tied to
-    the measured fill distance).  Failed fits are recorded and excluded
-    from the slope.
+    The inputs pick the fit: given `centers`, an (N', d) array, the
+    Approximate smoother; given `rho` only, the Exact smoother; given
+    neither, the interpolant.  `rho` is a float (fixed) or a RhoCoupling
+    (tied to the measured fill distance).  Row i fits
+    gen_uniform(region, N_i, (seed, i)).  Failed fits are recorded and
+    excluded from the slope.
     """
-    if mode not in ("interpolant", "exact", "approx"):
-        raise ParameterError(f"unknown sweep mode {mode!r}")
-    if mode != "interpolant" and config.rho is None and config.coupling is None:
-        raise ParameterError(f"mode {mode!r} requires rho or a coupling")
-    if mode != "interpolant" and config.coupling is None:
-        _check_rho(config.rho)
-    sizes = _sizes(config.sizes, 1)
+    if rho is None and centers is not None:
+        raise ParameterError("centers require rho: the Approximate smoother smooths")
+    coupled = isinstance(rho, RhoCoupling)
+    if rho is not None and not coupled:
+        _check_rho(rho)
+    mode = "interpolant" if rho is None else "exact" if centers is None else "approx"
+    sizes = _sizes(sizes, 1)
     per_axis = _probes_per_axis(region.d, ERROR_PROBES)
     probes = region.probe_grid(per_axis, BOUNDARY_SHRINK)
     f_probe = _sample(data_fn, probes)
-    Xp = None
-    if mode == "approx":
-        if config.grid_counts is None:
-            raise ParameterError("approx mode requires grid_counts")
-        Xp = make_grid(
-            GridSpec(a=region.a, b=region.b, counts=config.grid_counts), frame.theta
-        )
     rows = []
     for i, N in enumerate(sizes):
-        X = gen_uniform(region, N, (config.seed, i))
+        X = gen_uniform(region, N, (seed, i))
         y = _sample(data_fn, X)
         h = cavity_density(region, X, _probes_per_axis(region.d, DENSITY_PROBES))
-        if mode == "interpolant":
-            rho = 0.0
-        elif config.coupling is not None:
-            rho = config.coupling.rho(h)
-        else:
-            rho = float(config.rho)
+        rho_N = 0.0 if rho is None else rho.rho(h) if coupled else float(rho)
         try:
             if mode == "interpolant":
                 model = fit_interpolant(spec, frame, X, y)
             elif mode == "exact":
-                model = fit_exact(spec, frame, X, y, rho)
+                model = fit_exact(spec, frame, X, y, rho_N)
             else:
-                model = fit_approx(spec, frame, X, y, Xp, rho)
+                model = fit_approx(spec, frame, X, y, centers, rho_N)
             err = float(np.max(np.abs(np.atleast_1d(eval_model(model, probes)) - f_probe)))
-            J_e = functional_value(model, X, y, rho)
-            rows.append(SweepRow(N=N, h=h, err_max=err, rho=rho, J_e=J_e, ok=True))
+            J_e = functional_value(model, X, y, rho_N)
+            rows.append(SweepRow(N=N, h=h, err_max=err, rho=rho_N, J_e=J_e, ok=True))
         except Exception as exc:  # recorded per-row, excluded from the slope
             rows.append(
                 SweepRow(
-                    N=N, h=h, err_max=float("nan"), rho=rho, J_e=float("nan"),
+                    N=N, h=h, err_max=float("nan"), rho=rho_N, J_e=float("nan"),
                     ok=False, message=str(exc),
                 )
             )

@@ -33,7 +33,6 @@ from bfsmooth.study import (
     Region,
     RepresenterData,
     RhoCoupling,
-    SweepConfig,
     convergence_sweep,
     density_law,
     exponential_sizes,
@@ -170,16 +169,13 @@ def test_criterion_5_density_law():
             f"median a_exp {a_med:.3f}, median h1 {h1_med:.3f}")
 
 
-def _sine_sweep_config(coupling=None):
-    return SweepConfig(sizes=(50, 100, 200, 400, 800, 1600), seed=0,
-                       coupling=coupling)
+_SINE_SIZES = (50, 100, 200, 400, 800, 1600)
 
 
 def test_criterion_6_interpolant_order():
     frame = PolyFrame(1, 2)
     report = convergence_sweep(
-        TPS, frame, BOX1, lambda x: float(np.sin(np.sum(x))), "interpolant",
-        _sine_sweep_config(),
+        TPS, frame, BOX1, lambda x: float(np.sin(np.sum(x))), _SINE_SIZES
     )
     predicted = predicted_orders(TPS).eta_G
     ok = report.slope is not None and report.slope >= predicted - 0.25
@@ -192,7 +188,7 @@ def _coupled_sine_report():
         coupling = RhoCoupling(eta_G=predicted_orders(TPS).eta_G, amplitude=100.0)
         _cache["c7"] = convergence_sweep(
             TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
-            "exact", _sine_sweep_config(coupling),
+            _SINE_SIZES, rho=coupling,
         )
     return _cache["c7"]
 
@@ -214,9 +210,7 @@ def test_criterion_8_doubled_order_for_representer_data():
         TPS, uf, rng.uniform(-1.2, 1.2, (5, 1)), rng.standard_normal(5)
     )
     coupling = RhoCoupling(eta_G=predicted_orders(TPS).eta_G, amplitude=100.0)
-    special = convergence_sweep(
-        TPS, frame, BOX1, f_d, "exact", _sine_sweep_config(coupling)
-    )
+    special = convergence_sweep(TPS, frame, BOX1, f_d, _SINE_SIZES, rho=coupling)
     ok = (
         generic.slope is not None
         and special.slope is not None

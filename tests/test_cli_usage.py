@@ -67,8 +67,8 @@ def test_exponential_sizes_rejects_multiplier(multiplier):
     ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--rho0", "nan"),
     ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--factor", "nan"),
     ("study", "rho-search", "--data", "DATA", "--grid=-1.5:1.5:8", "--factor", "inf"),
-    ("study", "convergence", "--mode", "exact", "--sizes", "20,40", "--rho", "-1"),
-    ("study", "convergence", "--mode", "exact", "--sizes", "20,40", "--rho", "nan"),
+    ("study", "convergence", "--sizes", "20,40", "--rho", "-1"),
+    ("study", "convergence", "--sizes", "20,40", "--rho", "nan"),
     ("study", "scaling", "--grid=-1.5:1.5:4", "--sizes", "50", "--rho", "nan"),
 ])
 def test_bad_rho_exit_2(argv, tmp_path, capsys):

@@ -421,11 +421,9 @@ class TestCli:
                 if not line.startswith("#")]
 
     def test_study_convergence_couple_amplitude(self, tmp_path):
-        bare = self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact", "--couple")
-        assert self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact",
-                           "--couple", "1") == bare
-        scaled = self._study(tmp_path, *self._CONVERGENCE, "--mode", "exact",
-                             "--couple", "100")
+        bare = self._study(tmp_path, *self._CONVERGENCE, "--couple")
+        assert self._study(tmp_path, *self._CONVERGENCE, "--couple", "1") == bare
+        scaled = self._study(tmp_path, *self._CONVERGENCE, "--couple", "100")
         coupling = RhoCoupling(
             eta_G=predicted_orders(KernelSpec("thinplate", 2, 1, s=1.5)).eta_G,
             a_exp=0.81,
@@ -438,8 +436,8 @@ class TestCli:
             assert float(row100[3]) == pytest.approx(1e4 * rho, rel=1e-9)
 
     def test_study_convergence_approx_grid(self, tmp_path):
-        text = self._study(tmp_path, *self._CONVERGENCE, "--mode", "approx",
-                           "--grid=-1.5:1.5:20", "--rho", "1e-6")
+        text = self._study(tmp_path, *self._CONVERGENCE, "--grid=-1.5:1.5:20",
+                           "--rho", "1e-6")
         rows = self._rows(text)
         assert [row[0] for row in rows] == ["40", "80", "160"]
         assert all(float(row[3]) == 1e-6 for row in rows)
@@ -448,17 +446,12 @@ class TestCli:
 
     @pytest.mark.parametrize("grid", ["0:1:20", "5:9:20", "-1.5,-1.5:1.5,1.5:5,5"])
     def test_study_convergence_grid_box_must_be_region(self, grid, capsys):
-        assert main([*self._CONVERGENCE, "--mode", "approx", f"--grid={grid}",
-                     "--rho", "1e-6"]) == 2
+        assert main([*self._CONVERGENCE, f"--grid={grid}", "--rho", "1e-6"]) == 2
         assert "must equal --region -1.5:1.5" in capsys.readouterr().err
 
-    def test_study_convergence_approx_needs_grid(self, capsys):
-        assert main([*self._CONVERGENCE, "--mode", "approx", "--rho", "1e-6"]) == 2
-        assert capsys.readouterr().err == "error: --mode approx requires --grid\n"
-
     def test_study_convergence_grid_on_its_region(self, tmp_path):
-        text = self._study(tmp_path, *self._CONVERGENCE, "--mode", "approx",
-                           "--region=0:3", "--grid=0:3:20", "--rho", "1e-6")
+        text = self._study(tmp_path, *self._CONVERGENCE, "--region=0:3",
+                           "--grid=0:3:20", "--rho", "1e-6")
         assert [row[0] for row in self._rows(text)] == ["40", "80", "160"]
 
     @pytest.mark.parametrize("region", ["0:1:2", "0:x", "1:0", "0,0:1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bfsmooth import study
+from bfsmooth.approx_smoother import GridSpec, make_grid
 from bfsmooth.errors import ParameterError, SearchError
 from bfsmooth.interpolant import (
     FittedModel,
@@ -18,7 +19,6 @@ from bfsmooth.study import (
     Region,
     RepresenterData,
     RhoCoupling,
-    SweepConfig,
     cavity_density,
     convergence_sweep,
     density_law,
@@ -32,6 +32,7 @@ from bfsmooth.study import (
 
 BOX1 = Region(a=-1.5, b=1.5)
 TPS = KernelSpec("thinplate", theta=2, d=1, s=1.5)
+GRID10 = make_grid(GridSpec(a=-1.5, b=1.5, counts=(10,)))
 
 
 class TestGenUniform:
@@ -155,8 +156,7 @@ class TestProbeBudgets:
         assert asked == [density, density]
         asked.clear()
         spec = KernelSpec("thinplate", theta=2, d=d, s=1.5)
-        convergence_sweep(spec, PolyFrame(d, 2), region, lambda x: 0.0,
-                          "interpolant", SweepConfig(sizes=(12,)))
+        convergence_sweep(spec, PolyFrame(d, 2), region, lambda x: 0.0, (12,))
         assert asked == [error, density]
         assert error**d <= 10_000 < (error + 1) ** d or error == 100
         assert density**d <= 65_536 < (density + 1) ** d or density == 10_000
@@ -177,31 +177,27 @@ class TestRhoCoupling:
 
 class TestConvergenceSweep:
     def test_polynomial_data_flagged(self):
-        config = SweepConfig(sizes=(30, 60, 120), seed=0)
         report = convergence_sweep(
-            TPS, PolyFrame(1, 2), BOX1, lambda x: 1.0 + float(np.sum(x)),
-            "interpolant", config,
+            TPS, PolyFrame(1, 2), BOX1, lambda x: 1.0 + float(np.sum(x)), (30, 60, 120)
         )
         assert all(row.err_max <= 1e-8 for row in report.rows)
         assert report.slope is None
         assert report.slope_flag
 
     def test_interpolant_sine_order(self):
-        config = SweepConfig(sizes=(50, 100, 200, 400), seed=0)
         report = convergence_sweep(
             TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
-            "interpolant", config,
+            (50, 100, 200, 400),
         )
         predicted = predicted_orders(TPS).eta_G
         assert report.slope is not None
         assert report.slope >= predicted - 0.25
 
     def test_deterministic(self):
-        config = SweepConfig(sizes=(40, 80), seed=7)
         runs = [
             convergence_sweep(
                 TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
-                "interpolant", config,
+                (40, 80), seed=7,
             )
             for _ in range(2)
         ]
@@ -213,40 +209,58 @@ class TestConvergenceSweep:
         region = Region(a=(-1.0, 0.0), b=(1.0, 0.5))
         report = convergence_sweep(
             KernelSpec("thinplate", theta=2, d=2, s=1.5), PolyFrame(2, 2), region,
-            lambda x: float(np.sin(np.sum(x))), "interpolant",
-            SweepConfig(sizes=(20, 40, 80), seed=3),
+            lambda x: float(np.sin(np.sum(x))), (20, 40, 80), seed=3,
         )
         for i, row in enumerate(report.rows):
             X = gen_uniform(region, row.N, (3, i))
             assert row.h == cavity_density(region, X, 256)
 
-    # rho=None: exact mode has no rho at all
-    @pytest.mark.parametrize("rho", [None, -1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan])
     def test_exact_mode_needs_valid_rho(self, rho):
         with pytest.raises(ParameterError):
-            convergence_sweep(
-                TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, "exact",
-                SweepConfig(sizes=(30, 60), rho=rho),
-            )
+            convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60),
+                              rho=rho)
 
-    # only a smoothing mode without a coupling reads config.rho
-    @pytest.mark.parametrize("mode, coupling", [
-        ("interpolant", None), ("exact", RhoCoupling(eta_G=1.0)),
+    def test_centers_need_rho(self):
+        with pytest.raises(ParameterError, match="centers require rho"):
+            convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60),
+                              centers=GRID10)
+
+    @pytest.mark.parametrize("rho, centers, mode, fitter", [
+        (None, None, "interpolant", "fit_interpolant"),
+        (0.01, None, "exact", "fit_exact"),
+        (RhoCoupling(eta_G=1.0), None, "exact", "fit_exact"),
+        (0.01, GRID10, "approx", "fit_approx"),
+        (RhoCoupling(eta_G=1.0), GRID10, "approx", "fit_approx"),
     ])
-    def test_unread_rho_not_checked(self, mode, coupling):
+    def test_inputs_pick_the_fit(self, rho, centers, mode, fitter, monkeypatch):
+        fitted = []
+
+        def spy(name):
+            fit = getattr(study, name)
+
+            def record(*args):
+                fitted.append(name)
+                return fit(*args)
+            return record
+
+        for name in ("fit_interpolant", "fit_exact", "fit_approx"):
+            monkeypatch.setattr(study, name, spy(name))
         report = convergence_sweep(
-            TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, mode,
-            SweepConfig(sizes=(30, 60), rho=0.0, coupling=coupling),
+            TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
+            (30, 60), rho=rho, centers=centers,
         )
-        assert all(row.ok for row in report.rows)
+        assert report.mode == mode and fitted == [fitter, fitter]
+        for row in report.rows:
+            want = rho if isinstance(rho, float) else rho.rho(row.h) if rho else 0.0
+            assert row.ok and row.rho == want
 
     def test_approx_mode_saturates_at_grid_resolution(self):
         def sweep(per_axis):
-            config = SweepConfig(sizes=(50, 100, 200, 400), seed=0, rho=1e-6,
-                                 grid_counts=(per_axis,))
             return convergence_sweep(
                 TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
-                "approx", config,
+                (50, 100, 200, 400), rho=1e-6,
+                centers=make_grid(GridSpec(a=-1.5, b=1.5, counts=(per_axis,)), 2),
             )
 
         coarse, fine = sweep(10), sweep(30)
@@ -255,19 +269,12 @@ class TestConvergenceSweep:
         assert abs(coarse.slope) < 0.5
         assert all(f.err_max < c.err_max for f, c in zip(fine.rows, coarse.rows))
 
-    def test_approx_mode_needs_grid(self):
-        with pytest.raises(ParameterError):
-            convergence_sweep(
-                TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, "approx",
-                SweepConfig(sizes=(30, 60), rho=0.01),
-            )
-
     def test_failed_row_recorded_and_left_out_of_slope(self):
         # two points are not unisolvent for theta = 3, so the first fit fails
         spec = KernelSpec("thinplate", theta=3, d=1, s=1.5)
         report = convergence_sweep(
             spec, PolyFrame(1, 3), BOX1, lambda x: float(np.sin(np.sum(x))),
-            "interpolant", SweepConfig(sizes=(2, 50, 100, 200), seed=0),
+            (2, 50, 100, 200),
         )
         failed, *good = report.rows
         assert not failed.ok and "unisolvent" in failed.message
@@ -280,10 +287,9 @@ class TestConvergenceSweep:
         assert (N, err_max) == ("2", "nan")
 
     def test_csv_shape(self):
-        config = SweepConfig(sizes=(30, 60), seed=0, rho=0.01)
         report = convergence_sweep(
-            TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
-            "exact", config,
+            TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))), (30, 60),
+            rho=0.01,
         )
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "N,h,err_max,rho,Je,slope_partial"
@@ -610,11 +616,10 @@ class TestDoubledOrder:
         centers = rng.uniform(-1.2, 1.2, (5, 1))
         f_d = RepresenterData(TPS, uf, centers, rng.standard_normal(5))
         coupling = RhoCoupling(eta_G=predicted_orders(TPS).eta_G, amplitude=100.0)
-        config = SweepConfig(sizes=(50, 100, 200, 400, 800), seed=0,
-                             coupling=coupling)
+        sizes = (50, 100, 200, 400, 800)
         generic = convergence_sweep(
-            TPS, frame, BOX1, lambda x: float(np.sin(np.sum(x))), "exact", config
+            TPS, frame, BOX1, lambda x: float(np.sin(np.sum(x))), sizes, rho=coupling
         )
-        special = convergence_sweep(TPS, frame, BOX1, f_d, "exact", config)
+        special = convergence_sweep(TPS, frame, BOX1, f_d, sizes, rho=coupling)
         assert generic.slope is not None and special.slope is not None
         assert special.slope >= generic.slope + 0.5
