@@ -22,9 +22,13 @@ from .kernels import KernelSpec
 from .polyspace import PolyFrame, as_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
-    """Axis-aligned box [a, b] in R^d."""
+    """Axis-aligned box [a, b] in R^d.
+
+    Boxes compare and hash by value: same type and corners (and, for a
+    GridSpec, the same counts).
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -36,6 +40,15 @@ class Region:
             raise ParameterError("box requires b > a componentwise")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def _key(self) -> tuple:
+        return tuple(self.a), tuple(self.b)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def d(self) -> int:
@@ -49,7 +62,7 @@ class Region:
         return _mesh([np.linspace(lo[i], hi[i], per_axis) for i in range(self.d)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec(Region):
     """A regular grid on the box [a, b] with `counts` nodes per axis.
 
@@ -69,6 +82,9 @@ class GridSpec(Region):
             raise ParameterError("grid counts must be >= 1")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "h", (self.b - self.a) / np.array(counts, dtype=float))
+
+    def _key(self) -> tuple:
+        return *super()._key(), self.counts
 
 
 def _parse(text: str, what: str, form: str, kinds, box_type):

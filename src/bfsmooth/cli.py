@@ -16,6 +16,7 @@ import numpy as np
 
 from . import io
 from .approx_smoother import (
+    Region,
     compare,
     fit_approx,
     fit_parts,
@@ -116,13 +117,15 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data-fn", default="sin", choices=sorted(DATA_FUNCTIONS))
     rho = q.add_mutually_exclusive_group()
     rho.add_argument("--rho", type=float, default=None,
-                     help="fixed rho: fit the Exact smoother (the Approximate "
-                     "one with --grid); neither --rho nor --couple fits the interpolant")
+                     help="fixed rho: fit the Exact smoother, or the Approximate "
+                     "one with --grid; without --rho or --couple, the interpolant")
     rho.add_argument("--couple", type=float, nargs="?", const=1.0, default=None,
                      metavar="AMPLITUDE",
-                     help="rho coupled to the fill distance, scaled by AMPLITUDE "
-                     "(default 1; the acceptance criteria use 100)")
-    q.add_argument("--couple-a", type=float, default=DENSITY_A)
+                     help="rho tied to the fill distance, scaled by AMPLITUDE "
+                     "(default 1; the acceptance criteria use 100); picks the "
+                     "fit as --rho does")
+    q.add_argument("--couple-a", type=float, default=None,
+                   help=f"density-law exponent of --couple (default {DENSITY_A})")
     q.add_argument("--grid", default=None,
                    help="center grid a:b:n: fit the Approximate smoother; a:b "
                    "must equal --region, and it needs --rho or --couple")
@@ -235,6 +238,11 @@ def _study_text(args) -> str:
             raise InputError("--seeds must be >= 1")
         region = parse_box(args.region)
         sizes = exponential_sizes(args.n_sizes, args.max_size, args.multiplier)
+        if len(sizes) < 2:
+            cause = (f"--n-sizes {args.n_sizes}" if args.n_sizes < 2 else
+                     f"--max-size {args.max_size} with --multiplier {args.multiplier:g}")
+            raise InputError(f"{cause} leaves one sample size ({sizes[0]}); "
+                             "the density law needs >= 2")
         seeds = range(args.seed, args.seed + args.seeds)
         fits = [density_law(region, sizes, seed=s) for s in seeds]
         lines = ["N,h"]
@@ -249,20 +257,20 @@ def _study_text(args) -> str:
         return "\n".join(lines) + "\n"
     if args.study_command == "convergence":
         region, spec, frame = _problem(args, parse_box(args.region))
+        if args.couple_a is not None and args.couple is None:
+            raise InputError("--couple-a requires --couple")
         rho, centers = args.rho, None
         if args.couple is not None:
             rho = RhoCoupling(
-                eta_G=predicted_orders(spec).eta_G, a_exp=args.couple_a,
-                amplitude=args.couple,
+                eta_G=predicted_orders(spec).eta_G, amplitude=args.couple,
+                a_exp=DENSITY_A if args.couple_a is None else args.couple_a,
             )
         if args.grid:
             if rho is None:
                 raise InputError("--grid requires --rho or --couple")
             grid = parse_grid(args.grid)
             # the centers span the box the data is drawn in
-            same_box = (np.array_equal(grid.a, region.a)
-                        and np.array_equal(grid.b, region.b))
-            if not same_box:
+            if Region(a=grid.a, b=grid.b) != region:
                 raise InputError(
                     f"--grid box {args.grid.rpartition(':')[0]} must equal "
                     f"--region {args.region}"
@@ -291,12 +299,14 @@ def _study_text(args) -> str:
                      for (n0, t0), (n1, t1) in zip(medians, medians[1:]))
         return "\n".join(lines) + "\n"
     # rho-search
+    if args.error_grid and not args.data_fn:
+        raise InputError("--error-grid requires --data-fn")
+    if args.data_fn and not args.error_grid:
+        raise InputError("--data-fn requires --error-grid")
     table, spec, frame = _problem(args, io.read_csv(args.data))
     Xp = make_grid(parse_grid(args.grid), theta=args.theta)
     fitter = partial(fit_parts, approx_parts(spec, frame, table.X, table.y, Xp))
     if args.error_grid:
-        if not args.data_fn:
-            raise InputError("--error-grid requires --data-fn")
         err_grid = make_grid(parse_grid(args.error_grid))
         error_fn = grid_error_fn(fitter, DATA_FUNCTIONS[args.data_fn], err_grid)
     else:

@@ -138,6 +138,10 @@ class RhoCoupling:
     a_exp: float = DENSITY_A
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        for name in ("eta_G", "a_exp", "amplitude"):
+            _check_rho(getattr(self, name), f"rho coupling {name}")
+
     def rho(self, h: float) -> float:
         prefactor = (
             self.amplitude

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
+
+from bfsmooth import study
 
 
 def scattered_points(rng, N, d=1, lo=-1.5, hi=1.5):
@@ -19,3 +22,19 @@ def scattered_points(rng, N, d=1, lo=-1.5, hi=1.5):
             break
         X[pairs[:, 1]] = rng.uniform(lo, hi, (len(pairs), d))
     return X
+
+
+def _recording(calls, name, fit):
+    def record(*args):
+        calls.append(name)
+        return fit(*args)
+    return record
+
+
+@pytest.fixture
+def sweep_fits(monkeypatch):
+    """The names of the fitters `study.convergence_sweep` calls, in order."""
+    calls = []
+    for name in ("fit_interpolant", "fit_exact", "fit_approx"):
+        monkeypatch.setattr(study, name, _recording(calls, name, getattr(study, name)))
+    return calls

@@ -93,6 +93,29 @@ class TestGridSpec:
             assert str(grid_fault.value) == str(region_fault.value)
 
 
+class TestBoxEquality:
+    @pytest.mark.parametrize("a, b, other_b", [
+        (0.0, 1.0, 2.0), ((0, 0), (1, 1), (1, 2)),
+    ])
+    def test_value_equality_and_hash(self, a, b, other_b):
+        box = Region(a=a, b=b)
+        same = Region(a=np.array(a, dtype=float), b=b)
+        assert box == same and not box != same
+        assert hash(box) == hash(same) and len({box, same}) == 1
+        assert box != Region(a=a, b=other_b)
+        grid = GridSpec(a=a, b=b, counts=(4,) * np.size(a))
+        assert grid == GridSpec(a=a, b=b, counts=(4,) * np.size(a))
+        assert hash(grid) == hash(GridSpec(a=a, b=b, counts=(4,) * np.size(a)))
+        assert grid != GridSpec(a=a, b=b, counts=(5,) * np.size(a))
+        assert grid != GridSpec(a=a, b=other_b, counts=(4,) * np.size(a))
+        # a grid is not a plain box, even on the same corners
+        assert grid != box and box != grid
+        assert Region(a=grid.a, b=grid.b) == box
+
+    def test_different_d_unequal(self):
+        assert Region(a=0.0, b=1.0) != Region(a=(0, 0), b=(1, 1))
+
+
 class TestParseGrid:
     def test_d1(self):
         gs = parse_grid("0:1:5")

@@ -53,6 +53,19 @@ def test_density_max_size_below_two_exit_2(capsys):
     assert captured.err.startswith("error: ") and "maximum" in captured.err
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (("--max-size", "2"), "--max-size 2 with --multiplier 1.2"),
+    (("--max-size", "3", "--multiplier", "1.0001"), "--max-size 3 with --multiplier 1.0001"),
+    (("--n-sizes", "0"), "--n-sizes 0"),
+    (("--n-sizes", "1"), "--n-sizes 1"),
+])
+def test_density_one_size_names_its_settings(argv, cause, capsys):
+    assert main(["study", "density", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cause} leaves one sample size (")
+
+
 @pytest.mark.parametrize("multiplier", [0.0, -2.0, 1.0, float("nan")])
 def test_exponential_sizes_rejects_multiplier(multiplier):
     with pytest.raises(ParameterError):
@@ -79,3 +92,54 @@ def test_bad_rho_exit_2(argv, tmp_path, capsys):
     assert main([*argv, "--kernel", "thinplate:s=1.5", "--theta", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("must be finite" in err or "overflow" in err)
+
+
+_CONVERGENCE = ("study", "convergence", "--kernel", "thinplate:s=1.5", "--theta", "2",
+                "--sizes", "20,40")
+
+
+def _exit_code(argv):
+    """main's exit code, or argparse's on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flags, fitter", [
+    ((), "fit_interpolant"),
+    (("--rho", "1e-3"), "fit_exact"),  # used to fit the interpolant
+    (("--couple",), "fit_exact"),
+    (("--couple", "100", "--couple-a", "0.9"), "fit_exact"),
+    (("--region=-1,-1:1,1", "--rho", "1e-4"), "fit_exact"),
+    (("--grid=-1.5:1.5:10", "--rho", "1e-3"), "fit_approx"),  # used to fit the interpolant
+    (("--grid=-1.5:1.5:10", "--couple"), "fit_approx"),
+    (("--region=0:3", "--grid=0:3:10", "--rho", "1e-3"), "fit_approx"),
+])
+def test_convergence_flags_pick_the_fit(flags, fitter, sweep_fits, capsys):
+    assert main([*_CONVERGENCE, *flags]) == 0
+    assert sweep_fits == [fitter, fitter]
+    rho = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:3]]
+    assert (rho == ["0", "0"]) == (fitter == "fit_interpolant")
+
+
+@pytest.mark.parametrize("flags, message", [
+    # --rho used to be dropped silently
+    (("--rho", "1e-3", "--couple"), "argument --couple: not allowed with argument --rho"),
+    (("--grid=-1.5:1.5:10",), "error: --grid requires --rho or --couple"),
+    (("--couple-a", "0.9"), "error: --couple-a requires --couple"),
+    (("--grid=0:1:10", "--rho", "1e-3"), "error: --grid box 0:1 must equal --region"),
+    (("--mode", "exact", "--rho", "1e-3"), "unrecognized arguments: --mode exact"),
+    # settings of the coupling that give no valid rho
+    (("--couple", "0"), "error: rho coupling amplitude must be finite and > 0, got 0.0"),
+    (("--couple", "nan"), "error: rho coupling amplitude must be finite and > 0, got nan"),
+    (("--couple", "-1"), "error: rho coupling amplitude must be finite and > 0, got -1.0"),
+    (("--couple", "1", "--couple-a", "0"),
+     "error: rho coupling a_exp must be finite and > 0, got 0.0"),
+    (("--kernel", "thinplate:s=0.5", "--theta", "1", "--couple"),
+     "error: rho coupling eta_G must be finite and > 0, got 0.0"),
+])
+def test_convergence_bad_flags_exit_2(flags, message, capsys):
+    assert _exit_code([*_CONVERGENCE, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

@@ -174,6 +174,17 @@ class TestRhoCoupling:
         amped = RhoCoupling(eta_G=1.0, amplitude=10.0)
         assert amped.rho(0.2) == pytest.approx(100.0 * base.rho(0.2))
 
+    @pytest.mark.parametrize("setting", [
+        {"amplitude": 0.0}, {"amplitude": -1.0}, {"amplitude": math.nan},
+        {"amplitude": math.inf}, {"a_exp": 0.0}, {"a_exp": -0.8},
+        {"a_exp": math.nan}, {"eta_G": 0.0}, {"eta_G": -1.0},
+    ])
+    def test_settings_that_give_no_valid_rho_rejected(self, setting):
+        # amplitude -1 gave amplitude 1's rho, a_exp 0 a ZeroDivisionError,
+        # and eta_G 0 rho = 0 for every h
+        with pytest.raises(ParameterError, match="rho coupling"):
+            RhoCoupling(**{"eta_G": 1.0, **setting})
+
 
 class TestConvergenceSweep:
     def test_polynomial_data_flagged(self):
@@ -233,24 +244,12 @@ class TestConvergenceSweep:
         (0.01, GRID10, "approx", "fit_approx"),
         (RhoCoupling(eta_G=1.0), GRID10, "approx", "fit_approx"),
     ])
-    def test_inputs_pick_the_fit(self, rho, centers, mode, fitter, monkeypatch):
-        fitted = []
-
-        def spy(name):
-            fit = getattr(study, name)
-
-            def record(*args):
-                fitted.append(name)
-                return fit(*args)
-            return record
-
-        for name in ("fit_interpolant", "fit_exact", "fit_approx"):
-            monkeypatch.setattr(study, name, spy(name))
+    def test_inputs_pick_the_fit(self, rho, centers, mode, fitter, sweep_fits):
         report = convergence_sweep(
             TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
             (30, 60), rho=rho, centers=centers,
         )
-        assert report.mode == mode and fitted == [fitter, fitter]
+        assert report.mode == mode and sweep_fits == [fitter, fitter]
         for row in report.rows:
             want = rho if isinstance(rho, float) else rho.rho(row.h) if rho else 0.0
             assert row.ok and row.rho == want
