@@ -224,6 +224,8 @@ def convergence_sweep(
     if rho is not None and not coupled:
         _check_rho(rho)
     mode = "interpolant" if rho is None else "exact" if centers is None else "approx"
+    if centers is not None:  # a bad shape fails here, not in every row
+        centers = as_points(centers, region.d)
     sizes = _sizes(sizes, 1)
     per_axis = _probes_per_axis(region.d, ERROR_PROBES)
     probes = region.probe_grid(per_axis, BOUNDARY_SHRINK)

@@ -108,11 +108,11 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("flags, fitter", [
     ((), "fit_interpolant"),
-    (("--rho", "1e-3"), "fit_exact"),  # used to fit the interpolant
+    (("--rho", "1e-3"), "fit_exact"),
     (("--couple",), "fit_exact"),
     (("--couple", "100", "--couple-a", "0.9"), "fit_exact"),
     (("--region=-1,-1:1,1", "--rho", "1e-4"), "fit_exact"),
-    (("--grid=-1.5:1.5:10", "--rho", "1e-3"), "fit_approx"),  # used to fit the interpolant
+    (("--grid=-1.5:1.5:10", "--rho", "1e-3"), "fit_approx"),
     (("--grid=-1.5:1.5:10", "--couple"), "fit_approx"),
     (("--region=0:3", "--grid=0:3:10", "--rho", "1e-3"), "fit_approx"),
 ])
@@ -124,11 +124,9 @@ def test_convergence_flags_pick_the_fit(flags, fitter, sweep_fits, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    # --rho used to be dropped silently
     (("--rho", "1e-3", "--couple"), "argument --couple: not allowed with argument --rho"),
     (("--grid=-1.5:1.5:10",), "error: --grid requires --rho or --couple"),
     (("--couple-a", "0.9"), "error: --couple-a requires --couple"),
-    (("--grid=0:1:10", "--rho", "1e-3"), "error: --grid box 0:1 must equal --region"),
     (("--mode", "exact", "--rho", "1e-3"), "unrecognized arguments: --mode exact"),
     # settings of the coupling that give no valid rho
     (("--couple", "0"), "error: rho coupling amplitude must be finite and > 0, got 0.0"),

@@ -382,7 +382,6 @@ class TestCli:
         assert not out.exists()
 
     def test_study_rho_search_data_fn_needs_error_grid(self, sine_csv, capsys):
-        # it used to print the residual criterion's trace and exit 0
         assert main([
             "study", "rho-search", "--data", str(sine_csv), "--kernel",
             "thinplate:s=1.5", "--theta", "2", "--grid=-1.5:1.5:8", "--data-fn", "sin",

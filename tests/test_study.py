@@ -5,7 +5,7 @@ import pytest
 
 from bfsmooth import study
 from bfsmooth.approx_smoother import GridSpec, make_grid
-from bfsmooth.errors import ParameterError, SearchError
+from bfsmooth.errors import InputError, ParameterError, SearchError
 from bfsmooth.interpolant import (
     FittedModel,
     eval_model,
@@ -180,8 +180,8 @@ class TestRhoCoupling:
         {"a_exp": math.nan}, {"eta_G": 0.0}, {"eta_G": -1.0},
     ])
     def test_settings_that_give_no_valid_rho_rejected(self, setting):
-        # amplitude -1 gave amplitude 1's rho, a_exp 0 a ZeroDivisionError,
-        # and eta_G 0 rho = 0 for every h
+        # none gives a valid rho: rho is quadratic in the amplitude, divides
+        # by a_exp, and is 0 for every h at eta_G = 0
         with pytest.raises(ParameterError, match="rho coupling"):
             RhoCoupling(**{"eta_G": 1.0, **setting})
 
@@ -236,6 +236,12 @@ class TestConvergenceSweep:
         with pytest.raises(ParameterError, match="centers require rho"):
             convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60),
                               centers=GRID10)
+
+    def test_centers_of_another_d_rejected(self):
+        # a fault of the call, not of one row: no row is fitted
+        with pytest.raises(InputError, match="shape"):
+            convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60),
+                              rho=0.01, centers=np.zeros((10, 2)))
 
     @pytest.mark.parametrize("rho, centers, mode, fitter", [
         (None, None, "interpolant", "fit_interpolant"),
