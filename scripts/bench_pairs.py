@@ -8,12 +8,15 @@ benchmark does. It reads the JSON result on the last line of each run's
 output and prints, per end-to-end metric of BENCHMARK.json, both sides'
 median and quartiles, the number of pairs the change won (ties count for
 neither side) and a verdict against the metric's ``bound`` (`verdict`);
-``gain`` marks a claimed gain that holds.
+``gain`` marks a claimed gain that holds.  Beside that table it prints
+both sides' median and quartiles of the unscaled ``wall_latency_p50_s``
+each run saved, since the host-speed scaling can hide part of a gain.
 
 After each pair it also compares the per-op records the two runs saved
 (``.bench_work/results/W-seedS-trace0.json`` in each checkout): every op
 index both ran must show the same ``err_max`` and ``items``. It exits 1
-when any of them differ.
+when any of them differ, and prints the largest relative ``err_max``
+difference, so that a change at the rounding level reads as one.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,7 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 GAIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 OP_OUTPUTS = ("err_max", "items")  # per-op record fields both sides must agree on
+WALL = "wall_latency_p50_s"  # report only: wall time, not scaled by the host probe
 
 
 def parse_result(stdout: str) -> dict:
@@ -116,6 +121,16 @@ def op_differences(parent_ops: list[dict], change_ops: list[dict]) -> list[str]:
     return diffs
 
 
+def err_max_change(parent_ops: list[dict], change_ops: list[dict]) -> float:
+    """Largest |change - parent| / |parent| of err_max over the common op
+    indices where both runs have one (0.0 when they all agree)."""
+    return max((abs(c["err_max"] - p["err_max"]) / abs(p["err_max"])
+                if p["err_max"] else math.inf
+                for p, c in zip(parent_ops, change_ops)
+                if p.get("err_max") is not None and c.get("err_max") is not None
+                and p["err_max"] != c["err_max"]), default=0.0)
+
+
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<16} {'parent median (q1-q3)':<34} "
              f"{'change median (q1-q3)':<34} {'verdict':<10} change won"]
@@ -128,9 +143,20 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def format_wall(pairs: list[tuple[dict, dict]]) -> str:
+    """Both sides' median (q1-q3) of WALL over the pairs that report it."""
+    values = [(p["extra"][WALL], c["extra"][WALL]) for p, c in pairs]
+    values = [(p, c) for p, c in values if p is not None and c is not None]
+    if not values:
+        return f"{WALL}: not reported"
+    sides = [f"{m:.6g} ({q1:.6g}-{q3:.6g})"
+             for q1, m, q3 in (quartiles([v[i] for v in values]) for i in (0, 1))]
+    return f"{WALL:<16} {sides[0]:<34} {sides[1]:<34} wall time, report only"
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run's JSON result, with the per-op records it saved
-    added under "ops"."""
+    """One untraced run's JSON result, with the per-op records and the
+    report-only metrics it saved added under "ops" and "extra"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -139,7 +165,8 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}")
     result = parse_result(proc.stdout)
     saved = root / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
-    result["ops"] = json.loads(saved.read_text())["ops"]
+    saved = json.loads(saved.read_text())
+    result["ops"], result["extra"] = saved["ops"], saved["extra"]
     return result
 
 
@@ -153,7 +180,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads(BENCHMARK.read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    pairs, differing = [], 0
+    pairs, differing, err_change = [], 0, 0.0
     for i, seed in enumerate(parse_seeds(args.seeds)):
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -169,14 +196,17 @@ def main(argv=None) -> int:
         parent_ops, change_ops = sides["parent"]["ops"], sides["change"]["ops"]
         diffs = op_differences(parent_ops, change_ops)
         differing += bool(diffs)
+        err_change = max(err_change, err_max_change(parent_ops, change_ops))
         print(f"seed {seed} per-op {'/'.join(OP_OUTPUTS)} on "
               f"{min(len(parent_ops), len(change_ops))} common ops: "
               f"{'DIFFER' if diffs else 'identical'}", flush=True)
         for line in diffs:
             print(f"  {line}")
     print(format_rows(summarize(pairs, metrics)))
+    print(format_wall(pairs))
     if differing:
-        print(f"per-op outputs differ in {differing} of {len(pairs)} pairs")
+        print(f"per-op outputs differ in {differing} of {len(pairs)} pairs; "
+              f"largest relative err_max difference {err_change:.3g}")
         return 1
     return 0
 

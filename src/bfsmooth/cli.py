@@ -24,8 +24,8 @@ from .approx_smoother import (
     parse_box,
     parse_grid,
 )
-from .assembly import approx_parts
-from .errors import BfsmoothError, InputError, ParseError, SolveError
+from .assembly import _check_rho, approx_parts
+from .errors import BfsmoothError, InputError, ParameterError, ParseError, SolveError
 from .exact_smoother import diagnostics, fit_exact
 from .interpolant import eval_model, fit_interpolant
 from .kernels import parse_kernel, predicted_orders
@@ -237,12 +237,14 @@ def _study_text(args) -> str:
         if args.seeds < 1:
             raise InputError("--seeds must be >= 1")
         region = parse_box(args.region)
-        sizes = exponential_sizes(args.n_sizes, args.max_size, args.multiplier)
+        try:
+            sizes = exponential_sizes(args.n_sizes, args.max_size, args.multiplier)
+        except ParameterError as exc:
+            raise InputError(f"--n-sizes {args.n_sizes}, --max-size {args.max_size}, "
+                             f"--multiplier {args.multiplier:g}: {exc}") from exc
         if len(sizes) < 2:
-            cause = (f"--n-sizes {args.n_sizes}" if args.n_sizes < 2 else
-                     f"--max-size {args.max_size} with --multiplier {args.multiplier:g}")
-            raise InputError(f"{cause} leaves one sample size ({sizes[0]}); "
-                             "the density law needs >= 2")
+            raise InputError(f"--n-sizes {args.n_sizes} leaves one sample size "
+                             f"({sizes[0]}); the density law needs >= 2")
         seeds = range(args.seed, args.seed + args.seeds)
         fits = [density_law(region, sizes, seed=s) for s in seeds]
         lines = ["N,h"]
@@ -261,10 +263,14 @@ def _study_text(args) -> str:
             raise InputError("--couple-a requires --couple")
         rho, centers = args.rho, None
         if args.couple is not None:
-            rho = RhoCoupling(
-                eta_G=predicted_orders(spec).eta_G, amplitude=args.couple,
-                a_exp=DENSITY_A if args.couple_a is None else args.couple_a,
-            )
+            a_exp = DENSITY_A if args.couple_a is None else args.couple_a
+            _check_rho(args.couple, "--couple")
+            _check_rho(a_exp, "--couple-a")
+            eta_G = predicted_orders(spec).eta_G
+            if not eta_G > 0:  # the coupled rho would be 0 at every size
+                raise InputError(f"--couple needs eta_G > 0, but {spec.label()} "
+                                 f"with --theta {args.theta} has eta_G = {eta_G:g}")
+            rho = RhoCoupling(eta_G=eta_G, amplitude=args.couple, a_exp=a_exp)
         if args.grid:
             if rho is None:
                 raise InputError("--grid requires --rho or --couple")

@@ -146,11 +146,21 @@ def _profile(spec: KernelSpec, r2) -> np.ndarray:
         return np.divide(1.0, r2, out=r2)
     if spec.family == "shifted-tps":
         r2 += spec.a**2
+    s = spec.s
     # thinplate: r^2s log r = r^2s * log(r^2) / 2, with limit 0 at r = 0
-    if _is_pos_integer(spec.s):
-        return _log_power((-1.0) ** (int(spec.s) + 1) / 2.0, r2, spec.s)
-    r2 **= spec.s
-    r2 *= (-1.0) ** math.ceil(spec.s)
+    if _is_pos_integer(s):
+        return _log_power((-1.0) ** (int(s) + 1) / 2.0, r2, s)
+    if s > 0.5 and float(2 * s).is_integer():
+        # q^s = q^k sqrt(q) with k = s - 1/2: one sqrt and k multiplies
+        # cost less than pow, and round k times more (README, "Kernels")
+        root = np.sqrt(r2)
+        for _ in range(int(s) - 1):
+            root *= r2
+        r2 *= root
+    else:  # s = 1/2 takes numpy's sqrt path inside **
+        r2 **= s
+    if math.ceil(s) % 2:
+        np.negative(r2, out=r2)
     return r2
 
 

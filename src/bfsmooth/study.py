@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .assembly import _check_rho
-from .errors import InputError, ParameterError, SearchError
+from .errors import BfsmoothError, InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
 from .approx_smoother import Region, fit_approx
@@ -84,7 +84,11 @@ class DensityFit:
 
 
 def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
-    """Exponentially spaced sample sizes, each >= 2, ending at `maximum`."""
+    """Exponentially spaced sample sizes, each >= 2, ending at `maximum`.
+
+    Raises ParameterError when rounding leaves fewer than `n_sizes`
+    distinct sizes.
+    """
     if not multiplier > 1:
         raise ParameterError(f"multiplier must be > 1, got {multiplier}")
     if maximum < 2:
@@ -93,6 +97,9 @@ def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     for _ in range(n_sizes - 1):
         sizes.append(max(2, int(round(sizes[-1] / multiplier))))
     unique = sorted(set(sizes))
+    if len(unique) < n_sizes:
+        raise ParameterError(f"rounding leaves {len(unique)} distinct sizes of the "
+                             f"{n_sizes} requested: {unique}")
     return unique
 
 
@@ -183,6 +190,8 @@ class StudyReport:
                 f"{row.N},{row.h:.10g},{row.err_max:.10g},{row.rho:.10g},"
                 f"{row.J_e:.10g},{partial_txt}"
             )
+        lines.extend(f"# N={row.N}: {' '.join(row.message.split())}"
+                     for row in self.rows if not row.ok)
         return "\n".join(lines) + "\n"
 
 
@@ -215,8 +224,9 @@ def convergence_sweep(
     Approximate smoother; given `rho` only, the Exact smoother; given
     neither, the interpolant.  `rho` is a float (fixed) or a RhoCoupling
     (tied to the measured fill distance).  Row i fits
-    gen_uniform(region, N_i, (seed, i)).  Failed fits are recorded and
-    excluded from the slope.
+    gen_uniform(region, N_i, (seed, i)).  A fit that raises a library
+    error (BfsmoothError) is recorded with its message and excluded from
+    the slope; any other exception propagates.
     """
     if rho is None and centers is not None:
         raise ParameterError("centers require rho: the Approximate smoother smooths")
@@ -246,7 +256,7 @@ def convergence_sweep(
             err = float(np.max(np.abs(np.atleast_1d(eval_model(model, probes)) - f_probe)))
             J_e = functional_value(model, X, y, rho_N)
             rows.append(SweepRow(N=N, h=h, err_max=err, rho=rho_N, J_e=J_e, ok=True))
-        except Exception as exc:  # recorded per-row, excluded from the slope
+        except BfsmoothError as exc:  # recorded per-row, excluded from the slope
             rows.append(
                 SweepRow(
                     N=N, h=h, err_max=float("nan"), rho=rho_N, J_e=float("nan"),

@@ -309,6 +309,7 @@ ILL_SPECS = [
     KernelSpec("gauss", theta=2, d=2),
     KernelSpec("mq", theta=2, d=2, a=1.0),
     KernelSpec("thinplate", theta=2, d=2, s=1.0),
+    KernelSpec("thinplate", theta=2, d=2, s=1.5),  # r^3 by q sqrt(q)
 ]
 
 

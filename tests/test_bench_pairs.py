@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,7 @@ def _fake_runs(monkeypatch, change_err_max):
         result = bench_pairs.parse_result(_run_output(latency, 1.0 / latency))
         err_max = [0.01, 0.02] if root.name == "parent" else change_err_max
         result["ops"] = _ops(err_max)
+        result["extra"] = {bench_pairs.WALL: 2 * latency + 0.1 * seed}
         return result
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
@@ -150,6 +152,10 @@ def test_main_alternates_order(monkeypatch, capsys, tmp_path):
     assert "seed 2 change (first)" in out
     assert "seed 2 per-op err_max/items on 2 common ops: identical" in out
     assert "3 of 3 (lower is better)" in out
+    # the unscaled wall time: parent 2.1, 2.2, 2.3 and change 1.3, 1.4, 1.5
+    wall = next(line for line in out.splitlines() if line.startswith(bench_pairs.WALL))
+    assert "2.2 (2.15-2.25)" in wall and "1.4 (1.35-1.45)" in wall
+    assert "differ" not in out
 
 
 def test_main_fails_on_per_op_differences(monkeypatch, capsys, tmp_path):
@@ -160,4 +166,14 @@ def test_main_fails_on_per_op_differences(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert "seed 1 per-op err_max/items on 2 common ops: DIFFER" in out
     assert "op 1 err_max: parent 0.02, change 0.021" in out
-    assert "per-op outputs differ in 2 of 2 pairs" in out
+    assert "per-op outputs differ in 2 of 2 pairs; largest relative err_max " \
+           "difference 0.05" in out
+
+
+def test_err_max_change_is_relative_and_skips_failed_ops():
+    parent, change = _ops([0.01, 0.02, 0.04]), _ops([0.01, 0.021, 0.04 * (1 + 1e-15)])
+    assert bench_pairs.err_max_change(parent, change) == pytest.approx(0.05)
+    assert bench_pairs.err_max_change(parent, parent) == 0.0
+    failed = {"op": 1, "error": "SolveError: x"}
+    assert bench_pairs.err_max_change(parent, [change[0], failed]) == 0.0
+    assert bench_pairs.err_max_change(_ops([0.0]), _ops([1e-300])) == math.inf

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfsmooth import study
 from bfsmooth.cli import _build_parser, main
-from bfsmooth.errors import ParameterError
+from bfsmooth.errors import ParameterError, SolveError
+from bfsmooth.interpolant import fit_interpolant
 from bfsmooth.study import exponential_sizes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,8 +56,6 @@ def test_density_max_size_below_two_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (("--max-size", "2"), "--max-size 2 with --multiplier 1.2"),
-    (("--max-size", "3", "--multiplier", "1.0001"), "--max-size 3 with --multiplier 1.0001"),
     (("--n-sizes", "0"), "--n-sizes 0"),
     (("--n-sizes", "1"), "--n-sizes 1"),
 ])
@@ -64,6 +64,25 @@ def test_density_one_size_names_its_settings(argv, cause, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cause} leaves one sample size (")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # rounding collapses the sizes: 12 of 20, or one
+    (("--n-sizes", "20", "--max-size", "20"),
+     "--n-sizes 20, --max-size 20, --multiplier 1.2: rounding leaves 12 distinct "
+     "sizes of the 20 requested: [2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 17, 20]"),
+    (("--max-size", "2"),
+     "--n-sizes 20, --max-size 2, --multiplier 1.2: rounding leaves 1 distinct "
+     "sizes of the 20 requested: [2]"),
+    (("--max-size", "3", "--multiplier", "1.0001"),
+     "--n-sizes 20, --max-size 3, --multiplier 1.0001: rounding leaves 1 distinct"),
+])
+def test_density_collapsed_sizes_exit_2(argv, message, capsys):
+    # it used to fit the distinct sizes and say nothing
+    assert main(["study", "density", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("multiplier", [0.0, -2.0, 1.0, float("nan")])
@@ -128,16 +147,31 @@ def test_convergence_flags_pick_the_fit(flags, fitter, sweep_fits, capsys):
     (("--grid=-1.5:1.5:10",), "error: --grid requires --rho or --couple"),
     (("--couple-a", "0.9"), "error: --couple-a requires --couple"),
     (("--mode", "exact", "--rho", "1e-3"), "unrecognized arguments: --mode exact"),
-    # settings of the coupling that give no valid rho
-    (("--couple", "0"), "error: rho coupling amplitude must be finite and > 0, got 0.0"),
-    (("--couple", "nan"), "error: rho coupling amplitude must be finite and > 0, got nan"),
-    (("--couple", "-1"), "error: rho coupling amplitude must be finite and > 0, got -1.0"),
-    (("--couple", "1", "--couple-a", "0"),
-     "error: rho coupling a_exp must be finite and > 0, got 0.0"),
+    # settings of the coupling that give no valid rho, named by flag or kernel
+    (("--couple", "0"), "error: --couple must be finite and > 0, got 0.0"),
+    (("--couple", "nan"), "error: --couple must be finite and > 0, got nan"),
+    (("--couple", "-1"), "error: --couple must be finite and > 0, got -1.0"),
+    (("--couple", "1", "--couple-a", "0"), "error: --couple-a must be finite and > 0, got 0.0"),
+    (("--couple", "--couple-a", "inf"), "error: --couple-a must be finite and > 0, got inf"),
     (("--kernel", "thinplate:s=0.5", "--theta", "1", "--couple"),
-     "error: rho coupling eta_G must be finite and > 0, got 0.0"),
+     "error: --couple needs eta_G > 0, but thinplate:s=0.5 with --theta 1 has eta_G = 0"),
 ])
 def test_convergence_bad_flags_exit_2(flags, message, capsys):
     assert _exit_code([*_CONVERGENCE, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_convergence_prints_failed_rows(monkeypatch, capsys):
+    # a fit that fails the residual gate is a row of NaNs and its reason
+    def fail_at_40(spec, frame, X, y):
+        if len(X) == 40:
+            raise SolveError("interp system residual 2e-7 exceeds\n1e-08 * |rhs|")
+        return fit_interpolant(spec, frame, X, y)
+
+    monkeypatch.setattr(study, "fit_interpolant", fail_at_40)
+    assert main([*_CONVERGENCE[:-1], "20,40,80"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("40,") and ",nan," in lines[2]
+    assert "# N=40: interp system residual 2e-7 exceeds 1e-08 * |rhs|" in lines
+    assert not any(line.startswith(("# N=20", "# N=80")) for line in lines)

@@ -211,6 +211,65 @@ class TestBitExact:
             assert np.array_equal(got, want)
 
 
+POWER_SPECS = [
+    KernelSpec("thinplate", theta=3, d=2, s=0.5),
+    KernelSpec("thinplate", theta=3, d=2, s=1.5),
+    KernelSpec("thinplate", theta=3, d=2, s=2.5),
+    KernelSpec("shifted-tps", theta=3, d=2, s=1.5, a=1.0),
+]
+
+
+def _pow_form(spec, r2):
+    """The power branch as (-1)^ceil(s) (a^2 + r^2)**s, one pow per entry."""
+    q = r2 + (spec.a**2 if spec.family == "shifted-tps" else 0.0)
+    return (-1.0) ** math.ceil(spec.s) * q**spec.s
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double wider than double")
+class TestPowerBranch:
+    @pytest.mark.parametrize("spec", POWER_SPECS, ids=KernelSpec.label)
+    def test_accuracy_against_long_double(self, spec):
+        # Against the exact power of each pair's distance, the error comes
+        # from the rounding of r^2 (amplified by s) plus one rounding per
+        # operation: q^k sqrt(q) may exceed pow's worst case by k half-ulps.
+        rng = np.random.default_rng(5)
+        Y = rng.uniform(-1.5, 1.5, (300, 2))
+        Z = rng.uniform(-1.5, 1.5, (400, 2))
+        Z[:50] = Y[:50]  # coincident points
+        got = kernel_matrix(spec, Y, Z)
+        want = _pow_form(spec, cdist(Y, Z, "sqeuclidean"))
+        diff = Y[:, None, :].astype(np.longdouble) - Z[None, :, :]
+        q = (diff**2).sum(axis=-1) + np.longdouble(spec.a or 0.0) ** 2
+        exact = (-1) ** math.ceil(spec.s) * q ** np.longdouble(spec.s)
+        nonzero = exact != 0
+
+        def worst(values):
+            return float(np.max(np.abs((values - exact)[nonzero] / exact[nonzero])))
+
+        k = int(spec.s - 0.5)  # q^k sqrt(q) rounds k + 1 times, pow once
+        eps = np.finfo(float).eps
+        assert worst(got) <= worst(want) + k * eps / 2
+        # r^2 is within 2 eps (d = 2), which the power multiplies by s
+        assert worst(got) <= (2 * spec.s + (k + 1) / 2) * eps
+        assert np.all(np.abs(got - want) <= k * np.spacing(np.abs(want)))
+        zeros = ~nonzero  # the coincident pairs of a thin plate
+        assert zeros.sum() == (50 if spec.family == "thinplate" else 0)
+        assert np.all(got[zeros] == 0)
+
+    @pytest.mark.parametrize("spec", POWER_SPECS, ids=KernelSpec.label)
+    def test_edge_inputs_match_pow_pattern(self, spec):
+        # r^2 = 0, subnormal, and results just under or over the double
+        # range: the same zero / finite / inf pattern and signs as pow
+        with np.errstate(over="ignore"):
+            powers = 10.0 ** (np.array([-330.0, -300.0, 300.0, 307.0, 309.0]) / spec.s)
+            r2 = np.concatenate([[0.0, 5e-324, 1e-310, 2.2e-308, 1e-200, 1e250,
+                                  1.7e308, np.inf], powers])
+            got, want = _profile(spec, r2.copy()), _pow_form(spec, r2)
+        for pattern in (lambda v: v == 0, np.isfinite, np.isinf, np.signbit):
+            assert np.array_equal(pattern(got), pattern(want))
+
+
 class TestKernelMatrixOut:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=KernelSpec.label)
     def test_out_matches_fresh_matrix(self, spec):

@@ -5,7 +5,7 @@ import pytest
 
 from bfsmooth import study
 from bfsmooth.approx_smoother import GridSpec, make_grid
-from bfsmooth.errors import InputError, ParameterError, SearchError
+from bfsmooth.errors import InputError, ParameterError, SearchError, SolveError
 from bfsmooth.interpolant import (
     FittedModel,
     eval_model,
@@ -134,8 +134,17 @@ class TestExponentialSizes:
             exponential_sizes(3, maximum, 1.2)
 
     def test_never_exceeds_maximum(self):
-        assert exponential_sizes(3, 2, 1.2) == [2]
-        assert max(exponential_sizes(30, 7, 1.1)) == 7
+        assert exponential_sizes(1, 2, 1.2) == [2]
+        assert exponential_sizes(3, 7, 1.1) == [5, 6, 7]
+
+    @pytest.mark.parametrize("n_sizes, maximum, multiplier, distinct", [
+        (20, 20, 1.2, 12), (3, 2, 1.2, 1), (30, 7, 1.1, 3), (20, 50, 1.01, 1),
+    ])
+    def test_collapsed_sizes_rejected(self, n_sizes, maximum, multiplier, distinct):
+        # rounding repeats a size once n / multiplier rounds back to n
+        with pytest.raises(ParameterError, match=f"rounding leaves {distinct} "
+                           f"distinct sizes of the {n_sizes} requested"):
+            exponential_sizes(n_sizes, maximum, multiplier)
 
 
 class TestProbeBudgets:
@@ -290,6 +299,37 @@ class TestConvergenceSweep:
         assert report.slope == pytest.approx(np.polyfit(logh, loge, 1)[0], rel=1e-12)
         N, _, err_max, *_ = report.to_csv().splitlines()[1].split(",")
         assert (N, err_max) == ("2", "nan")
+
+    def test_failed_row_reason_in_csv(self, monkeypatch):
+        def fail_at_60(spec, frame, X, y):
+            if len(X) == 60:
+                raise SolveError("residual 1e-7 exceeds 1e-8 * |rhs|")
+            return fit_interpolant(spec, frame, X, y)
+
+        monkeypatch.setattr(study, "fit_interpolant", fail_at_60)
+        report = convergence_sweep(
+            TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))), (30, 60, 120)
+        )
+        assert [row.ok for row in report.rows] == [True, False, True]
+        lines = report.to_csv().splitlines()
+        assert lines[-1] == "# N=60: residual 1e-7 exceeds 1e-8 * |rhs|"
+        assert len(lines) == 5
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        # only library errors are a failed row; a fault in the caller's
+        # data function or in the library is not recorded as one
+        def bad_data(x):
+            return [float(x[0])] * 2  # float() of a list: TypeError
+
+        with pytest.raises(TypeError):
+            convergence_sweep(TPS, PolyFrame(1, 2), BOX1, bad_data, (30, 60))
+
+        def buggy_fit(*args):
+            raise TypeError("a bug in the fitter")
+
+        monkeypatch.setattr(study, "fit_interpolant", buggy_fit)
+        with pytest.raises(TypeError, match="a bug in the fitter"):
+            convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60))
 
     def test_csv_shape(self):
         report = convergence_sweep(
