@@ -10,7 +10,9 @@ median and quartiles, the number of pairs the change won (ties count for
 neither side) and a verdict against the metric's ``bound`` (`verdict`);
 ``gain`` marks a claimed gain that holds.  Beside that table it prints
 both sides' median and quartiles of the unscaled ``wall_latency_p50_s``
-each run saved, since the host-speed scaling can hide part of a gain.
+each run saved, since the host-speed scaling can hide part of a gain, and
+of the host-speed probe's ``probe_s`` that the scaling divides by ("not
+reported" for a workload without a probe); both lines are report only.
 
 After each pair it also compares the per-op records the two runs saved
 (``.bench_work/results/W-seedS-trace0.json`` in each checkout): every op
@@ -37,6 +39,7 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 GAIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 OP_OUTPUTS = ("err_max", "items")  # per-op record fields both sides must agree on
 WALL = "wall_latency_p50_s"  # report only: wall time, not scaled by the host probe
+PROBE = "probe_s"  # report only: the host-speed probe's median time per run
 
 
 def parse_result(stdout: str) -> dict:
@@ -143,15 +146,16 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def format_wall(pairs: list[tuple[dict, dict]]) -> str:
-    """Both sides' median (q1-q3) of WALL over the pairs that report it."""
-    values = [(p["extra"][WALL], c["extra"][WALL]) for p, c in pairs]
+def format_extra(pairs: list[tuple[dict, dict]], name: str, what: str) -> str:
+    """Both sides' median (q1-q3) of the saved extra `name` over the pairs
+    that report it, as a report-only line described by `what`."""
+    values = [(p["extra"].get(name), c["extra"].get(name)) for p, c in pairs]
     values = [(p, c) for p, c in values if p is not None and c is not None]
     if not values:
-        return f"{WALL}: not reported"
+        return f"{name}: not reported"
     sides = [f"{m:.6g} ({q1:.6g}-{q3:.6g})"
              for q1, m, q3 in (quartiles([v[i] for v in values]) for i in (0, 1))]
-    return f"{WALL:<16} {sides[0]:<34} {sides[1]:<34} wall time, report only"
+    return f"{name:<16} {sides[0]:<34} {sides[1]:<34} {what}, report only"
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -203,7 +207,8 @@ def main(argv=None) -> int:
         for line in diffs:
             print(f"  {line}")
     print(format_rows(summarize(pairs, metrics)))
-    print(format_wall(pairs))
+    print(format_extra(pairs, WALL, "wall time"))
+    print(format_extra(pairs, PROBE, "host-speed probe"))
     if differing:
         print(f"per-op outputs differ in {differing} of {len(pairs)} pairs; "
               f"largest relative err_max difference {err_change:.3g}")

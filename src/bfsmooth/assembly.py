@@ -38,6 +38,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
+from ._blas import dot
 from .errors import ParameterError, SolveError, UnisolvencyError
 from .kernels import _BLOCK_ENTRIES, KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, as_points, is_unisolvent, unisolvency_matrix
@@ -177,7 +178,7 @@ class ApproxParts:
         if self._factor is None:
             try:
                 factor = _SpectralFactor.build(self)
-            except np.linalg.LinAlgError:
+            except scipy.linalg.LinAlgError:
                 # e.g. Z^T G_pp Z not positive definite to working precision
                 factor = False
             object.__setattr__(self, "_factor", factor)
@@ -202,7 +203,7 @@ def _expand(w: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.nd
     """v = Z w in the original order: v_R = w and v_A = -C w, so P^T v = 0."""
     v = np.empty(len(A) + len(R))
     v[R] = w
-    v[A] = -(C @ w)
+    v[A] = -dot(C, w)
     return v
 
 
@@ -211,7 +212,7 @@ def _half_cross(K: np.ndarray, A: np.ndarray, R: np.ndarray,
     """W = K_RA - C^T K_AA / 2, so that for symmetric K
     Z^T K Z = K_RR - K_RA C - C^T K_AR + C^T K_AA C = K_RR - W C - (W C)^T,
     one rank-2M update (`dsyr2k`)."""
-    return K[np.ix_(R, A)] - 0.5 * (C.T @ K[np.ix_(A, A)])
+    return K[np.ix_(R, A)] - 0.5 * dot(C.T, K[np.ix_(A, A)])
 
 
 def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -253,10 +254,10 @@ def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray |
     if info != 0:
         return None
     b = np.zeros(N)
-    b[R] = y[R] - C.T @ y[A]
+    b[R] = y[R] - dot(C.T, y[A])
     w, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
     v = _expand(w[R], A, R, C)
-    beta = scipy.linalg.solve(P[A], y[A] - K[A] @ v)
+    beta = scipy.linalg.solve(P[A], y[A] - dot(K[A], v))
     return np.concatenate([v, beta])
 
 
@@ -283,9 +284,9 @@ class _SpectralFactor:
     @classmethod
     def build(cls, parts: ApproxParts) -> _SpectralFactor:
         A, R, C = _cardinal_basis(parts.P_p)
-        ZtBP = parts.BP[R] - C.T @ parts.BP[A]
+        ZtBP = parts.BP[R] - dot(C.T, parts.BP[A])
         L = scipy.linalg.cholesky(parts.PtP, lower=True)
-        r = parts.By - parts.BP @ scipy.linalg.cho_solve((L, True), parts.Pty)
+        r = parts.By - dot(parts.BP, scipy.linalg.cho_solve((L, True), parts.Pty))
         # S = Z^T BBt Z - Y Y^T with Y = Z^T BP L^-T, the Schur complement of PtP
         Y = scipy.linalg.solve_triangular(L, ZtBP.T, lower=True).T
         S = scipy.linalg.blas.dsyrk(-1.0, Y, beta=1.0, c=_reduce(parts.BBt, A, R, C),
@@ -293,18 +294,18 @@ class _SpectralFactor:
         G = _reduce(parts.G_pp, A, R, C)
         sigma, V = scipy.linalg.eigh(S, G, lower=True, overwrite_a=True,
                                      overwrite_b=True)
-        return cls(V=V, sigma=sigma, q=V.T @ (r[R] - C.T @ r[A]), A=A, R=R, C=C)
+        return cls(V=V, sigma=sigma, q=dot(V.T, r[R] - dot(C.T, r[A])), A=A, R=R, C=C)
 
     def solve(self, parts: ApproxParts, scale: float) -> np.ndarray:
         """[alpha; beta; gamma] of `parts.system(rho)` with scale = lam."""
-        w = self.V @ (self.q / (self.sigma + scale))
+        w = dot(self.V, self.q / (self.sigma + scale))
         alpha = _expand(w, self.A, self.R, self.C)
-        beta = scipy.linalg.solve(parts.PtP, parts.Pty - parts.BP.T @ alpha,
+        beta = scipy.linalg.solve(parts.PtP, parts.Pty - dot(parts.BP.T, alpha),
                                   assume_a="pos")
         # gamma from the A rows of the first block row
         A = self.A
-        e_A = (parts.By[A] - scale * (parts.G_pp[A] @ alpha)
-               - parts.BBt[A] @ alpha - parts.BP[A] @ beta)
+        e_A = (parts.By[A] - scale * dot(parts.G_pp[A], alpha)
+               - dot(parts.BBt[A], alpha) - dot(parts.BP[A], beta))
         gamma = scipy.linalg.solve(parts.P_p[A], e_A)
         return np.concatenate([alpha, beta, gamma])
 
@@ -321,15 +322,21 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     PtP = np.zeros((M, M))
     By = np.zeros(Np)
     Pty = np.zeros(M)
+    syrk = scipy.linalg.blas.dsyrk
     for lo in range(0, N, DEFAULT_CHUNK):
         hi = min(lo + DEFAULT_CHUNK, N)
         B_c = kernel_matrix(spec, Xp, X[lo:hi])  # (N', c)
         P_c = unisolvency_matrix(frame, X[lo:hi])  # (c, M)
-        BBt += B_c @ B_c.T
-        BP += B_c @ P_c
-        PtP += P_c.T @ P_c
-        By += B_c @ y[lo:hi]
-        Pty += P_c.T @ y[lo:hi]
+        # rank-c updates of the upper triangles in place: BBt.T and PtP.T
+        # are the Fortran-order views whose lower triangles those are
+        syrk(1.0, B_c.T, beta=1.0, c=BBt.T, trans=1, lower=1, overwrite_c=1)
+        syrk(1.0, P_c.T, beta=1.0, c=PtP.T, trans=0, lower=1, overwrite_c=1)
+        BP += dot(B_c, P_c)
+        By += dot(B_c, y[lo:hi])
+        Pty += dot(P_c.T, y[lo:hi])
+    for S in (BBt, PtP):
+        lower = np.tril_indices(len(S), -1)
+        S[lower] = S.T[lower]
     return ApproxParts(
         spec=spec,
         frame=frame,
@@ -362,8 +369,8 @@ def _residual_bound(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     block = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
         A_rows = A[lo : lo + rows]
-        scale[lo : lo + rows] += np.abs(A_rows, out=block[: len(A_rows)]) @ abs_x
-    residual = float(np.linalg.norm(A @ x - b))
+        scale[lo : lo + rows] += dot(np.abs(A_rows, out=block[: len(A_rows)]), abs_x)
+    residual = float(np.linalg.norm(dot(A, x) - b))
     return residual + n * np.finfo(float).eps * float(np.linalg.norm(scale))
 
 
@@ -378,14 +385,14 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
     rhs_ext = sys.rhs.astype(np.longdouble)
 
     def _residual(x):
-        return float(np.linalg.norm((A_ext @ x - rhs_ext).astype(float)))
+        return float(np.linalg.norm((dot(A_ext, x) - rhs_ext).astype(float)))
 
     residual = _residual(sol)
     best_sol, best_residual = sol, residual
     for _ in range(8):
         if best_residual <= target:
             break
-        correction = scipy.linalg.lu_solve(lu, (rhs_ext - A_ext @ sol).astype(float))
+        correction = scipy.linalg.lu_solve(lu, (rhs_ext - dot(A_ext, sol)).astype(float))
         if not np.all(np.isfinite(correction)):
             break
         sol = sol + correction
@@ -448,15 +455,15 @@ def cpd_check(spec: KernelSpec, frame: PolyFrame, X, trials: int, seed=0) -> boo
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     P = unisolvency_matrix(frame, X)
-    Q, _ = np.linalg.qr(P)
+    Q, _ = scipy.linalg.qr(P, mode="economic")
     G = kernel_matrix(spec, X, X)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         v = rng.standard_normal(len(X))
-        v -= Q @ (Q.T @ v)
-        norm2 = v @ v
+        v -= dot(Q, dot(Q.T, v))
+        norm2 = dot(v, v)
         if norm2 < 1e-20:  # degenerate draw; P_X spans almost everything
             continue
-        if v @ G @ v <= CPD_SLACK * norm2:
+        if dot(dot(v, G), v) <= CPD_SLACK * norm2:
             return False
     return True

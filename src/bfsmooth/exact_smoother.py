@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import dot
 from .assembly import _check_rho, exact_system
 from .interpolant import (
     FittedModel,
@@ -62,7 +63,7 @@ def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
     if X.shape == model.centers.shape and np.array_equal(X, model.centers):
         _check_constraint(model)
         G = kernel_matrix(model.spec, X, X)
-        s = G @ model.v + model.frame.monomials(X) @ model.beta
+        s = dot(G, model.v) + dot(model.frame.monomials(X), model.beta)
         sn = _seminorm_from(model.spec, model.v, G)
     else:
         s = np.atleast_1d(eval_model(model, X))
@@ -101,7 +102,7 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     gap_functional = rel(J_e, float(np.mean((y - s) * y)))
     # P_X^T (s_X - y) = 0
     P = unisolvency_matrix(model.frame, X)
-    gap_constraint = float(np.linalg.norm(P.T @ (s - y))) / max(
+    gap_constraint = float(np.linalg.norm(dot(P.T, s - y))) / max(
         np.linalg.norm(y), 1.0
     )
     gaps = (gap_energy, gap_seminorm, gap_functional, gap_constraint)

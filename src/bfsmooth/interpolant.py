@@ -13,7 +13,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
+from ._blas import dot
 from .assembly import BlockSystem, interp_system, solve_block
 from .errors import ContractError, ParameterError
 from .kernels import KernelSpec, kernel_matrix
@@ -55,7 +57,7 @@ class FittedModel:
     def constraint_violation(self) -> float:
         """Norm of P_Z^T v, which must vanish for a well-formed model."""
         P = unisolvency_matrix(self.frame, self.centers)
-        return float(np.linalg.norm(P.T @ self.v))
+        return float(np.linalg.norm(dot(P.T, self.v)))
 
 
 def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
@@ -74,7 +76,7 @@ def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     N = sys.layout[0]
     y = sys.rhs[:N]
     # s at X from the system's first block row [G_XX, P_X] [v; beta]
-    fitted = sys.matrix[:N] @ np.concatenate([model.v, model.beta])
+    fitted = dot(sys.matrix[:N], np.concatenate([model.v, model.beta]))
     # tolerance scale matches the solver's norm-wise residual guarantee
     scale = 1.0 + float(np.linalg.norm(y))
     worst = float(np.max(np.abs(fitted - y))) if len(y) else 0.0
@@ -100,17 +102,18 @@ def eval_model(model: FittedModel | Sequence[FittedModel], x):
     n_c = len(first.centers)
     if n_c:
         # whole multiples of 8 rows: with OpenBLAS the tiled matvec then
-        # matches the untiled one bit for bit where that runs on one thread
+        # matches the untiled one bit for bit where that runs on one thread;
+        # dgemv of tile.T with trans=1 is tile @ v with no copy (`_blas`)
         rows = max(8, _EVAL_TILE_ENTRIES // n_c // 8 * 8)
         buffer = np.empty((min(rows, len(pts)), n_c))
         for lo in range(0, len(pts), rows):
             Q = pts[lo : lo + rows]
             tile = kernel_matrix(first.spec, Q, first.centers, out=buffer[: len(Q)])
             for row, m in zip(values, models):
-                row[lo : lo + rows] += tile @ m.v
+                row[lo : lo + rows] += blas.dgemv(1.0, tile.T, m.v, trans=1)
     monomials = first.frame.monomials(pts)
     for row, m in zip(values, models):
-        row += monomials @ m.beta
+        row += dot(monomials, m.beta)
     return _maybe_scalar(values[0], x) if single else values
 
 
@@ -146,7 +149,7 @@ def seminorm_sq(model: FittedModel) -> float:
 
 def _seminorm_from(spec: KernelSpec, w: np.ndarray, G: np.ndarray) -> float:
     """(2 pi)^(d/2) w^T G w for G over w's centers; clipped at zero."""
-    return max((2.0 * np.pi) ** (spec.d / 2.0) * float(w @ G @ w), 0.0)
+    return max((2.0 * np.pi) ** (spec.d / 2.0) * float(dot(dot(w, G), w)), 0.0)
 
 
 def _merged_centers(model1: FittedModel, model2: FittedModel):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._blas import dot
 from .errors import InputError, ParameterError, ParseError
 from .polyspace import UnisolventFrame, _maybe_scalar, as_points
 
@@ -249,7 +250,7 @@ def _semi_matrix(spec: KernelSpec, uf: UnisolventFrame, X, Y) -> np.ndarray:
     LXt, LY = uf.cardinal_values(X).T, uf.cardinal_values(Y)
     G_YX, G_YA = kernel_matrix(spec, Y, X), kernel_matrix(spec, Y, A)
     G_AX, G_AA = kernel_matrix(spec, A, X), kernel_matrix(spec, A, A)
-    core = G_YX - G_YA @ LXt - LY @ G_AX + LY @ (G_AA @ LXt)
+    core = G_YX - dot(G_YA, LXt) - dot(LY, G_AX) + dot(LY, dot(G_AA, LXt))
     return (2.0 * np.pi) ** (-spec.d / 2.0) * core
 
 
@@ -269,7 +270,7 @@ def riesz_representer(spec: KernelSpec, uf: UnisolventFrame, x, y):
     matrix whose column k is R_{x_k}.
     """
     values = _semi_matrix(spec, uf, x, y)
-    values += uf.cardinal_values(y) @ uf.cardinal_values(x).T
+    values += dot(uf.cardinal_values(y), uf.cardinal_values(x).T)
     return _per_x(values, x, y)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._blas import dot
 from .assembly import _check_rho
 from .errors import BfsmoothError, InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
@@ -86,9 +87,11 @@ class DensityFit:
 def exponential_sizes(n_sizes: int, maximum: int, multiplier: float):
     """Exponentially spaced sample sizes, each >= 2, ending at `maximum`.
 
-    Raises ParameterError when rounding leaves fewer than `n_sizes`
-    distinct sizes.
+    Raises ParameterError for n_sizes < 1, and when rounding leaves fewer
+    than `n_sizes` distinct sizes.
     """
+    if n_sizes < 1:
+        raise ParameterError(f"number of sizes must be >= 1, got {n_sizes}")
     if not multiplier > 1:
         raise ParameterError(f"multiplier must be > 1, got {multiplier}")
     if maximum < 2:
@@ -313,11 +316,11 @@ class RepresenterData:
         if self.beta.shape != (len(self.centers),):
             raise ParameterError("beta must have one entry per center")
         S = semi_riesz(spec, uf, self.centers, self.centers)
-        self.seminorm_sq = float(self.beta @ S @ self.beta)
+        self.seminorm_sq = float(dot(dot(self.beta, S), self.beta))
 
     def __call__(self, x):
         R = riesz_representer(self.spec, self.uf, self.centers, x)
-        return _maybe_scalar(R @ self.beta, x)
+        return _maybe_scalar(dot(R, self.beta), x)
 
 
 def _sample(data_fn, points) -> np.ndarray:

@@ -190,6 +190,24 @@ class TestApproxSystem:
         np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
         np.testing.assert_allclose(a.rhs, b.rhs, atol=1e-10)
 
+    def test_parts_match_dense_products(self, monkeypatch):
+        # BBt and PtP are rank-c updates of one triangle per chunk, mirrored
+        # once at the end: exactly symmetric, and the dense products up to
+        # rounding; BP, By and Pty likewise
+        frame = PolyFrame(2, 2)
+        rng, X, y = _gate_data()
+        X, y = X[:300], y[:300]
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.5)
+        monkeypatch.setattr(assembly, "DEFAULT_CHUNK", 64)  # 5 chunks, the last short
+        parts = approx_parts(spec, frame, X, y, _center_grid(6))
+        B = kernel_matrix(spec, parts.centers, X)
+        P = frame.monomials(X)
+        for got, want in ((parts.BBt, B @ B.T), (parts.PtP, P.T @ P)):
+            np.testing.assert_array_equal(got, got.T)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+        for got, want in ((parts.BP, B @ P), (parts.By, B @ y), (parts.Pty, P.T @ y)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+
     def test_parts_reused_across_rho(self):
         spec, frame, X, y = _random_instance(8, 100)
         Xp = np.linspace(-1.4, 1.4, 6)

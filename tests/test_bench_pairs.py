@@ -122,7 +122,7 @@ def test_op_differences_on_common_ops():
     assert len(bench_pairs.op_differences(parent[:1], [failed])) == 2
 
 
-def _fake_runs(monkeypatch, change_err_max):
+def _fake_runs(monkeypatch, change_err_max, probe=True):
     # run_side replaced by canned results: no benchmark process is started
     calls = []
 
@@ -134,7 +134,8 @@ def _fake_runs(monkeypatch, change_err_max):
         result = bench_pairs.parse_result(_run_output(latency, 1.0 / latency))
         err_max = [0.01, 0.02] if root.name == "parent" else change_err_max
         result["ops"] = _ops(err_max)
-        result["extra"] = {bench_pairs.WALL: 2 * latency + 0.1 * seed}
+        result["extra"] = {bench_pairs.WALL: 2 * latency + 0.1 * seed,
+                           bench_pairs.PROBE: (latency + 0.01 * seed) if probe else None}
         return result
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
@@ -155,7 +156,22 @@ def test_main_alternates_order(monkeypatch, capsys, tmp_path):
     # the unscaled wall time: parent 2.1, 2.2, 2.3 and change 1.3, 1.4, 1.5
     wall = next(line for line in out.splitlines() if line.startswith(bench_pairs.WALL))
     assert "2.2 (2.15-2.25)" in wall and "1.4 (1.35-1.45)" in wall
+    # the host-speed probe: parent 1.01, 1.02, 1.03 and change 0.61, 0.62, 0.63
+    probe = next(line for line in out.splitlines() if line.startswith(bench_pairs.PROBE))
+    assert "1.02 (1.015-1.025)" in probe and "0.62 (0.615-0.625)" in probe
+    assert probe.endswith("host-speed probe, report only")
     assert "differ" not in out
+
+
+def test_main_probe_not_reported_without_a_probe(monkeypatch, capsys, tmp_path):
+    # rho_tune has no probe: its probe_s is None on both sides
+    _fake_runs(monkeypatch, [0.01, 0.02], probe=False)
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "rho_tune", "--seeds", "1-2"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"{bench_pairs.PROBE}: not reported" in out
+    assert any(line.startswith(bench_pairs.WALL + " ") for line in out)
 
 
 def test_main_fails_on_per_op_differences(monkeypatch, capsys, tmp_path):

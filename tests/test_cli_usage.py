@@ -55,15 +55,22 @@ def test_density_max_size_below_two_exit_2(capsys):
     assert captured.err.startswith("error: ") and "maximum" in captured.err
 
 
-@pytest.mark.parametrize("argv, cause", [
-    (("--n-sizes", "0"), "--n-sizes 0"),
-    (("--n-sizes", "1"), "--n-sizes 1"),
-])
-def test_density_one_size_names_its_settings(argv, cause, capsys):
-    assert main(["study", "density", *argv]) == 2
+def test_density_one_size_names_its_settings(capsys):
+    assert main(["study", "density", "--n-sizes", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {cause} leaves one sample size (")
+    assert captured.err.startswith("error: --n-sizes 1 leaves one sample size (5000)")
+
+
+@pytest.mark.parametrize("n_sizes", ["0", "-3"])
+def test_density_no_sizes_exit_2(n_sizes, capsys):
+    # it used to report one sample size (the maximum) for none requested
+    assert main(["study", "density", "--n-sizes", n_sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: --n-sizes {n_sizes}, --max-size 5000, --multiplier 1.2: "
+        f"number of sizes must be >= 1, got {n_sizes}")
 
 
 @pytest.mark.parametrize("argv, message", [

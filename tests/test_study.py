@@ -133,6 +133,13 @@ class TestExponentialSizes:
         with pytest.raises(ParameterError, match="maximum"):
             exponential_sizes(3, maximum, 1.2)
 
+    @pytest.mark.parametrize("n_sizes", [0, -3])
+    def test_no_sizes_rejected(self, n_sizes):
+        # it used to return [maximum], one size for none requested
+        with pytest.raises(ParameterError, match=f"number of sizes must be >= 1, "
+                           f"got {n_sizes}"):
+            exponential_sizes(n_sizes, 50, 1.2)
+
     def test_never_exceeds_maximum(self):
         assert exponential_sizes(1, 2, 1.2) == [2]
         assert exponential_sizes(3, 7, 1.1) == [5, 6, 7]
