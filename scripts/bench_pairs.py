@@ -20,9 +20,19 @@ index both ran must show the same ``err_max`` and ``items``. It exits 1
 when any of them differ, and prints the largest relative ``err_max``
 difference, so that a change at the rounding level reads as one.
 
+With ``--trace``, each side runs once per seed with ``--trace 1``
+instead, and the script prints, per seed, each computed count of the
+traced run (the per-layer metrics of BENCHMARK.json whose unit is a
+count, a row order, flops or a ratio of counts: kernel entries, calls,
+orders, evals) for both sides, marking any that differ with DIFFER. It
+exits 1 when any count differs. Those counts carry no timing noise, so
+one run per side shows removed work.
+
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
         --workload rho_tune --seeds 61-70
+    python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT \\
+        --workload exact_dense --seeds 1 --trace
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ GAIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 OP_OUTPUTS = ("err_max", "items")  # per-op record fields both sides must agree on
 WALL = "wall_latency_p50_s"  # report only: wall time, not scaled by the host probe
 PROBE = "probe_s"  # report only: the host-speed probe's median time per run
+COUNT_UNITS = ("count/op", "rows", "flop/op", "ratio")  # per-layer metrics computed, not timed
 
 
 def parse_result(stdout: str) -> dict:
@@ -158,17 +169,55 @@ def format_extra(pairs: list[tuple[dict, dict]], name: str, what: str) -> str:
     return f"{name:<16} {sides[0]:<34} {sides[1]:<34} {what}, report only"
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run's JSON result, with the per-op records and the
-    report-only metrics it saved added under "ops" and "extra"."""
+def count_names(per_layer: list[dict]) -> list[str]:
+    """The computed counts among BENCHMARK.json's per-layer metrics."""
+    return [m["name"] for m in per_layer if m["unit"] in COUNT_UNITS]
+
+
+def count_rows(parent: dict, change: dict, names: list[str]) -> list[tuple]:
+    """(name, parent value, change value, differ) of traced runs' "metrics",
+    for the names either run reports."""
+    return [(name, parent[name]["value"] if name in parent else None,
+             change[name]["value"] if name in change else None,
+             parent.get(name) != change.get(name))
+            for name in names if name in parent or name in change]
+
+
+def format_counts(seed: int, rows: list[tuple]) -> str:
+    lines = [f"{f'seed {seed} computed counts per op':<58} {'parent':>16} {'change':>16}"]
+    lines += [f"  {name:<56} {p!r:>16} {c!r:>16}{'  DIFFER' if differ else ''}"
+              for name, p, c, differ in rows]
+    return "\n".join(lines)
+
+
+def compare_counts(args, names: list[str], seconds: float) -> int:
+    """Traced runs, one per side and seed: print the computed counts side
+    by side and return 1 if any differ."""
+    differing = 0
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        sides = {side: run_side(getattr(args, side), args.workload, seed, seconds,
+                                trace=1) for side in order}
+        rows = count_rows(sides["parent"]["metrics"], sides["change"]["metrics"], names)
+        differing += sum(row[3] for row in rows)
+        print(format_counts(seed, rows), flush=True)
+    print(f"computed counts that differ: {differing}")
+    return 1 if differing else 0
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One run's JSON result, with the per-op records and the report-only
+    metrics it saved added under "ops" and "extra"; a traced run's
+    "metrics" are its per-layer metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{root}: {' '.join(cmd)} exited {proc.returncode}")
     result = parse_result(proc.stdout)
-    saved = root / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
+    saved = root / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     saved = json.loads(saved.read_text())
     result["ops"], result["extra"] = saved["ops"], saved["extra"]
     return result
@@ -180,10 +229,14 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="root of the changed checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="61-70", help="e.g. 61-70 or 1,2,5")
+    ap.add_argument("--trace", action="store_true",
+                    help="compare the computed counts of traced runs instead")
     args = ap.parse_args(argv)
 
     benchmark = json.loads(BENCHMARK.read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    if args.trace:
+        return compare_counts(args, count_names(benchmark["per_layer"]), seconds)
     pairs, differing, err_change = [], 0, 0.0
     for i, seed in enumerate(parse_seeds(args.seeds)):
         sides = {}

@@ -12,7 +12,11 @@ with lam = (2 pi)^(d/2) N rho (`_lam`).  The dense systems come from one
 builder and carry a candidate solution by Cholesky (`_cardinal_solve`):
 through the cardinal basis of a minimal unisolvent subset of X, the
 constraint P_X^T v = 0 is eliminated and the corner block reduces to a
-positive definite matrix of order N - M.
+positive definite matrix of order N - M.  A dense system holds one N x N
+array, G_XX + lam I (`_SaddleSystem`): the candidate factors in its upper
+triangle, its strict lower triangle and a saved diagonal keep the
+system, and the (N + M)^2 saddle matrix is assembled from them only for
+LU, long-double refinement or a caller that reads `matrix`.
 
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks of
@@ -33,7 +37,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -46,24 +50,140 @@ from .polyspace import PolyFrame, as_points, is_unisolvent, unisolvency_matrix
 RESIDUAL_RTOL = 1e-8
 CPD_SLACK = -1e-10
 DEFAULT_CHUNK = 4096
+# Entries per row block of the pass over a dense system's lower triangle
+# (`_SaddleSystem.products`); at N = 2000, 2^17 ran faster than 2^15,
+# 2^16 and 2^18.
+_TRIANGLE_BLOCK_ENTRIES = 1 << 17
 
 
-@dataclass(frozen=True)
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-column matrix read in row blocks."""
+    return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
 class BlockSystem:
-    """A square symmetric linear system with named block partition."""
+    """A square symmetric linear system with named block partition.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
-    layout: tuple[int, ...]
-    provenance: str
-    # returns a trial solution (or None) that `solve_block` checks first
-    candidate: Callable[[], np.ndarray | None] | None = field(
-        default=None, repr=False, compare=False
-    )
+    `candidate`, when not None, returns a trial solution (or None) that
+    `solve_block` checks first.
+    """
+
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, layout: tuple[int, ...],
+                 provenance: str,
+                 candidate: Callable[[], np.ndarray | None] | None = None):
+        self.matrix = matrix
+        self.rhs = rhs
+        self.layout = tuple(layout)
+        self.provenance = provenance
+        self.candidate = candidate
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a solution vector along the block layout."""
         return tuple(np.split(solution, np.cumsum(self.layout)[:-1]))
+
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A x and |A| |x|, both from one pass over the matrix in row
+        blocks of about _BLOCK_ENTRIES entries."""
+        n = len(self.rhs)
+        Ax, abs_Ax = np.empty(n), np.empty(n)
+        abs_x = np.abs(x)
+        step = _block_rows(n)
+        scratch = np.empty((min(step, n), n))
+        for lo in range(0, n, step):
+            rows = self.matrix[lo : lo + step]
+            hi = lo + len(rows)
+            Ax[lo:hi] = dot(rows, x)
+            abs_Ax[lo:hi] = dot(np.abs(rows, out=scratch[: len(rows)]), abs_x)
+        return Ax, abs_Ax
+
+    def dense(self, dtype=float) -> np.ndarray:
+        """A new array holding the matrix, in Fortran order, so that LAPACK
+        can factor it in place."""
+        return np.array(self.matrix, dtype=dtype, order="F")
+
+
+class _SaddleSystem(BlockSystem):
+    """[[K, P], [P^T, 0]] [v; beta] = [y; 0] with K = G_XX + lam I, an
+    interpolation or exact-smoothing system held as one N x N array.
+
+    K is C-ordered and bit-symmetric (cdist squares fl(a - b) = -fl(b - a)).
+    Its Cholesky candidate (`_cardinal_solve`) factors in K's own upper
+    triangle, the lower one of K.T in LAPACK's order, so the strict lower
+    triangle and the diagonal saved here hold K throughout: every read of
+    the system goes through them (`products`, `dense`).  `matrix`, the
+    dense (N + M)^2 array, is assembled from them only when asked for, and
+    equals the eagerly assembled saddle matrix bit for bit.
+    """
+
+    def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray, provenance: str):
+        self.K, self.P = K, P
+        self.diag = K.diagonal().copy()
+        self.rhs = rhs
+        self.layout = P.shape
+        self.provenance = provenance
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.dense()
+
+    def candidate(self) -> np.ndarray | None:
+        return self._cholesky
+
+    @cached_property
+    def _cholesky(self) -> np.ndarray | None:
+        # computed once: the factorization overwrites K's upper triangle
+        return _cardinal_solve(self.K, self.P, self.rhs[: len(self.K)])
+
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A x and |A| |x| from one pass over K's strict lower triangle in
+        row blocks: the block of rows lo:hi and columns :hi, below the
+        diagonal, is applied as itself and as its transpose, so each entry
+        of K is read once, not twice as by rows."""
+        K, P = self.K, self.P
+        N = len(K)
+        v, beta = x[:N], x[N:]
+        abs_v, abs_beta = np.abs(v), np.abs(beta)
+        Kv = self.diag * v
+        abs_Kv = np.abs(self.diag) * abs_v
+        step = min(N, max(1, _TRIANGLE_BLOCK_ENTRIES // N))
+        scratch = np.empty(step * N)
+        upper = np.triu(np.ones((step, step), dtype=bool))
+        for lo in range(0, N, step):
+            hi = min(lo + step, N)
+            # columns :hi of rows lo:hi, contiguous for BLAS, with the upper
+            # triangle and diagonal of their square part zeroed
+            block = scratch[: (hi - lo) * hi].reshape(hi - lo, hi)
+            block[...] = K[lo:hi, :hi]
+            np.copyto(block[:, lo:], 0.0, where=upper[: hi - lo, : hi - lo])
+            Kv[lo:hi] += dot(block, v[:hi])
+            Kv[:hi] += dot(v[lo:hi], block)
+            np.abs(block, out=block)
+            abs_Kv[lo:hi] += dot(block, abs_v[:hi])
+            abs_Kv[:hi] += dot(abs_v[lo:hi], block)
+        abs_P = np.abs(P)
+        Ax = np.concatenate([Kv + dot(P, beta), dot(v, P)])
+        abs_Ax = np.concatenate([abs_Kv + dot(abs_P, abs_beta), dot(abs_v, abs_P)])
+        return Ax, abs_Ax
+
+    def dense(self, dtype=float) -> np.ndarray:
+        """The saddle matrix from K's strict lower triangle, the saved
+        diagonal and P, as a new Fortran-ordered array."""
+        K, P = self.K, self.P
+        N, M = P.shape
+        A = np.zeros((N + M, N + M), dtype)
+        A[:N, :N] = K  # its upper triangle is then replaced by the lower one
+        step = _block_rows(N)
+        for lo in range(0, N, step):
+            hi = min(lo + step, N)
+            A[lo:hi, hi:N] = K[hi:, lo:hi].T
+            square = A[lo:hi, lo:hi]
+            upper = np.triu_indices(hi - lo, 1)
+            square[upper] = square.T[upper]
+        diag = np.arange(N)
+        A[diag, diag] = self.diag
+        A[:N, N:] = P
+        A[N:, :N] = P.T
+        return A.T  # the matrix is symmetric, and A.T is in Fortran order
 
 
 def _require_unisolvent(frame: PolyFrame, X, what: str):
@@ -102,22 +222,18 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
 
 
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
-    """The one dense builder: G_XX + lam I is written before the system is
-    made.  rho = 0 gives the interpolation system."""
+    """The one dense builder: G_XX + lam I is written into one C-ordered
+    N x N array, which the system keeps beside P_X (`_SaddleSystem`).
+    rho = 0 gives the interpolation system."""
     X, y = _data(frame, X, y)
     N, M = len(X), frame.M
     lam = _lam(spec, N, rho) if rho != 0 else 0.0
-    P = unisolvency_matrix(frame, X)
-    A = np.zeros((N + M, N + M))
-    kernel_matrix(spec, X, X, out=A[:N, :N])
+    K = kernel_matrix(spec, X, X)
     diag = np.arange(N)
-    A[diag, diag] += lam
-    A[:N, N:] = P
-    A[N:, :N] = P.T
+    K[diag, diag] += lam
     rhs = np.concatenate([y, np.zeros(M)])
-    return BlockSystem(matrix=A, rhs=rhs, layout=(N, M),
-                       provenance="exact" if rho else "interp",
-                       candidate=partial(_cardinal_solve, A, rhs, N))
+    return _SaddleSystem(K, unisolvency_matrix(frame, X), rhs,
+                         "exact" if rho else "interp")
 
 
 @dataclass(frozen=True)
@@ -224,7 +340,7 @@ def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.nd
                                     c=K_RR, lower=1, overwrite_c=1)
 
 
-def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray | None:
+def _cardinal_solve(K: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Cholesky solution of an interpolation or exact-smoothing system, or
     None when its reduced matrix is not positive definite to working
     precision.
@@ -233,22 +349,27 @@ def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray |
     P_X^T v = 0 for every w, and the first block row projected by Z^T gives
     Z^T K Z w = Z^T y with K = G_XX + lam I: symmetric positive definite of
     order N - M for a strictly conditionally positive definite kernel.
-    The reduction is written into one copy of K in its original order,
-    with the A rows and columns set to the identity, so no permutation is
-    needed.  beta = P_A^-1 (y_A - (K v)_A) from the A rows.
+    The reduction is written into K itself, in its original order, with
+    the A rows and columns set to the identity, so no permutation is
+    needed: K is C-ordered and symmetric, so K.T is its Fortran order, and
+    `dsyr2k`, `dpotrf` and `dpotrs` work in place on K.T's lower triangle.
+    That is K's upper triangle with the diagonal; K's strict lower
+    triangle is left as it was.  beta = P_A^-1 (y_A - (K v)_A) from the
+    A rows, read before the factorization.
     """
-    K, P, y = matrix[:N, :N], matrix[:N, N:], rhs[:N]
+    N = len(K)
     A, R, C = _cardinal_basis(P)
     M = len(A)
-    buf = K.copy()  # C order; K is symmetric, so buf.T is its Fortran order
     W = np.zeros((N, M))
-    W[R] = _half_cross(buf, A, R, C)
+    W[R] = _half_cross(K, A, R, C)
+    K_A = K[A]
     Ct = np.zeros((N, M))
     Ct[R] = C.T
-    buf[A] = 0.0
-    buf[:, A] = 0.0
-    buf[A, A] = 1.0
-    low = scipy.linalg.blas.dsyr2k(-1.0, W, Ct, beta=1.0, c=buf.T, lower=1,
+    for a in A:  # inside the upper triangle only
+        K[a, a:] = 0.0
+        K[:a, a] = 0.0
+        K[a, a] = 1.0
+    low = scipy.linalg.blas.dsyr2k(-1.0, W, Ct, beta=1.0, c=K.T, lower=1,
                                    overwrite_c=1)
     low, info = scipy.linalg.lapack.dpotrf(low, lower=1, overwrite_a=1, clean=0)
     if info != 0:
@@ -257,7 +378,7 @@ def _cardinal_solve(matrix: np.ndarray, rhs: np.ndarray, N: int) -> np.ndarray |
     b[R] = y[R] - dot(C.T, y[A])
     w, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
     v = _expand(w[R], A, R, C)
-    beta = scipy.linalg.solve(P[A], y[A] - dot(K[A], v))
+    beta = scipy.linalg.solve(P[A], y[A] - dot(K_A, v))
     return np.concatenate([v, beta])
 
 
@@ -352,26 +473,22 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     )
 
 
-def _residual_bound(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     """Upper bound on |A x - b|_2 from double-precision arithmetic alone.
 
     The computed residual r = fl(A x - b) differs from the true one by at
     most gamma_{n+1} (|A| |x| + |b|) componentwise (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5).
-    For n >= 2, n * eps = 2 n u exceeds gamma_{n+1} by about 2x, which
-    covers the rounding of the bound itself.  |A| |x| is formed in row
-    blocks, so no n x n temporary is made.
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5),
+    in any summation order.  For n >= 2, n * eps = 2 n u exceeds
+    gamma_{n+1} by about 2x, which covers the rounding of the bound itself.
+    A x and |A| |x| come from one pass over the system's row blocks
+    (`BlockSystem.products`), so no n x n temporary is made.
     """
-    n = len(b)
-    scale = np.abs(b)
-    abs_x = np.abs(x)
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    block = np.empty((min(rows, n), n))
-    for lo in range(0, n, rows):
-        A_rows = A[lo : lo + rows]
-        scale[lo : lo + rows] += dot(np.abs(A_rows, out=block[: len(A_rows)]), abs_x)
-    residual = float(np.linalg.norm(dot(A, x) - b))
-    return residual + n * np.finfo(float).eps * float(np.linalg.norm(scale))
+    b = sys.rhs
+    Ax, scale = sys.products(x)
+    scale += np.abs(b)
+    residual = float(np.linalg.norm(Ax - b))
+    return residual + len(b) * np.finfo(float).eps * float(np.linalg.norm(scale))
 
 
 def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
@@ -381,7 +498,7 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
     run a fixed number of sweeps and keep the best iterate.  Returns the
     best iterate and its long-double residual norm.
     """
-    A_ext = sys.matrix.astype(np.longdouble)
+    A_ext = sys.dense(np.longdouble)
     rhs_ext = sys.rhs.astype(np.longdouble)
 
     def _residual(x):
@@ -407,13 +524,17 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
 
     Every accepted solution passes a rigorous upper bound on its residual,
     |fl(A x - b)| + n eps ||A| |x| + |b|| (the matvec rounding bound of
-    Higham 2002, section 3.5), against the original system.
+    Higham 2002, section 3.5), against the original system; A x and
+    |A| |x| come from one pass over the system (`BlockSystem.products`),
+    for a dense interpolation or exact system over the intact lower
+    triangle of G_XX + lam I, whose upper triangle the candidate factored.
     Candidate: a system that carries one (an interpolation or exact
     system's Cholesky solve, a repeated-rho approximate system's spectral
     solve) has it tried first, and it is returned when the bound is
     within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
     LU, otherwise (no candidate, a candidate of None, or a miss): the LU
-    solution is returned when the same bound holds.
+    factorization overwrites a fresh copy of the matrix (`dense`), and the
+    LU solution is returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised.
@@ -422,13 +543,13 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     target = 0.05 * RESIDUAL_RTOL * rhs_norm
     if sys.candidate is not None:
         sol = sys.candidate()
-        if sol is not None and _residual_bound(sys.matrix, sol, sys.rhs) <= target:
+        if sol is not None and _residual_bound(sys, sol) <= target:
             return sol
     try:
         with warnings.catch_warnings():
             # singularity is reported through SolveError, not a warning
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(sys.matrix)
+            lu = scipy.linalg.lu_factor(sys.dense(), overwrite_a=True)
             sol = scipy.linalg.lu_solve(lu, sys.rhs)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolveError(f"{sys.provenance} system solve failed: {exc}") from exc
@@ -436,7 +557,7 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
         raise SolveError(f"{sys.provenance} system is singular to working precision")
     # The bound exceeds the long-double residual the refinement would
     # compute first, so passing it returns what the refinement would.
-    if _residual_bound(sys.matrix, sol, sys.rhs) <= target:
+    if _residual_bound(sys, sol) <= target:
         return sol
     sol, residual = _refine_extended(sys, lu, sol, target)
     if residual > RESIDUAL_RTOL * max(rhs_norm, 1e-300):

@@ -76,7 +76,7 @@ def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     N = sys.layout[0]
     y = sys.rhs[:N]
     # s at X from the system's first block row [G_XX, P_X] [v; beta]
-    fitted = dot(sys.matrix[:N], np.concatenate([model.v, model.beta]))
+    fitted = sys.products(np.concatenate([model.v, model.beta]))[0][:N]
     # tolerance scale matches the solver's norm-wise residual guarantee
     scale = 1.0 + float(np.linalg.norm(y))
     worst = float(np.max(np.abs(fitted - y))) if len(y) else 0.0

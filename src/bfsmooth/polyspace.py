@@ -115,7 +115,12 @@ def unisolvency_matrix(frame: PolyFrame, X) -> np.ndarray:
 
 def _has_duplicates(pts: np.ndarray) -> bool:
     # After a lexicographic sort a repeated point has an equal neighbour;
-    # == counts -0.0 and 0.0 as the same coordinate.
+    # == counts -0.0 and 0.0 as the same coordinate.  Points whose first
+    # coordinates all differ are distinct, which one sort of that
+    # coordinate shows for less than the full sort costs.
+    first = np.sort(pts[:, 0])
+    if not np.any(first[1:] == first[:-1]):
+        return False
     same = np.ones(max(len(pts) - 1, 0), dtype=bool)
     for x in pts[np.lexsort(pts.T)].T:
         same &= x[1:] == x[:-1]

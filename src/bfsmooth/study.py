@@ -368,13 +368,16 @@ def rho_search(
 ):
     """Minimize error_fn over rho by stepping up/down by a factor.
 
-    At each step both rho * factor and rho / factor are tried and the
-    best of the three is kept; once neither direction improves, the
-    factor shrinks (square root).  Stops when the relative change of the
-    error is at most err_tol (a tie stops even at err_tol = 0), when the
-    factor is within RHO_TOL of 1, or after MAX_ITER steps.
-    Each distinct rho is evaluated once (an exact float key; a step back,
-    rho * factor / factor, is often exactly rho) and its error reused.
+    At each step both rho * f and rho / f are tried and the best of the
+    three is kept; once neither direction improves, the step factor f
+    shrinks (square root).  Stops when the relative change of the error
+    is at most err_tol (a tie stops even at err_tol = 0), when f is
+    within RHO_TOL of 1, or after MAX_ITER steps.
+    Every candidate lies on the lattice rho0 * factor**t: the exponent t
+    moves by +-step, and step halves where f is square-rooted, so t is a
+    dyadic rational held exactly.  A step back or a revisit therefore
+    gives the same float, and each distinct rho is evaluated once (an
+    exact float key) and its error reused.
     `error_fn` is called once per step that has a candidate not yet
     scored, with a 1-d float array of those candidates ([rho0] first, then
     up before down), and must return one error per rho in that order; a
@@ -406,18 +409,26 @@ def rho_search(
             trace.append((rho, scored[rho]))
         return [scored[rho] for rho in rhos]
 
+    def at(t: float) -> float:
+        try:
+            return rho0 * factor**t
+        except OverflowError:
+            return math.inf
+
     rho, (err,) = rho0, evaluate([rho0])
+    t, step = 0.0, 1.0  # rho = rho0 * factor**t, f = factor**step
     for _ in range(MAX_ITER):
-        up, down = rho * factor, rho / factor
+        up, down = at(t + step), at(t - step)
         err_up, err_down = evaluate([up, down])
-        best_err, best_rho = min((err_up, up), (err_down, down))
+        best_err, best_rho, best_t = min((err_up, up, t + step),
+                                         (err_down, down, t - step))
         if best_err <= err:
             change = abs(err - best_err) / max(abs(err), 1e-300)
-            rho, err = best_rho, best_err
+            rho, err, t = best_rho, best_err, best_t
             if change <= err_tol:
                 break
         else:
-            factor = math.sqrt(factor)
-            if factor - 1.0 < RHO_TOL:
+            step /= 2
+            if factor**step - 1.0 < RHO_TOL:
                 break
     return rho, trace

@@ -343,6 +343,16 @@ def _center_grid(k):
     return np.column_stack([a.ravel() for a in np.meshgrid(t, t)])
 
 
+def _gate_exact_systems(spec, rhos=(1e-3, 1e-8)):
+    # (label, system) of the exact systems on the first 400 gate points;
+    # rho = 0 gives the interpolation system
+    _, X, y = _gate_data()
+    for rho in rhos:
+        kind = f"exact rho={rho:g}" if rho else "interp"
+        yield f"{spec.label()} {kind}", exact_system(spec, PolyFrame(2, 2), X[:400],
+                                                    y[:400], rho)
+
+
 def _gate_systems():
     # Approximate systems on fine center grids at small rho, and exact
     # systems down to rho = 1e-8: condition numbers up to about 1e21.
@@ -353,10 +363,7 @@ def _gate_systems():
             parts = approx_parts(spec, frame, X, y, _center_grid(k))
             for rho in (1e-2, 1e-6, 1e-9):
                 yield f"{spec.label()} {k}x{k} rho={rho:g}", parts.system(rho)
-        for rho in (1e-3, 1e-8):
-            yield f"{spec.label()} exact rho={rho:g}", exact_system(
-                spec, frame, X[:400], y[:400], rho
-            )
+        yield from _gate_exact_systems(spec)
     # Wilkinson's growth-factor matrix: LU's relative residual climbs from
     # 3e-10 (n = 26) to 3e-8 (n = 32), across the 5e-10 early-exit target.
     for n in (26, 28, 30, 32):
@@ -422,7 +429,8 @@ class TestSolveBlockGate:
                 for row, c in zip(A, b)
             ]
             true_sq = sum(r * r for r in exact)
-            bound = Fraction(assembly._residual_bound(A, x, b))
+            sys = BlockSystem(matrix=A, rhs=b, layout=(len(b),), provenance="test")
+            bound = Fraction(assembly._residual_bound(sys, x))
             assert bound * bound >= true_sq
 
 
@@ -457,7 +465,7 @@ class TestSpectralCandidate:
             sys = parts.system(rho)
             cand = sys.candidate()
             target = 0.05 * RESIDUAL_RTOL * np.linalg.norm(sys.rhs)
-            if assembly._residual_bound(sys.matrix, cand, sys.rhs) > target:
+            if assembly._residual_bound(sys, cand) > target:
                 continue
             accepted += 1
             assert np.array_equal(solve_block(sys), cand)
@@ -658,6 +666,141 @@ class TestCardinalCandidate:
         assert abs(np.sum(got[:-1])) <= CONSTRAINT_RTOL * np.linalg.norm(got[:-1])
 
 
+def _eager_matrix(spec, frame, X, rho):
+    # the saddle matrix as it was assembled before the Cholesky candidate
+    # factored in the kernel's own buffer
+    N, M = len(X), frame.M
+    A = np.zeros((N + M, N + M))
+    A[:N, :N] = kernel_matrix(spec, X, X)
+    diag = np.arange(N)
+    A[diag, diag] += assembly._lam(spec, N, rho) if rho else 0.0
+    A[:N, N:] = frame.monomials(X)
+    A[N:, :N] = frame.monomials(X).T
+    return A
+
+
+def _copy_candidate(matrix, rhs, N):
+    # the Cholesky candidate on a copy of G + lam I, as it was computed
+    # before it factored in place
+    K, P, y = matrix[:N, :N], matrix[:N, N:], rhs[:N]
+    A, R, C = assembly._cardinal_basis(P)
+    M = len(A)
+    buf = K.copy()
+    W = np.zeros((N, M))
+    W[R] = assembly._half_cross(buf, A, R, C)
+    Ct = np.zeros((N, M))
+    Ct[R] = C.T
+    buf[A] = 0.0
+    buf[:, A] = 0.0
+    buf[A, A] = 1.0
+    low = scipy.linalg.blas.dsyr2k(-1.0, W, Ct, beta=1.0, c=buf.T, lower=1,
+                                   overwrite_c=1)
+    low, info = scipy.linalg.lapack.dpotrf(low, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None
+    b = np.zeros(N)
+    b[R] = y[R] - assembly.dot(C.T, y[A])
+    w, _ = scipy.linalg.lapack.dpotrs(low, b, lower=1)
+    v = assembly._expand(w[R], A, R, C)
+    beta = scipy.linalg.solve(P[A], y[A] - assembly.dot(K[A], v))
+    return np.concatenate([v, beta])
+
+
+class TestInPlaceCandidate:
+    """Interpolation and exact systems hold G_XX + lam I once; the
+    Cholesky candidate factors in its upper triangle, and everything else
+    reads the strict lower triangle and the saved diagonal."""
+
+    SPECS = ILL_SPECS[:3]  # gauss, mq, r^2 log r
+    RHOS = (0.0, 1e-3, 1e-8)  # 0: the interpolation system
+
+    def test_paths_bit_for_bit(self, monkeypatch):
+        frame = PolyFrame(2, 2)
+        _, X, _ = _gate_data()
+        lu_inputs = []
+
+        def spy(a, *args, _lu=scipy.linalg.lu_factor, **kwargs):
+            lu_inputs.append(np.array(a))
+            return _lu(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        paths = set()
+        for spec in self.SPECS:
+            for rho in self.RHOS:
+                (label, sys), = _gate_exact_systems(spec, (rho,))
+                (_, fresh), = _gate_exact_systems(spec, (rho,))
+                eager = _eager_matrix(spec, frame, X[:400], rho)
+                N = sys.layout[0]
+                want = _copy_candidate(eager, sys.rhs, N)
+                lu_inputs.clear()
+                got = _outcome(solve_block, sys)
+                cand = sys.candidate()
+                assert (cand is None) == (want is None), label
+                if cand is not None:
+                    assert np.array_equal(cand, want), label
+                if not lu_inputs:  # (1) the accepted candidate is the copy-based one
+                    assert np.array_equal(got, want), label
+                    paths.add("candidate")
+                else:  # (2) LU factors the eagerly assembled matrix
+                    assert np.array_equal(lu_inputs[0], eager), label
+                    other = BlockSystem(matrix=eager, rhs=sys.rhs, layout=sys.layout,
+                                        provenance=sys.provenance)
+                    want_lu = _outcome(solve_block, other)
+                    assert type(got) is type(want_lu), label
+                    assert (got == want_lu if isinstance(got, str)
+                            else np.array_equal(got, want_lu)), label
+                    paths.add("lu, no factor" if cand is None else "lu, missed gate")
+                # (3) the dense matrix, read after the candidate and before it
+                assert np.array_equal(sys.matrix, eager), label
+                assert np.array_equal(fresh.matrix, eager), label
+        assert paths == {"candidate", "lu, no factor", "lu, missed gate"}, paths
+
+    def test_bound_covers_extended_residual(self):
+        # (4) the triangle pass bounds the long-double residual of every
+        # solution tried, and its products agree with the row pass over the
+        # dense matrix within their rounding bound
+        for spec in self.SPECS:
+            for label, sys in _gate_exact_systems(spec, self.RHOS):
+                dense = BlockSystem(matrix=sys.matrix, rhs=sys.rhs, layout=sys.layout,
+                                    provenance=sys.provenance)
+                cand = sys.candidate()
+                lu = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
+                for x in (cand, lu):
+                    if x is None:
+                        continue
+                    bound = assembly._residual_bound(sys, x)
+                    assert bound >= _extended_residual(sys, x), label
+                    Ax, abs_Ax = sys.products(x)
+                    want_Ax, want_abs = dense.products(x)
+                    slack = 2 * len(x) * np.finfo(float).eps * want_abs
+                    assert np.all(np.abs(Ax - want_Ax) <= slack), label
+                    assert np.all(np.abs(abs_Ax - want_abs) <= slack), label
+
+
+class TestDenseFitMemory:
+    @pytest.mark.parametrize("fit", ["interpolant", "exact"])
+    def test_one_matrix(self, fit):
+        # a dense fit holds one N x N matrix: two would be 2 * 8 N^2 bytes
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.5)
+        frame = PolyFrame(2, 2)
+        rng = np.random.default_rng(17)
+        N = 800
+        X = rng.uniform(-1.5, 1.5, (N, 2))
+        y = np.sin(X.sum(axis=1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            if fit == "exact":
+                fit_exact(spec, frame, X, y, 1e-4)
+            else:
+                interpolant.fit_interpolant(spec, frame, X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.3 * 8 * N**2
+
+
 class TestSolveBlockMemory:
     def test_peak_allocation_is_the_factorization(self):
         # Allocations, not time: beside the LU copy of A, the gate adds only
@@ -691,7 +834,7 @@ class TestExactSystemMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 1.1 * sys.matrix.nbytes
+        assert peak - before <= 1.1 * sys.K.nbytes
 
     def test_blocks_bit_for_bit(self):
         spec, frame, X, y = _random_instance(12, 300, d=2, theta=2)

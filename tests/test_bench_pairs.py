@@ -193,3 +193,72 @@ def test_err_max_change_is_relative_and_skips_failed_ops():
     failed = {"op": 1, "error": "SolveError: x"}
     assert bench_pairs.err_max_change(parent, [change[0], failed]) == 0.0
     assert bench_pairs.err_max_change(_ops([0.0]), _ops([1e-300])) == math.inf
+
+
+PER_LAYER = [{"name": "kernels.kernel_matrix.self_s", "unit": "s/op"},
+             {"name": "kernels.kernel_matrix.entries", "unit": "count/op"},
+             {"name": "kernels.entries_per_op", "unit": "ratio"},
+             {"name": "assembly.approx_parts.gflops", "unit": "GFLOP/s"},
+             {"name": "assembly.solve_block.order", "unit": "rows"},
+             {"name": "assembly.solve_block.lu_flops", "unit": "flop/op"},
+             {"name": "study.rho_search.evals", "unit": "count/op"},
+             {"name": "study.gen_uniform.self_s", "unit": "s/setup"}]
+
+
+def _traced_output(entries, calls, evals, self_s):
+    # the last line of a traced run: per-layer metrics, timed and counted
+    metrics = {"kernels.kernel_matrix.self_s": {"value": self_s, "unit": "s/op"},
+               "kernels.kernel_matrix.entries": {"value": entries, "unit": "count/op"},
+               "assembly.solve_block.calls": {"value": calls, "unit": "count/op"},
+               "study.rho_search.evals": {"value": evals, "unit": "count/op"}}
+    last = json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics})
+    return f"# workload rho_tune  seed 1  trace 1\nlayer x 1 s/op\n{last}\n"
+
+
+def test_count_names_are_the_computed_units():
+    assert bench_pairs.count_names(PER_LAYER) == [
+        "kernels.kernel_matrix.entries", "kernels.entries_per_op",
+        "assembly.solve_block.order", "assembly.solve_block.lu_flops",
+        "study.rho_search.evals"]
+    names = bench_pairs.count_names(
+        json.loads(bench_pairs.BENCHMARK.read_text())["per_layer"])
+    assert "assembly.solve_block.calls" in names
+    assert not any(name.endswith("self_s") for name in names)
+
+
+def test_count_rows_flag_differences_only():
+    parent = bench_pairs.parse_result(_traced_output(8e6, 23.67, 32.3, 0.3))["metrics"]
+    change = bench_pairs.parse_result(_traced_output(8e6, 21.0, 32.3, 0.1))["metrics"]
+    names = ["kernels.kernel_matrix.entries", "assembly.solve_block.calls",
+             "study.rho_search.evals", "assembly.solve_block.order"]
+    rows = bench_pairs.count_rows(parent, change, names)
+    assert rows == [("kernels.kernel_matrix.entries", 8e6, 8e6, False),
+                    ("assembly.solve_block.calls", 23.67, 21.0, True),
+                    ("study.rho_search.evals", 32.3, 32.3, False)]
+    text = bench_pairs.format_counts(4, rows).splitlines()
+    assert text[0].startswith("seed 4 computed counts per op")
+    assert [line.endswith("DIFFER") for line in text[1:]] == [False, True, False]
+    assert "23.67" in text[2] and "21.0" in text[2]
+
+
+@pytest.mark.parametrize("change_calls, code", [(23.67, 0), (21.0, 1)])
+def test_main_trace_runs_traced_sides(monkeypatch, capsys, tmp_path, change_calls, code):
+    calls = []
+
+    def fake_run_side(root, workload, seed, seconds, trace=0):
+        calls.append((root.name, seed, trace))
+        value = 23.67 if root.name == "parent" else change_calls
+        result = bench_pairs.parse_result(_traced_output(8e6, value, 32.3, 0.3))
+        result["ops"], result["extra"] = _ops([0.01]), {}
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    got = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                            "--workload", "rho_tune", "--seeds", "1-2", "--trace"])
+    assert got == code
+    assert calls == [("parent", 1, 1), ("change", 1, 1), ("change", 2, 1),
+                     ("parent", 2, 1)]
+    out = capsys.readouterr().out
+    assert out.count("DIFFER") == 2 * code
+    assert f"computed counts that differ: {2 * code}" in out
+    assert "latency_p50_s" not in out  # no end-to-end table on traced runs

@@ -113,6 +113,39 @@ class TestDuplicates:
     def test_zero_or_one_point(self, d, n):
         assert not _has_duplicates(np.zeros((n, d)))
 
+    @staticmethod
+    def _lexsort_reference(pts):
+        same = np.ones(max(len(pts) - 1, 0), dtype=bool)
+        for x in pts[np.lexsort(pts.T)].T:
+            same &= x[1:] == x[:-1]
+        return bool(same.any())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_full_lexsort(self, d):
+        rng = np.random.default_rng(40 + d)
+        distinct = rng.uniform(-1.5, 1.5, (200, d))
+        planted = distinct.copy()
+        planted[150] = planted[7]
+        # ties in x1 only: the later coordinates tell the points apart
+        tied = distinct.copy()
+        tied[::2, 0] = 0.5
+        tied_dup = tied.copy()
+        tied_dup[10] = tied[20]
+        # +-0.0 in every coordinate are the same point
+        signed = distinct.copy()
+        signed[3], signed[90] = 0.0, -0.0
+        signed_first = distinct.copy()
+        signed_first[[5, 60], 0] = [0.0, -0.0]
+        grid = np.stack(np.meshgrid(*[np.arange(3.0)] * d), -1).reshape(-1, d)
+        cases = [(distinct, False), (planted, True), (signed, True),
+                 (signed_first, d == 1), (grid, False),
+                 (np.concatenate([grid, grid[-1:]]), True)]
+        if d > 1:
+            cases += [(tied, False), (tied_dup, True)]
+        for pts, want in cases:
+            assert self._lexsort_reference(pts) == want
+            assert _has_duplicates(pts) == want
+
     @pytest.mark.parametrize("check", [is_unisolvent, minimal_unisolvent_subset])
     def test_checks_reject_duplicates(self, check):
         X = [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (-0.0, 1.0)]

@@ -416,6 +416,7 @@ class TestRepresenterData:
 def _unmemoized_rho_search(error_fn, rho0, factor=10.0, err_tol=0.01,
                            rho_tol=0.01, max_iter=60):
     # rho_search without its cache: error_fn is called for every candidate
+    # on the lattice rho0 * factor**t
     trace = []
 
     def evaluate(rho):
@@ -426,18 +427,19 @@ def _unmemoized_rho_search(error_fn, rho0, factor=10.0, err_tol=0.01,
         return value
 
     rho, err = rho0, evaluate(rho0)
+    t, step = 0.0, 1.0
     for _ in range(max_iter):
-        candidates = [(evaluate(rho * factor), rho * factor),
-                      (evaluate(rho / factor), rho / factor)]
-        best_err, best_rho = min(candidates)
+        up, down = rho0 * factor ** (t + step), rho0 * factor ** (t - step)
+        candidates = [(evaluate(up), up, t + step), (evaluate(down), down, t - step)]
+        best_err, best_rho, best_t = min(candidates)
         if best_err <= err:
             change = abs(err - best_err) / max(abs(err), 1e-300)
-            rho, err = best_rho, best_err
+            rho, err, t = best_rho, best_err, best_t
             if change <= err_tol:
                 break
         else:
-            factor = math.sqrt(factor)
-            if factor - 1.0 < rho_tol:
+            step /= 2
+            if factor**step - 1.0 < rho_tol:
                 break
     return rho, trace
 
@@ -514,6 +516,16 @@ class TestRhoSearch:
         rhos = [r for r, _ in want[1]]
         assert len(set(rhos)) < len(rhos)
         assert rho_search(err, 1.0, err_tol=0.0) == want
+
+    def test_lattice_overflow_is_inf(self):
+        # rho0 * factor**t past the float range is inf, as rho * factor was
+        # before the lattice, and the error function sees it
+        def err(rhos):
+            return -np.log10(np.clip(rhos, 1e-308, 1e308))
+
+        best, trace = rho_search(err, 1e-300, factor=1e200, err_tol=0.0)
+        assert math.inf in [r for r, _ in trace]
+        assert best == math.inf
 
     def test_non_finite_raises_with_trace(self):
         with pytest.raises(SearchError):
