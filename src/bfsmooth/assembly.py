@@ -1,22 +1,26 @@
 """Block saddle-point systems for interpolation and smoothing.
 
-Three symmetric systems are assembled here:
+The three fits minimize over the kernel span plus P_theta under the
+constraint P^T v = 0, so each solves [[K, P], [P^T, 0]] x = [r; 0] and
+they differ only in K, P and r:
 
-    exact smoothing     [[G_XX + lam I, P_X], [P_X^T, 0]] [v; beta] = [y; 0]
+    exact smoothing     K = G_XX + lam I, P = P_X, r = y
     interpolation       the same with lam = 0
-    approximate         [[lam G_X'X' + B B^T, B P_X, P_X'],
-    smoothing            [P_X^T B^T, P_X^T P_X, 0],
-                         [P_X'^T, 0, 0]]  with B = G_X'X
+    approximate         K = [[lam G_X'X' + B B^T, B P_X],  P = [P_X'; 0],
+    smoothing                [P_X^T B^T, P_X^T P_X]],      r = [B y; P_X^T y]
 
-with lam = (2 pi)^(d/2) N rho (`_lam`).  The dense systems come from one
-builder and carry a candidate solution by Cholesky (`_cardinal_solve`):
-through the cardinal basis of a minimal unisolvent subset of X, the
-constraint P_X^T v = 0 is eliminated and the corner block reduces to a
-positive definite matrix of order N - M.  A dense system holds one N x N
-array, G_XX + lam I (`_SaddleSystem`): the candidate factors in its upper
-triangle, its strict lower triangle and a saved diagonal keep the
-system, and the (N + M)^2 saddle matrix is assembled from them only for
-LU, long-double refinement or a caller that reads `matrix`.
+with B = G_X'X and lam = (2 pi)^(d/2) N rho (`_lam`).  One type holds all
+three (`BlockSystem`): K is bit-symmetric and kept as one C-ordered array
+beside P, the system is read through K's strict lower triangle and a
+saved diagonal, and the dense saddle matrix is assembled from them only
+for LU, long-double refinement or a caller that reads `matrix`.
+
+The interpolation and exact systems come from one builder and carry a
+candidate solution by Cholesky (`_cardinal_solve`): through the cardinal
+basis of a minimal unisolvent subset of X, the constraint P_X^T v = 0 is
+eliminated and the corner block reduces to a positive definite matrix of
+order N - M, which is factored in K's own upper triangle, so such a
+system holds one N x N array.
 
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks of
@@ -37,7 +41,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -50,8 +54,8 @@ from .polyspace import PolyFrame, as_points, is_unisolvent, unisolvency_matrix
 RESIDUAL_RTOL = 1e-8
 CPD_SLACK = -1e-10
 DEFAULT_CHUNK = 4096
-# Entries per row block of the pass over a dense system's lower triangle
-# (`_SaddleSystem.products`); at N = 2000, 2^17 ran faster than 2^15,
+# Entries per row block of the pass over a system's lower triangle
+# (`BlockSystem.products`); at N = 2000, 2^17 ran faster than 2^15,
 # 2^16 and 2^18.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 17
 
@@ -62,16 +66,24 @@ def _block_rows(n: int) -> int:
 
 
 class BlockSystem:
-    """A square symmetric linear system with named block partition.
+    """[[K, P], [P^T, 0]] x = rhs, the system of every fit (module
+    docstring), with the symmetric K held as one C-ordered array beside P.
 
-    `candidate`, when not None, returns a trial solution (or None) that
-    `solve_block` checks first.
+    Every read of the system goes through K's strict lower triangle and
+    the diagonal saved here (`products`, `dense`), which an interpolation
+    or exact system's Cholesky candidate leaves intact: it factors in K's
+    upper triangle.  `matrix`, the dense array, is assembled only when
+    asked for and, K being bit-symmetric, equals the eagerly assembled
+    saddle matrix bit for bit.  `layout` gives the block sizes of a
+    solution (`split`); `candidate`, when not None, returns a trial
+    solution (or None) that `solve_block` checks first.
     """
 
-    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, layout: tuple[int, ...],
-                 provenance: str,
+    def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
+                 layout: tuple[int, ...], provenance: str,
                  candidate: Callable[[], np.ndarray | None] | None = None):
-        self.matrix = matrix
+        self.K, self.P = K, P
+        self.diag = K.diagonal().copy()
         self.rhs = rhs
         self.layout = tuple(layout)
         self.provenance = provenance
@@ -81,58 +93,9 @@ class BlockSystem:
         """Cut a solution vector along the block layout."""
         return tuple(np.split(solution, np.cumsum(self.layout)[:-1]))
 
-    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A x and |A| |x|, both from one pass over the matrix in row
-        blocks of about _BLOCK_ENTRIES entries."""
-        n = len(self.rhs)
-        Ax, abs_Ax = np.empty(n), np.empty(n)
-        abs_x = np.abs(x)
-        step = _block_rows(n)
-        scratch = np.empty((min(step, n), n))
-        for lo in range(0, n, step):
-            rows = self.matrix[lo : lo + step]
-            hi = lo + len(rows)
-            Ax[lo:hi] = dot(rows, x)
-            abs_Ax[lo:hi] = dot(np.abs(rows, out=scratch[: len(rows)]), abs_x)
-        return Ax, abs_Ax
-
-    def dense(self, dtype=float) -> np.ndarray:
-        """A new array holding the matrix, in Fortran order, so that LAPACK
-        can factor it in place."""
-        return np.array(self.matrix, dtype=dtype, order="F")
-
-
-class _SaddleSystem(BlockSystem):
-    """[[K, P], [P^T, 0]] [v; beta] = [y; 0] with K = G_XX + lam I, an
-    interpolation or exact-smoothing system held as one N x N array.
-
-    K is C-ordered and bit-symmetric (cdist squares fl(a - b) = -fl(b - a)).
-    Its Cholesky candidate (`_cardinal_solve`) factors in K's own upper
-    triangle, the lower one of K.T in LAPACK's order, so the strict lower
-    triangle and the diagonal saved here hold K throughout: every read of
-    the system goes through them (`products`, `dense`).  `matrix`, the
-    dense (N + M)^2 array, is assembled from them only when asked for, and
-    equals the eagerly assembled saddle matrix bit for bit.
-    """
-
-    def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray, provenance: str):
-        self.K, self.P = K, P
-        self.diag = K.diagonal().copy()
-        self.rhs = rhs
-        self.layout = P.shape
-        self.provenance = provenance
-
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.dense()
-
-    def candidate(self) -> np.ndarray | None:
-        return self._cholesky
-
-    @cached_property
-    def _cholesky(self) -> np.ndarray | None:
-        # computed once: the factorization overwrites K's upper triangle
-        return _cardinal_solve(self.K, self.P, self.rhs[: len(self.K)])
 
     def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A x and |A| |x| from one pass over K's strict lower triangle in
@@ -223,17 +186,19 @@ def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
 
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
     """The one dense builder: G_XX + lam I is written into one C-ordered
-    N x N array, which the system keeps beside P_X (`_SaddleSystem`).
-    rho = 0 gives the interpolation system."""
+    N x N array, which the system keeps beside P_X.  rho = 0 gives the
+    interpolation system."""
     X, y = _data(frame, X, y)
     N, M = len(X), frame.M
     lam = _lam(spec, N, rho) if rho != 0 else 0.0
     K = kernel_matrix(spec, X, X)
     diag = np.arange(N)
     K[diag, diag] += lam
+    P = unisolvency_matrix(frame, X)
     rhs = np.concatenate([y, np.zeros(M)])
-    return _SaddleSystem(K, unisolvency_matrix(frame, X), rhs,
-                         "exact" if rho else "interp")
+    # computed once: the factorization overwrites K's upper triangle
+    candidate = cache(partial(_cardinal_solve, K, P, y))
+    return BlockSystem(K, P, rhs, P.shape, "exact" if rho else "interp", candidate)
 
 
 @dataclass(frozen=True)
@@ -265,30 +230,29 @@ class ApproxParts:
     )
 
     def system(self, rho: float) -> BlockSystem:
+        """K = [[lam G_X'X' + BBt, BP], [BP^T, PtP]] beside P = [P_X'; 0]."""
         Np, M = self.G_pp.shape[0], self.PtP.shape[0]
         scale = _lam(self.spec, self.N, rho)
-        n = Np + 2 * M
-        A = np.zeros((n, n))
+        K = np.empty((Np + M, Np + M))
         # written in place: no (N', N') temporaries per rho
         try:
             with np.errstate(over="raise"):
-                corner = np.multiply(scale, self.G_pp, out=A[:Np, :Np])
+                corner = np.multiply(scale, self.G_pp, out=K[:Np, :Np])
                 corner += self.BBt
         except FloatingPointError:
             raise ParameterError(f"rho = {rho} makes lam G_X'X' + B B^T overflow") from None
-        A[:Np, Np : Np + M] = self.BP
-        A[Np : Np + M, :Np] = self.BP.T
-        A[Np : Np + M, Np : Np + M] = self.PtP
-        A[:Np, Np + M :] = self.P_p
-        A[Np + M :, :Np] = self.P_p.T
+        K[:Np, Np:] = self.BP
+        K[Np:, :Np] = self.BP.T
+        K[Np:, Np:] = self.PtP
+        P = np.zeros((Np + M, M))
+        P[:Np] = self.P_p
         rhs = np.concatenate([self.By, self.Pty, np.zeros(M)])
         object.__setattr__(self, "_systems", self._systems + 1)
         # a one-rho fit never pays for the factorization; with N' = M the
         # constraint alone fixes alpha = 0 and there is no family to factor
         repeated = self._systems > 1 and Np > M
         candidate = partial(self._spectral_solve, scale) if repeated else None
-        return BlockSystem(matrix=A, rhs=rhs, layout=(Np, M, M), provenance="approx",
-                           candidate=candidate)
+        return BlockSystem(K, P, rhs, (Np, M, M), "approx", candidate)
 
     def _spectral_solve(self, scale: float) -> np.ndarray | None:
         if self._factor is None:
@@ -481,8 +445,10 @@ def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5),
     in any summation order.  For n >= 2, n * eps = 2 n u exceeds
     gamma_{n+1} by about 2x, which covers the rounding of the bound itself.
-    A x and |A| |x| come from one pass over the system's row blocks
-    (`BlockSystem.products`), so no n x n temporary is made.
+    A x and |A| |x| come from one pass over K's strict lower triangle, its
+    saved diagonal and P (`BlockSystem.products`), so no n x n temporary
+    is made and a candidate that factored in K's upper triangle leaves
+    the bound intact.
     """
     b = sys.rhs
     Ax, scale = sys.products(x)
@@ -525,16 +491,18 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     Every accepted solution passes a rigorous upper bound on its residual,
     |fl(A x - b)| + n eps ||A| |x| + |b|| (the matvec rounding bound of
     Higham 2002, section 3.5), against the original system; A x and
-    |A| |x| come from one pass over the system (`BlockSystem.products`),
-    for a dense interpolation or exact system over the intact lower
-    triangle of G_XX + lam I, whose upper triangle the candidate factored.
+    |A| |x| come from one pass over the system (`BlockSystem.products`)
+    that reads K's strict lower triangle and saved diagonal, intact also
+    when an interpolation or exact system's candidate factored in K's
+    upper triangle.
     Candidate: a system that carries one (an interpolation or exact
     system's Cholesky solve, a repeated-rho approximate system's spectral
     solve) has it tried first, and it is returned when the bound is
     within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
     LU, otherwise (no candidate, a candidate of None, or a miss): the LU
-    factorization overwrites a fresh copy of the matrix (`dense`), and the
-    LU solution is returned when the same bound holds.
+    factorization overwrites a fresh copy of the saddle matrix assembled
+    from K and P (`dense`), and the LU solution is returned when the same
+    bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised.

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._blas import dot
 from .assembly import _check_rho, exact_system
+from .errors import ParameterError
 from .interpolant import (
     FittedModel,
     _check_constraint,
@@ -82,11 +83,16 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     """Evaluate the smoother's three energy identities on its data.
 
     Violations are reported as relative gaps, not raised, so that
-    ill-conditioned fits still return inspectable results.
+    ill-conditioned fits still return inspectable results.  The
+    identities hold for a smoother only: a model with rho = 0, such as an
+    interpolant, raises ParameterError.
     """
+    rho = model.rho
+    if not rho > 0:
+        raise ParameterError(f"the smoother identities need a smoother with "
+                             f"rho > 0, got a {model.kind} with rho = {rho}")
     X = as_points(X, model.frame.d)
     y = np.asarray(y, dtype=float)
-    rho = model.rho
     s, sn, residual_ms, J_e = _on_data(model, X, y, rho)
 
     def rel(left, right):

@@ -176,27 +176,22 @@ def kernel_matrix(spec: KernelSpec, Y, Z, out: np.ndarray | None = None) -> np.n
 
     Built in place in row blocks of about _BLOCK_ENTRIES entries: each
     block's squared distances and kernel values stay in cache, and the
-    result is the only full-size array.  With `out` (a float array of
-    that shape, e.g. a block of a larger matrix) the values are written
-    there and `out` is returned; a view that is not C-contiguous is
-    filled through one row-block buffer.
+    result is the only full-size array.  With `out` (a C-contiguous float
+    array of that shape) the values are written there and `out` is
+    returned.
     """
     Y = as_points(Y, spec.d)
     Z = as_points(Z, spec.d)
     shape = (len(Y), len(Z))
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or out.dtype != float:
-        raise ParameterError(f"out must be a float array of shape {shape}")
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        # cdist writes only into C-contiguous arrays
+        raise ParameterError(f"out must be a C-contiguous float array of shape {shape}")
     rows = max(1, _BLOCK_ENTRIES // max(len(Z), 1))
-    # cdist writes only into C-contiguous arrays
-    scratch = None if out.flags.c_contiguous else np.empty((min(rows, len(Y)), len(Z)))
     for lo in range(0, len(Y), rows):
-        Y_rows = Y[lo : lo + rows]
-        block = out[lo : lo + rows] if scratch is None else scratch[: len(Y_rows)]
-        _profile(spec, cdist(Y_rows, Z, "sqeuclidean", out=block))
-        if scratch is not None:
-            out[lo : lo + rows] = block
+        block = out[lo : lo + rows]
+        _profile(spec, cdist(Y[lo : lo + rows], Z, "sqeuclidean", out=block))
     return out
 
 

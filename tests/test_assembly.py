@@ -247,17 +247,77 @@ class TestApproxSystem:
             assert np.array_equal(parts.system(rho).matrix[:Np, :Np], want)
 
 
+APPROX_SPECS = [
+    KernelSpec(family, theta=2, d=d, **params)
+    for d in (1, 2, 3)
+    for family, params in [("gauss", {}), ("mq", {"a": 1.0}), ("imq", {"a": 1.0}),
+                           ("thinplate", {"s": 1.0}), ("thinplate", {"s": 1.5}),
+                           ("shifted-tps", {"s": 1.5, "a": 1.0})]
+    if family != "mq" or d > 1  # mq needs d > 1
+]
+
+
+def _approx_instance(spec):
+    # 300 scattered points and a grid of about 25 centers in [-1.4, 1.4]^d
+    rng = np.random.default_rng(spec.d)
+    X = rng.uniform(-1.5, 1.5, (300, spec.d))
+    y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
+    t = np.linspace(-1.4, 1.4, {1: 25, 2: 5, 3: 3}[spec.d])
+    Xp = np.column_stack([a.ravel() for a in np.meshgrid(*[t] * spec.d)])
+    return approx_parts(spec, PolyFrame(spec.d, 2), X, y, Xp)
+
+
+def _eager_approx_matrix(parts, rho):
+    # the approximate saddle matrix as it was assembled block by block into
+    # one (N' + 2M)^2 array
+    Np, M = parts.P_p.shape
+    A = np.zeros((Np + 2 * M, Np + 2 * M))
+    A[:Np, :Np] = assembly._lam(parts.spec, parts.N, rho) * parts.G_pp + parts.BBt
+    A[:Np, Np : Np + M] = parts.BP
+    A[Np : Np + M, :Np] = parts.BP.T
+    A[Np : Np + M, Np : Np + M] = parts.PtP
+    A[:Np, Np + M :] = parts.P_p
+    A[Np + M :, :Np] = parts.P_p.T
+    return A
+
+
+class TestApproxSaddleSystem:
+    """The approximate system in the one system type: K = [[lam G_X'X' +
+    BBt, BP], [BP^T, PtP]] beside P = [P_X'; 0]."""
+
+    RHOS = (1e-1, 1e-4, 1e-8)
+
+    @pytest.mark.parametrize("spec", APPROX_SPECS, ids=lambda s: f"{s.label()} d={s.d}")
+    def test_matrix_bit_for_bit(self, spec, monkeypatch):
+        lu_inputs = []
+
+        def spy(a, *args, _lu=scipy.linalg.lu_factor, **kwargs):
+            lu_inputs.append(np.array(a))
+            return _lu(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        for rho in self.RHOS:
+            parts = _approx_instance(spec)  # fresh: the one-rho path, LU only
+            sys = parts.system(rho)
+            eager = _eager_approx_matrix(parts, rho)
+            assert np.array_equal(sys.K, sys.K.T), rho
+            assert sys.candidate is None and sys.layout == (len(parts.centers),
+                                                             parts.frame.M, parts.frame.M)
+            lu_inputs.clear()
+            _outcome(solve_block, sys)
+            assert len(lu_inputs) == 1 and np.array_equal(lu_inputs[0], eager), rho
+            assert np.array_equal(sys.matrix, eager), rho
+
+
 class TestSolveBlock:
     def test_identity_system(self):
         rhs = np.array([1.0, 2.0, 3.0])
-        sys = BlockSystem(matrix=np.eye(3), rhs=rhs, layout=(3,), provenance="test")
+        sys = BlockSystem(np.eye(3), np.zeros((3, 0)), rhs, (3,), "test")
         np.testing.assert_allclose(solve_block(sys), rhs)
 
     def test_singular_raises(self):
-        sys = BlockSystem(
-            matrix=np.zeros((2, 2)), rhs=np.array([1.0, 0.0]), layout=(2,),
-            provenance="test",
-        )
+        sys = BlockSystem(np.zeros((2, 2)), np.zeros((2, 0)), np.array([1.0, 0.0]),
+                          (2,), "test")
         with pytest.raises(SolveError):
             solve_block(sys)
 
@@ -268,15 +328,13 @@ class TestSolveBlock:
             A = rng.standard_normal((n, n))
             A = A + A.T + 2 * n * np.eye(n)
             rhs = rng.standard_normal(n)
-            sys = BlockSystem(matrix=A, rhs=rhs, layout=(n,), provenance="test")
+            sys = BlockSystem(A, np.zeros((n, 0)), rhs, (n,), "test")
             sol = solve_block(sys)
             assert np.linalg.norm(A @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
             np.testing.assert_allclose(sol, np.linalg.solve(A, rhs), atol=1e-9)
 
     def test_split(self):
-        sys = BlockSystem(
-            matrix=np.eye(5), rhs=np.arange(5.0), layout=(3, 2), provenance="test"
-        )
+        sys = BlockSystem(np.eye(5), np.zeros((5, 0)), np.arange(5.0), (3, 2), "test")
         a, b = sys.split(np.arange(5.0))
         np.testing.assert_array_equal(a, [0, 1, 2])
         np.testing.assert_array_equal(b, [3, 4])
@@ -357,21 +415,13 @@ def _gate_systems():
     # Approximate systems on fine center grids at small rho, and exact
     # systems down to rho = 1e-8: condition numbers up to about 1e21.
     frame = PolyFrame(2, 2)
-    rng, X, y = _gate_data()
+    _, X, y = _gate_data()
     for spec in ILL_SPECS:
         for k in (20, 40):
             parts = approx_parts(spec, frame, X, y, _center_grid(k))
             for rho in (1e-2, 1e-6, 1e-9):
                 yield f"{spec.label()} {k}x{k} rho={rho:g}", parts.system(rho)
         yield from _gate_exact_systems(spec)
-    # Wilkinson's growth-factor matrix: LU's relative residual climbs from
-    # 3e-10 (n = 26) to 3e-8 (n = 32), across the 5e-10 early-exit target.
-    for n in (26, 28, 30, 32):
-        A = np.eye(n) - np.tril(np.ones((n, n)), -1)
-        A[:, -1] = 1.0
-        yield f"wilkinson n={n}", BlockSystem(
-            matrix=A, rhs=rng.standard_normal(n), layout=(n,), provenance="test"
-        )
 
 
 def _outcome(solve, sys):
@@ -415,21 +465,28 @@ class TestSolveBlockGate:
     def test_bound_covers_true_residual(self):
         # fl(A x - b) can be 0 while the exact residual is not: 1e16 + 1
         # rounds to 1e16.  The exact residual is computed in rationals.
+        def saddle(K, P):
+            m = P.shape[1]
+            return np.block([[K, P], [P.T, np.zeros((m, m))]])
+
         rng = np.random.default_rng(5)
-        cases = [(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1e16, 1.0]),
-                  np.array([1e16, 1.0]))]
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-            cases.append((A, x, A @ x))
-        for A, x, b in cases:
+        cases = [(np.array([[1.0, 1.0], [1.0, 0.0]]), np.zeros((2, 0)),
+                  np.array([1e16, 1.0]), np.array([1e16, 1e16]))]
+        for i in range(20):
+            n, m = int(rng.integers(2, 8)), i % 3  # every third without a P
+            K = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+            K = np.tril(K) + np.tril(K, -1).T
+            P = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 9, (n, m))
+            x = rng.standard_normal(n + m) * 10.0 ** rng.integers(-8, 9, n + m)
+            cases.append((K, P, x, saddle(K, P) @ x))
+        for K, P, x, b in cases:
+            A = saddle(K, P)
             exact = [
                 sum(Fraction(a) * Fraction(v) for a, v in zip(row, x)) - Fraction(c)
                 for row, c in zip(A, b)
             ]
             true_sq = sum(r * r for r in exact)
-            sys = BlockSystem(matrix=A, rhs=b, layout=(len(b),), provenance="test")
+            sys = BlockSystem(K, P, b, P.shape, "test")
             bound = Fraction(assembly._residual_bound(sys, x))
             assert bound * bound >= true_sq
 
@@ -743,8 +800,8 @@ class TestInPlaceCandidate:
                     paths.add("candidate")
                 else:  # (2) LU factors the eagerly assembled matrix
                     assert np.array_equal(lu_inputs[0], eager), label
-                    other = BlockSystem(matrix=eager, rhs=sys.rhs, layout=sys.layout,
-                                        provenance=sys.provenance)
+                    other = BlockSystem(eager[:N, :N].copy(), eager[:N, N:].copy(),
+                                        sys.rhs, sys.layout, sys.provenance)
                     want_lu = _outcome(solve_block, other)
                     assert type(got) is type(want_lu), label
                     assert (got == want_lu if isinstance(got, str)
@@ -757,12 +814,11 @@ class TestInPlaceCandidate:
 
     def test_bound_covers_extended_residual(self):
         # (4) the triangle pass bounds the long-double residual of every
-        # solution tried, and its products agree with the row pass over the
-        # dense matrix within their rounding bound
+        # solution tried, and its products agree with the dense matrix's
+        # A x and |A| |x| within their rounding bound
         for spec in self.SPECS:
             for label, sys in _gate_exact_systems(spec, self.RHOS):
-                dense = BlockSystem(matrix=sys.matrix, rhs=sys.rhs, layout=sys.layout,
-                                    provenance=sys.provenance)
+                A = sys.matrix
                 cand = sys.candidate()
                 lu = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
                 for x in (cand, lu):
@@ -771,7 +827,7 @@ class TestInPlaceCandidate:
                     bound = assembly._residual_bound(sys, x)
                     assert bound >= _extended_residual(sys, x), label
                     Ax, abs_Ax = sys.products(x)
-                    want_Ax, want_abs = dense.products(x)
+                    want_Ax, want_abs = A @ x, np.abs(A) @ np.abs(x)
                     slack = 2 * len(x) * np.finfo(float).eps * want_abs
                     assert np.all(np.abs(Ax - want_Ax) <= slack), label
                     assert np.all(np.abs(abs_Ax - want_abs) <= slack), label
@@ -809,8 +865,7 @@ class TestSolveBlockMemory:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((n, n))
         A = A + A.T + 2 * n * np.eye(n)
-        sys = BlockSystem(matrix=A, rhs=rng.standard_normal(n), layout=(n,),
-                          provenance="test")
+        sys = BlockSystem(A, np.zeros((n, 0)), rng.standard_normal(n), (n,), "test")
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

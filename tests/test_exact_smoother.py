@@ -125,6 +125,15 @@ class TestDiagnostics:
             model = fit_exact(spec, frame, X, y, rho=0.1)
             assert diagnostics(model, X, y).ok, spec.label()
 
+    def test_interpolant_rejected(self):
+        # the identities divide by N rho: rho = 0 is a parameter error, not
+        # a ZeroDivisionError from the seminorm gap
+        spec, frame, X, y = _instance(9)
+        model = fit_interpolant(spec, frame, X, y)
+        assert model.rho == 0.0
+        with pytest.raises(ParameterError, match="rho > 0"):
+            diagnostics(model, X, y)
+
 
 GAP_FIELDS = ("gap_energy", "gap_seminorm", "gap_functional", "gap_constraint")
 
