@@ -27,7 +27,6 @@ from .assembly import (
     approx_parts,
     cpd_check,
     exact_system,
-    interp_system,
     solve_block,
 )
 from .interpolant import (

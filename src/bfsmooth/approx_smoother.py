@@ -19,7 +19,7 @@ from .errors import ParameterError, ParseError
 from .exact_smoother import _on_data
 from .interpolant import FittedModel, _fit, seminorm_sq_diff
 from .kernels import KernelSpec
-from .polyspace import PolyFrame, as_points
+from .polyspace import PolyFrame
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +183,6 @@ def compare(
     exact: FittedModel, approx: FittedModel, X, y, rho: float
 ) -> SmootherComparison:
     """Evaluate the gap identity between an Exact and an Approximate fit."""
-    X = as_points(X, exact.frame.d)
-    y = np.asarray(y, dtype=float)
     se, _, _, J_exact = _on_data(exact, X, y, rho)
     sa, _, _, J_approx = _on_data(approx, X, y, rho)
     lhs = rho * seminorm_sq_diff(exact, approx) + float(np.mean((se - sa) ** 2))

@@ -15,33 +15,33 @@ beside P, the system is read through K's strict lower triangle and a
 saved diagonal, and the dense saddle matrix is assembled from them only
 for LU, long-double refinement or a caller that reads `matrix`.
 
-The interpolation and exact systems come from one builder and carry a
-candidate solution by Cholesky (`_cardinal_solve`): through the cardinal
-basis of a minimal unisolvent subset of X, the constraint P_X^T v = 0 is
-eliminated and the corner block reduces to a positive definite matrix of
-order N - M, which is factored in K's own upper triangle, so such a
-system holds one N x N array.
+The interpolation and exact systems come from one builder, `exact_system`,
+and carry a candidate solution by Cholesky (`_cardinal_solve`): through
+the cardinal basis of a minimal unisolvent subset of X, the constraint
+P_X^T v = 0 is eliminated and the corner block reduces to a positive
+definite matrix of order N - M, which is factored in K's own upper
+triangle, so such a system holds one N x N array.
 
 The approximate system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks of
 DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).  Across a
 rho search the systems differ only by a multiple of G_X'X', so
 `ApproxParts` factors the family once (`_SpectralFactor`, on the same
-cardinal basis of X') and offers each later system an O(N'^2) candidate
+cardinal basis of X') and gives each later system an O(N'^2) candidate
 solution.
 
-`solve_block` accepts a candidate or an LU solution only under the same
-double-precision residual bound on the original saddle system, and falls
-back to LU, then long-double refinement, otherwise.  An accepted
-candidate is not LU's solution bit for bit.
+`solve_block` accepts a candidate, an array its system's builder
+computed, or an LU solution only under the same double-precision
+residual bound on the original saddle system, and falls back to LU, then
+long-double refinement, otherwise.  An accepted candidate is not LU's
+solution bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -75,19 +75,18 @@ class BlockSystem:
     upper triangle.  `matrix`, the dense array, is assembled only when
     asked for and, K being bit-symmetric, equals the eagerly assembled
     saddle matrix bit for bit.  `layout` gives the block sizes of a
-    solution (`split`); `candidate`, when not None, returns a trial
-    solution (or None) that `solve_block` checks first.
+    solution (`split`); `candidate`, a trial solution set by the builder
+    or None, is what `solve_block` checks first.
     """
 
     def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
-                 layout: tuple[int, ...], provenance: str,
-                 candidate: Callable[[], np.ndarray | None] | None = None):
+                 layout: tuple[int, ...], provenance: str):
         self.K, self.P = K, P
         self.diag = K.diagonal().copy()
         self.rhs = rhs
         self.layout = tuple(layout)
         self.provenance = provenance
-        self.candidate = candidate
+        self.candidate: np.ndarray | None = None
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a solution vector along the block layout."""
@@ -154,11 +153,10 @@ def _require_unisolvent(frame: PolyFrame, X, what: str):
         raise UnisolvencyError(f"{what} is not {frame.theta}-unisolvent")
 
 
-def _data(frame: PolyFrame, X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Data sites as (N, d) points, unisolvent, and values y of length N."""
-    X = as_points(X, frame.d)
+def _samples(d: int, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Sites as (N, d) points and values y of length N."""
+    X = as_points(X, d)
     y = np.asarray(y, dtype=float)
-    _require_unisolvent(frame, X, "X")
     if y.shape != (len(X),):
         raise ParameterError(f"y must have length {len(X)}, got {y.shape}")
     return X, y
@@ -179,16 +177,12 @@ def _lam(spec: KernelSpec, N: int, rho: float) -> float:
     return lam
 
 
-def interp_system(spec: KernelSpec, frame: PolyFrame, X, y) -> BlockSystem:
-    """Saddle-point system of the minimal-seminorm interpolant."""
-    return exact_system(spec, frame, X, y, 0.0)
-
-
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
     """The one dense builder: G_XX + lam I is written into one C-ordered
-    N x N array, which the system keeps beside P_X.  rho = 0 gives the
-    interpolation system."""
-    X, y = _data(frame, X, y)
+    N x N array, which the system keeps beside P_X and its Cholesky
+    candidate.  rho = 0 gives the interpolation system."""
+    X, y = _samples(frame.d, X, y)
+    _require_unisolvent(frame, X, "X")
     N, M = len(X), frame.M
     lam = _lam(spec, N, rho) if rho != 0 else 0.0
     K = kernel_matrix(spec, X, X)
@@ -196,9 +190,10 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
     K[diag, diag] += lam
     P = unisolvency_matrix(frame, X)
     rhs = np.concatenate([y, np.zeros(M)])
-    # computed once: the factorization overwrites K's upper triangle
-    candidate = cache(partial(_cardinal_solve, K, P, y))
-    return BlockSystem(K, P, rhs, P.shape, "exact" if rho else "interp", candidate)
+    sys = BlockSystem(K, P, rhs, P.shape, "exact" if rho else "interp")
+    # once K's diagonal is saved: this factors in K's upper triangle
+    sys.candidate = _cardinal_solve(K, P, y)
+    return sys
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,8 @@ class ApproxParts:
     Assembled once per (X, y, X') triple; `system(rho)` then costs only
     the diagonal-block update, which is what makes rho searches cheap.
     From the second `system` call on, the system carries a candidate
-    solution from the spectral factor (`_SpectralFactor`), which is built
-    on first use and then solves every further rho in O(N'^2).
+    solution from the spectral factor (`_factor`), which is built on first
+    use and then solves every further rho in O(N'^2).
     """
 
     spec: KernelSpec
@@ -224,10 +219,15 @@ class ApproxParts:
     Pty: np.ndarray  # P_X^T y, (M,)
     N: int
     _systems: int = field(default=0, init=False, repr=False, compare=False)
-    # None until first needed; False when the factorization failed
-    _factor: _SpectralFactor | bool | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @cached_property
+    def _factor(self) -> _SpectralFactor | None:
+        """The rho-family's spectral factor, or None when it cannot be
+        built, e.g. Z^T G_pp Z not positive definite to working precision."""
+        try:
+            return _SpectralFactor.build(self)
+        except scipy.linalg.LinAlgError:
+            return None
 
     def system(self, rho: float) -> BlockSystem:
         """K = [[lam G_X'X' + BBt, BP], [BP^T, PtP]] beside P = [P_X'; 0]."""
@@ -248,21 +248,12 @@ class ApproxParts:
         P[:Np] = self.P_p
         rhs = np.concatenate([self.By, self.Pty, np.zeros(M)])
         object.__setattr__(self, "_systems", self._systems + 1)
+        sys = BlockSystem(K, P, rhs, (Np, M, M), "approx")
         # a one-rho fit never pays for the factorization; with N' = M the
         # constraint alone fixes alpha = 0 and there is no family to factor
-        repeated = self._systems > 1 and Np > M
-        candidate = partial(self._spectral_solve, scale) if repeated else None
-        return BlockSystem(K, P, rhs, (Np, M, M), "approx", candidate)
-
-    def _spectral_solve(self, scale: float) -> np.ndarray | None:
-        if self._factor is None:
-            try:
-                factor = _SpectralFactor.build(self)
-            except scipy.linalg.LinAlgError:
-                # e.g. Z^T G_pp Z not positive definite to working precision
-                factor = False
-            object.__setattr__(self, "_factor", factor)
-        return self._factor.solve(self, scale) if self._factor else None
+        if self._systems > 1 and Np > M and self._factor is not None:
+            sys.candidate = self._factor.solve(self, scale)
+        return sys
 
 
 def _cardinal_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,7 +389,8 @@ class _SpectralFactor:
 def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
     approximate-system blocks."""
-    X, y = _data(frame, X, y)
+    X, y = _samples(frame.d, X, y)
+    _require_unisolvent(frame, X, "X")
     Xp = as_points(Xp, frame.d)
     _require_unisolvent(frame, Xp, "X'")
     N, Np, M = len(X), len(Xp), frame.M
@@ -495,24 +487,22 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     that reads K's strict lower triangle and saved diagonal, intact also
     when an interpolation or exact system's candidate factored in K's
     upper triangle.
-    Candidate: a system that carries one (an interpolation or exact
-    system's Cholesky solve, a repeated-rho approximate system's spectral
-    solve) has it tried first, and it is returned when the bound is
-    within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
-    LU, otherwise (no candidate, a candidate of None, or a miss): the LU
-    factorization overwrites a fresh copy of the saddle matrix assembled
-    from K and P (`dense`), and the LU solution is returned when the same
-    bound holds.
+    Candidate: `sys.candidate`, when not None (an interpolation or exact
+    system's Cholesky solution, a repeated-rho approximate system's
+    spectral solution, both computed by the system's builder), is tried
+    first, and it is returned when the bound is within
+    0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
+    LU, otherwise (no candidate or a miss): the LU factorization
+    overwrites a fresh copy of the saddle matrix assembled from K and P
+    (`dense`), and the LU solution is returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised.
     """
     rhs_norm = np.linalg.norm(sys.rhs)
     target = 0.05 * RESIDUAL_RTOL * rhs_norm
-    if sys.candidate is not None:
-        sol = sys.candidate()
-        if sol is not None and _residual_bound(sys, sol) <= target:
-            return sol
+    if sys.candidate is not None and _residual_bound(sys, sys.candidate) <= target:
+        return sys.candidate
     try:
         with warnings.catch_warnings():
             # singularity is reported through SolveError, not a warning

@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except SolveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (BfsmoothError, FileNotFoundError) as exc:
+    except (BfsmoothError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import dot
-from .assembly import _check_rho, exact_system
+from .assembly import _check_rho, _samples, exact_system
 from .errors import ParameterError
 from .interpolant import (
     FittedModel,
@@ -25,7 +25,7 @@ from .interpolant import (
     seminorm_sq,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .polyspace import PolyFrame, as_points, unisolvency_matrix
+from .polyspace import PolyFrame, unisolvency_matrix
 
 IDENTITY_RTOL = 1e-8
 
@@ -61,6 +61,7 @@ def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
     When X is the model's center set, one G_XX gives s and |s|^2, each in
     the same order as eval_model and seminorm_sq, which any other X takes.
     """
+    X, y = _samples(model.frame.d, X, y)
     if X.shape == model.centers.shape and np.array_equal(X, model.centers):
         _check_constraint(model)
         G = kernel_matrix(model.spec, X, X)
@@ -75,8 +76,7 @@ def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
 
 def functional_value(model: FittedModel, X, y, rho: float) -> float:
     """J_e[model] = rho |model|^2 + mean squared residual on (X, y)."""
-    X = as_points(X, model.frame.d)
-    return _on_data(model, X, np.asarray(y, dtype=float), rho)[3]
+    return _on_data(model, X, y, rho)[3]
 
 
 def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
@@ -91,8 +91,7 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     if not rho > 0:
         raise ParameterError(f"the smoother identities need a smoother with "
                              f"rho > 0, got a {model.kind} with rho = {rho}")
-    X = as_points(X, model.frame.d)
-    y = np.asarray(y, dtype=float)
+    X, y = _samples(model.frame.d, X, y)
     s, sn, residual_ms, J_e = _on_data(model, X, y, rho)
 
     def rel(left, right):

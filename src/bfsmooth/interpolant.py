@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from ._blas import dot
-from .assembly import BlockSystem, interp_system, solve_block
+from .assembly import BlockSystem, exact_system, solve_block
 from .errors import ContractError, ParameterError
 from .kernels import KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
@@ -71,7 +71,7 @@ def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
 
 def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
     """Fit the minimal-seminorm interpolant of the data (X, y)."""
-    sys = interp_system(spec, frame, X, y)
+    sys = exact_system(spec, frame, X, y, 0.0)
     model = _fit(sys, spec, frame, X)
     N = sys.layout[0]
     y = sys.rhs[:N]

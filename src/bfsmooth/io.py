@@ -91,6 +91,14 @@ def _vectorized_rows(texts: list[str], delimiter, arity: int | None):
     return data
 
 
+def _read_text(path: Path) -> str:
+    """A file's text, decoded as UTF-8, of which ASCII is a subset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from None
+
+
 def _read_rows(path: Path, arity: int | None):
     """Parse the numeric rows of a delimited file into an (n, arity) array.
 
@@ -100,7 +108,7 @@ def _read_rows(path: Path, arity: int | None):
     first data row sets it and must hold at least two.  Errors carry the
     1-based line number.
     """
-    raw_lines = path.read_text().splitlines()
+    raw_lines = _read_text(path).splitlines()
     texts = [s for raw in raw_lines if (s := raw.strip())]
     if not texts:
         raise ParseError(f"{path}: no data rows")
@@ -163,7 +171,7 @@ def save_model(model: FittedModel, path) -> None:
 class _ModelReader:
     def __init__(self, path):
         self.path = Path(path)
-        self.lines = self.path.read_text().splitlines()
+        self.lines = _read_text(self.path).splitlines()
         self.pos = 0
 
     def next(self) -> str:

@@ -350,6 +350,8 @@ def residual_error_fn(fitter, X, y):
     The fitted models must share spec, frame and centers.
     """
     y = np.asarray(y, dtype=float)
+    if y.shape != (len(X),):
+        raise ParameterError(f"y must have length {len(X)}, got {y.shape}")
 
     def err(rho):
         models = [fitter(float(r)) for r in np.atleast_1d(rho)]

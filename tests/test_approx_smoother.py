@@ -299,6 +299,13 @@ class TestCompare:
         assert abs(record.lhs) <= 1e-9
         assert abs(record.rhs) <= 1e-9
 
+    def test_wrong_length_y_rejected(self):
+        spec, frame, X, y = _instance(9, N=30)
+        exact = fit_exact(spec, frame, X, y, 0.1)
+        approx = fit_approx(spec, frame, X, y, X[::2], 0.1)
+        with pytest.raises(ParameterError, match="y must have length 30"):
+            compare(exact, approx, X, y[:-1], 0.1)
+
     def test_gap_identity_random_instance(self):
         spec, frame, X, y = _instance(8, N=40)
         rho = 0.1

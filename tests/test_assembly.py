@@ -16,7 +16,6 @@ from bfsmooth.assembly import (
     approx_parts,
     cpd_check,
     exact_system,
-    interp_system,
     solve_block,
 )
 from bfsmooth.approx_smoother import GridSpec, fit_approx, fit_parts, make_grid
@@ -66,32 +65,32 @@ class TestBasisMatrix:
 class TestInterpSystem:
     def test_singleton_constant(self):
         frame = PolyFrame(1, 1)
-        sys = interp_system(GAUSS1, frame, [0.0], [7.0])
+        sys = exact_system(GAUSS1, frame, [0.0], [7.0], 0.0)
         np.testing.assert_allclose(sys.matrix, [[1, 1], [1, 0]])
         np.testing.assert_allclose(sys.rhs, [7.0, 0.0])
         assert sys.layout == (1, 1)
 
     def test_symmetric(self):
         spec, frame, X, y = _random_instance(0, 25)
-        assert _symmetric(interp_system(spec, frame, X, y).matrix)
+        assert _symmetric(exact_system(spec, frame, X, y, 0.0).matrix)
 
     def test_rejects_non_unisolvent(self):
         frame = PolyFrame(2, 2)
         spec = KernelSpec("gauss", theta=2, d=2)
         with pytest.raises(UnisolvencyError):
-            interp_system(spec, frame, [(0, 0), (1, 0), (2, 0)], [0.0, 1.0, 2.0])
+            exact_system(spec, frame, [(0, 0), (1, 0), (2, 0)], [0.0, 1.0, 2.0], 0.0)
 
     def test_rejects_length_mismatch(self):
         spec, frame, X, _ = _random_instance(1, 10)
         with pytest.raises(ParameterError):
-            interp_system(spec, frame, X, [1.0])
+            exact_system(spec, frame, X, [1.0], 0.0)
 
     def test_regular_on_random_instances(self):
         rng = np.random.default_rng(123)
         for trial in range(50):
             N = int(rng.integers(3, 61))
             spec, frame, X, y = _random_instance((123, trial), N)
-            sys = interp_system(spec, frame, X, y)
+            sys = exact_system(spec, frame, X, y, 0.0)
             sol = solve_block(sys)
             residual = np.linalg.norm(sys.matrix @ sol - sys.rhs)
             assert residual <= 1e-8 * np.linalg.norm(sys.rhs)
@@ -99,11 +98,15 @@ class TestInterpSystem:
 
 class TestExactSystem:
     def test_rho_zero_equals_interp(self):
+        # rho = 0 is the interpolation system that fit_interpolant solves
         spec, frame, X, y = _random_instance(2, 20)
-        a = interp_system(spec, frame, X, y)
-        b = exact_system(spec, frame, X, y, rho=0.0)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-        np.testing.assert_array_equal(a.rhs, b.rhs)
+        sys = exact_system(spec, frame, X, y, rho=0.0)
+        assert sys.provenance == "interp"
+        np.testing.assert_array_equal(sys.matrix, _eager_matrix(spec, frame, X, 0.0))
+        model = interpolant.fit_interpolant(spec, frame, X, y)
+        v, beta = sys.split(solve_block(sys))
+        np.testing.assert_array_equal(v, model.v)
+        np.testing.assert_array_equal(beta, model.beta)
 
     def test_singleton_top_left(self):
         frame = PolyFrame(1, 1)
@@ -117,7 +120,7 @@ class TestExactSystem:
         N = len(X)
         diff = (
             exact_system(spec, frame, X, y, rho).matrix
-            - interp_system(spec, frame, X, y).matrix
+            - exact_system(spec, frame, X, y, 0.0).matrix
         )
         expected = np.zeros_like(diff)
         expected[:N, :N] = (2 * np.pi) ** (spec.d / 2) * N * rho * np.eye(N)
@@ -520,7 +523,7 @@ class TestSpectralCandidate:
         accepted = 0
         for rho in 10.0 ** -np.arange(1, 10):
             sys = parts.system(rho)
-            cand = sys.candidate()
+            cand = sys.candidate
             target = 0.05 * RESIDUAL_RTOL * np.linalg.norm(sys.rhs)
             if assembly._residual_bound(sys, cand) > target:
                 continue
@@ -553,7 +556,7 @@ class TestSpectralCandidate:
             assert isinstance(got, str) == isinstance(want, str), rho
             assert got == want if isinstance(got, str) else np.array_equal(got, want)
         assert len(eigh_calls) == 1
-        assert parts._factor is False
+        assert parts._factor is None
 
     def test_one_rho_fit_builds_no_factor(self, monkeypatch):
         builds = self._spy_builds(monkeypatch)
@@ -663,17 +666,14 @@ class TestCardinalCandidate:
         return calls
 
     @pytest.mark.parametrize("d, N", [(1, 30), (2, 100)])
-    @pytest.mark.parametrize("rho", [None, 1e-3], ids=["interp", "exact"])
+    @pytest.mark.parametrize("rho", [0.0, 1e-3], ids=["interp", "exact"])
     def test_solved_without_lu(self, monkeypatch, d, N, rho):
         # r^2 log r on these sets: condition numbers of at most about 5e5
         spec = KernelSpec("thinplate", theta=2, d=d, s=1.0)
         _, frame, X, _ = _random_instance(30 + d, N, d=d, spec=spec)
         # smooth data keeps v small, so the gate's n eps |A||x| term is too
         y = np.sin(X.sum(axis=1))
-        if rho is None:
-            sys = interp_system(spec, frame, X, y)
-        else:
-            sys = exact_system(spec, frame, X, y, rho)
+        sys = exact_system(spec, frame, X, y, rho)
         want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
         lu_calls = self._spy_lu(monkeypatch)
         got = solve_block(sys)
@@ -683,6 +683,21 @@ class TestCardinalCandidate:
         violation = np.linalg.norm(frame.monomials(X).T @ v)
         assert violation <= CONSTRAINT_RTOL * max(np.linalg.norm(v), 1.0)
 
+    def test_benchmark_dense_shape_takes_candidate(self, monkeypatch):
+        # The dense benchmark's fit: N = 2000, r^3, rho = 1e-4, noisy sine
+        # data.  Its bound sits near 3e-10 |rhs| against the 5e-10 |rhs|
+        # early exit; a miss would cost an LU solve and one more N x N array.
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.5)
+        frame = PolyFrame(2, 2)
+        rng = np.random.default_rng(2000)
+        X = rng.uniform(-1.5, 1.5, (2000, 2))
+        y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
+        sys = exact_system(spec, frame, X, y, 1e-4)
+        assert sys.candidate is not None
+        lu_calls = self._spy_lu(monkeypatch)
+        assert solve_block(sys) is sys.candidate
+        assert lu_calls == []
+
     @pytest.mark.parametrize("spec, frame, seed", [
         # r^3 is not conditionally positive definite against constants alone
         (TPS, PolyFrame(1, 1), 41),
@@ -691,8 +706,8 @@ class TestCardinalCandidate:
     ], ids=["r3-constants", "gauss-interp"])
     def test_not_positive_definite_falls_back_to_lu(self, spec, frame, seed):
         _, _, X, y = _random_instance(seed, 30, spec=spec)
-        sys = interp_system(spec, frame, X, y)
-        assert sys.candidate() is None
+        sys = exact_system(spec, frame, X, y, 0.0)
+        assert sys.candidate is None
         got = _outcome(solve_block, sys)
         want = _outcome(_always_extended_solve, sys)
         assert isinstance(got, str) == isinstance(want, str)
@@ -703,7 +718,7 @@ class TestCardinalCandidate:
         frame = PolyFrame(1, 2)
         X, y = np.array([-1.0, 2.0]), np.array([3.0, 0.0])
         lu_calls = self._spy_lu(monkeypatch)
-        for sys in (interp_system(TPS, frame, X, y),
+        for sys in (exact_system(TPS, frame, X, y, 0.0),
                     exact_system(TPS, frame, X, y, 0.5)):
             v, beta = sys.split(solve_block(sys))
             np.testing.assert_array_equal(v, 0.0)
@@ -785,13 +800,12 @@ class TestInPlaceCandidate:
         for spec in self.SPECS:
             for rho in self.RHOS:
                 (label, sys), = _gate_exact_systems(spec, (rho,))
-                (_, fresh), = _gate_exact_systems(spec, (rho,))
                 eager = _eager_matrix(spec, frame, X[:400], rho)
                 N = sys.layout[0]
                 want = _copy_candidate(eager, sys.rhs, N)
                 lu_inputs.clear()
                 got = _outcome(solve_block, sys)
-                cand = sys.candidate()
+                cand = sys.candidate
                 assert (cand is None) == (want is None), label
                 if cand is not None:
                     assert np.array_equal(cand, want), label
@@ -807,9 +821,8 @@ class TestInPlaceCandidate:
                     assert (got == want_lu if isinstance(got, str)
                             else np.array_equal(got, want_lu)), label
                     paths.add("lu, no factor" if cand is None else "lu, missed gate")
-                # (3) the dense matrix, read after the candidate and before it
+                # (3) the dense matrix, read after the candidate factored in K
                 assert np.array_equal(sys.matrix, eager), label
-                assert np.array_equal(fresh.matrix, eager), label
         assert paths == {"candidate", "lu, no factor", "lu, missed gate"}, paths
 
     def test_bound_covers_extended_residual(self):
@@ -819,7 +832,7 @@ class TestInPlaceCandidate:
         for spec in self.SPECS:
             for label, sys in _gate_exact_systems(spec, self.RHOS):
                 A = sys.matrix
-                cand = sys.candidate()
+                cand = sys.candidate
                 lu = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
                 for x in (cand, lu):
                     if x is None:
@@ -894,7 +907,7 @@ class TestExactSystemMemory:
     def test_blocks_bit_for_bit(self):
         spec, frame, X, y = _random_instance(12, 300, d=2, theta=2)
         N, M = len(X), frame.M
-        A = interp_system(spec, frame, X, y).matrix
+        A = exact_system(spec, frame, X, y, 0.0).matrix
         assert np.array_equal(A[:N, :N], kernel_matrix(spec, X, X))
         assert np.array_equal(A[:N, N:], frame.monomials(X))
         assert np.array_equal(A[N:, :N], frame.monomials(X).T)

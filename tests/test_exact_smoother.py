@@ -125,6 +125,19 @@ class TestDiagnostics:
             model = fit_exact(spec, frame, X, y, rho=0.1)
             assert diagnostics(model, X, y).ok, spec.label()
 
+    def test_wrong_length_y_rejected(self):
+        spec, frame, X, y = _instance(10)
+        model = fit_exact(spec, frame, X, y, rho=0.1)
+        with pytest.raises(ParameterError, match=f"y must have length {len(X)}"):
+            diagnostics(model, X, y[:1])
+
+    def test_functional_value_wrong_length_y_rejected(self):
+        # y[:1] would broadcast against s at the ten points
+        spec, frame, X, y = _instance(11, N=10)
+        model = fit_exact(spec, frame, X, y, rho=0.1)
+        with pytest.raises(ParameterError, match="y must have length 10"):
+            functional_value(model, X, y[:1], 0.1)
+
     def test_interpolant_rejected(self):
         # the identities divide by N rho: rho = 0 is a parameter error, not
         # a ZeroDivisionError from the seminorm gap

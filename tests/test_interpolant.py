@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bfsmooth import assembly, interpolant
-from bfsmooth.assembly import interp_system, solve_block
+from bfsmooth.assembly import solve_block
 from bfsmooth.errors import ContractError, ParameterError
 from bfsmooth.interpolant import (
     FittedModel,

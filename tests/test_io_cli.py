@@ -53,6 +53,18 @@ class TestReadCsv:
             io.read_csv(p)
 
 
+class TestUndecodableText:
+    # 0xff never occurs in UTF-8
+    @pytest.mark.parametrize("read", [io.read_csv, lambda p: io.read_points(p, 1),
+                                      io.load_model],
+                             ids=["read_csv", "read_points", "load_model"])
+    def test_parse_error(self, tmp_path, read):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"0,1\n\xff,2\n")
+        with pytest.raises(ParseError, match="not a text file"):
+            read(p)
+
+
 class TestReadPoints:
     def test_header_skipped_and_lines_counted(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -298,6 +310,31 @@ class TestCli:
             "interpolate", "--data", str(tmp_path / "absent.csv"),
             "--kernel", "gauss", "--theta", "1",
         ]) == 2
+
+    # every file an invocation reads or writes, given a directory
+    @pytest.mark.parametrize("argv", [
+        ["interpolate", "--data", "{dir}", "--kernel", "gauss", "--theta", "1"],
+        ["interpolate", "--data", "{csv}", "--kernel", "gauss", "--theta", "1",
+         "--eval", "{dir}"],
+        ["eval", "--model", "{dir}", "--eval=-1:1:5"],
+        ["--out", "{dir}", "interpolate", "--data", "{csv}", "--kernel", "gauss",
+         "--theta", "1", "--eval=-1:1:5"],
+        ["interpolate", "--data", "{csv}", "--kernel", "gauss", "--theta", "1",
+         "--save", "{dir}"],
+    ], ids=["data", "eval", "model", "out", "save"])
+    def test_directory_path_exit_2(self, sine_csv, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path, csv=sine_csv) for a in argv]
+        assert main(argv) == 2
+        # a fit reports itself on stderr before its output is written
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_undecodable_data_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"0,1\n\xff,2\n1,3\n")
+        assert main([
+            "interpolate", "--data", str(p), "--kernel", "gauss", "--theta", "1",
+        ]) == 2
+        assert "not a text file" in capsys.readouterr().err
 
     def test_bad_kernel_exit_2(self, sine_csv):
         assert main([

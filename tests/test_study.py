@@ -600,6 +600,16 @@ class TestRhoSearch:
         assert isinstance(delta2(1e-2), float)
         assert delta2(np.array([1e-2])).shape == (1,)
 
+    def test_residual_error_fn_wrong_length_y_rejected(self):
+        # checked when built: y[:1] would broadcast against every fit
+        X = np.linspace(-1.5, 1.5, 10)
+
+        def fitter(rho):
+            raise AssertionError("no fit is made")
+
+        with pytest.raises(ParameterError, match="y must have length 10"):
+            residual_error_fn(fitter, X, np.sin(X)[:1])
+
     def test_residual_criterion_degenerates_to_small_rho(self):
         # the pure-residual criterion always rewards less smoothing, so the
         # search driven by it walks toward rho -> 0
