@@ -9,14 +9,12 @@ from .polyspace import (
     UnisolventFrame,
     enumerate_multi_indices,
     is_unisolvent,
-    lagrange_apply,
     minimal_unisolvent_subset,
     unisolvency_matrix,
 )
 from .kernels import (
     KernelSpec,
     OrderPrediction,
-    kernel_eval,
     parse_kernel,
     predicted_orders,
     riesz_representer,

@@ -17,7 +17,8 @@ for LU, long-double refinement or a caller that reads `matrix`.
 
 The interpolation and exact systems come from one builder, `exact_system`,
 and carry a candidate solution by Cholesky (`_cardinal_solve`): through
-the cardinal basis of a minimal unisolvent subset of X, the constraint
+the cardinal basis of a minimal unisolvent subset of X, the one that
+`polyspace` picks for every caller (`_cardinal_basis`), the constraint
 P_X^T v = 0 is eliminated and the corner block reduces to a positive
 definite matrix of order N - M, which is factored in K's own upper
 triangle, so such a system holds one N x N array.
@@ -47,22 +48,18 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import dot
-from .errors import ParameterError, SolveError, UnisolvencyError
-from .kernels import _BLOCK_ENTRIES, KernelSpec, kernel_matrix
-from .polyspace import PolyFrame, as_points, is_unisolvent, unisolvency_matrix
+from .errors import ParameterError, SolveError
+from .kernels import KernelSpec, kernel_matrix
+from .polyspace import (PolyFrame, _pivots, _require_unisolvent, as_points,
+                        unisolvency_matrix)
 
 RESIDUAL_RTOL = 1e-8
 CPD_SLACK = -1e-10
 DEFAULT_CHUNK = 4096
 # Entries per row block of the pass over a system's lower triangle
-# (`BlockSystem.products`); at N = 2000, 2^17 ran faster than 2^15,
-# 2^16 and 2^18.
+# (`BlockSystem._lower_blocks`); for `products` at N = 2000, 2^17 ran
+# faster than 2^15, 2^16 and 2^18.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 17
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of an n-column matrix read in row blocks."""
-    return max(1, _BLOCK_ENTRIES // max(n, 1))
 
 
 class BlockSystem:
@@ -96,27 +93,35 @@ class BlockSystem:
     def matrix(self) -> np.ndarray:
         return self.dense()
 
-    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A x and |A| |x| from one pass over K's strict lower triangle in
-        row blocks: the block of rows lo:hi and columns :hi, below the
-        diagonal, is applied as itself and as its transpose, so each entry
-        of K is read once, not twice as by rows."""
-        K, P = self.K, self.P
+    def _lower_blocks(self):
+        """K's strict lower triangle in row blocks, as (lo, hi, block):
+        the block holds rows lo:hi and columns :hi of K, C-contiguous for
+        BLAS, with the upper triangle and diagonal of its square part
+        zeroed.  One buffer serves every block, so a block is valid until
+        the next is made."""
+        K = self.K
         N = len(K)
-        v, beta = x[:N], x[N:]
-        abs_v, abs_beta = np.abs(v), np.abs(beta)
-        Kv = self.diag * v
-        abs_Kv = np.abs(self.diag) * abs_v
         step = min(N, max(1, _TRIANGLE_BLOCK_ENTRIES // N))
         scratch = np.empty(step * N)
         upper = np.triu(np.ones((step, step), dtype=bool))
         for lo in range(0, N, step):
             hi = min(lo + step, N)
-            # columns :hi of rows lo:hi, contiguous for BLAS, with the upper
-            # triangle and diagonal of their square part zeroed
             block = scratch[: (hi - lo) * hi].reshape(hi - lo, hi)
             block[...] = K[lo:hi, :hi]
             np.copyto(block[:, lo:], 0.0, where=upper[: hi - lo, : hi - lo])
+            yield lo, hi, block
+
+    def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A x and |A| |x| from one pass over K's strict lower triangle
+        (`_lower_blocks`): each block is applied as itself and as its
+        transpose, so each entry of K is read once, not twice as by rows."""
+        N = len(self.K)
+        P = self.P
+        v, beta = x[:N], x[N:]
+        abs_v, abs_beta = np.abs(v), np.abs(beta)
+        Kv = self.diag * v
+        abs_Kv = np.abs(self.diag) * abs_v
+        for lo, hi, block in self._lower_blocks():
             Kv[lo:hi] += dot(block, v[:hi])
             Kv[:hi] += dot(v[lo:hi], block)
             np.abs(block, out=block)
@@ -128,29 +133,20 @@ class BlockSystem:
         return Ax, abs_Ax
 
     def dense(self, dtype=float) -> np.ndarray:
-        """The saddle matrix from K's strict lower triangle, the saved
-        diagonal and P, as a new Fortran-ordered array."""
-        K, P = self.K, self.P
+        """The saddle matrix from K's strict lower triangle
+        (`_lower_blocks`, each block written and its transpose added), the
+        saved diagonal and P, as a new Fortran-ordered array."""
+        P = self.P
         N, M = P.shape
         A = np.zeros((N + M, N + M), dtype)
-        A[:N, :N] = K  # its upper triangle is then replaced by the lower one
-        step = _block_rows(N)
-        for lo in range(0, N, step):
-            hi = min(lo + step, N)
-            A[lo:hi, hi:N] = K[hi:, lo:hi].T
-            square = A[lo:hi, lo:hi]
-            upper = np.triu_indices(hi - lo, 1)
-            square[upper] = square.T[upper]
+        for lo, hi, block in self._lower_blocks():
+            A[lo:hi, :hi] = block
+            A[:hi, lo:hi] += block.T
         diag = np.arange(N)
         A[diag, diag] = self.diag
         A[:N, N:] = P
         A[N:, :N] = P.T
         return A.T  # the matrix is symmetric, and A.T is in Fortran order
-
-
-def _require_unisolvent(frame: PolyFrame, X, what: str):
-    if not is_unisolvent(frame, X):
-        raise UnisolvencyError(f"{what} is not {frame.theta}-unisolvent")
 
 
 def _samples(d: int, X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +178,7 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
     N x N array, which the system keeps beside P_X and its Cholesky
     candidate.  rho = 0 gives the interpolation system."""
     X, y = _samples(frame.d, X, y)
-    _require_unisolvent(frame, X, "X")
+    _require_unisolvent(frame, X)
     N, M = len(X), frame.M
     lam = _lam(spec, N, rho) if rho != 0 else 0.0
     K = kernel_matrix(spec, X, X)
@@ -261,11 +257,11 @@ def _cardinal_basis(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     C = P_A^-T P_R^T.
 
     Z = [-C; I] in (A, R) order spans null(P^T): column j of -C holds the
-    values at A of the cardinal basis polynomial of point R_j.  A
-    column-pivoted QR of P^T picks a well-conditioned A in one call.
+    values at A of the cardinal basis polynomial of point R_j.  A is the
+    subset `polyspace.minimal_unisolvent_subset` picks, in pivot order.
     """
     M = P.shape[1]
-    _, piv = scipy.linalg.qr(P.T, mode="r", pivoting=True)
+    piv = _pivots(P)
     A, R = piv[:M], piv[M:]
     return A, R, scipy.linalg.solve(P[A].T, P[R].T)
 
@@ -390,7 +386,7 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
     approximate-system blocks."""
     X, y = _samples(frame.d, X, y)
-    _require_unisolvent(frame, X, "X")
+    _require_unisolvent(frame, X)
     Xp = as_points(Xp, frame.d)
     _require_unisolvent(frame, Xp, "X'")
     N, Np, M = len(X), len(Xp), frame.M
@@ -528,21 +524,20 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
 
 
 def cpd_check(spec: KernelSpec, frame: PolyFrame, X, trials: int, seed=0) -> bool:
-    """Sample null(P_X^T) vectors and test v^T G_XX v > 0 (up to slack)."""
+    """Sample null(P_X^T) vectors v = Z w, w standard normal and Z the
+    cardinal basis of `_cardinal_basis`, and test v^T G_XX v > 0 (up to
+    slack)."""
     X = as_points(X, frame.d)
-    _require_unisolvent(frame, X, "X")
+    _require_unisolvent(frame, X)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    P = unisolvency_matrix(frame, X)
-    Q, _ = scipy.linalg.qr(P, mode="economic")
+    A, R, C = _cardinal_basis(unisolvency_matrix(frame, X))
     G = kernel_matrix(spec, X, X)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        v = rng.standard_normal(len(X))
-        v -= dot(Q, dot(Q.T, v))
+        # v_R is the draw, so v = 0 only when N = M and null(P_X^T) = {0}
+        v = _expand(rng.standard_normal(len(R)), A, R, C)
         norm2 = dot(v, v)
-        if norm2 < 1e-20:  # degenerate draw; P_X spans almost everything
-            continue
-        if dot(dot(v, G), v) <= CPD_SLACK * norm2:
+        if norm2 and dot(dot(v, G), v) <= CPD_SLACK * norm2:
             return False
     return True

@@ -233,7 +233,10 @@ def load_model(path) -> FittedModel:
     frame = PolyFrame(d=d, theta=theta)
 
     def count(key: str) -> range:
-        return range(r.number(int, r.keyed(key)))
+        n = r.number(int, r.keyed(key))
+        if n < 0:
+            raise ParseError(f"{path}: negative count {key} {n}", line=r.pos)
+        return range(n)
 
     centers = np.array([r.row(d) for _ in count("centers")]).reshape(-1, d)
     v = np.array([r.number(float, r.next()) for _ in count("v")])

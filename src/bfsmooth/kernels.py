@@ -59,6 +59,11 @@ class KernelSpec:
             raise ParameterError(f"theta must be a positive integer, got {self.theta}")
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
+        unused = {"thinplate": "a", "shifted-tps": "", "mq": "s", "imq": "s",
+                  "gauss": "sa"}[self.family]
+        for name in unused:
+            if (value := getattr(self, name)) is not None:
+                raise ParameterError(f"{self.family} takes no {name}, got {name}={value}")
         if self.family == "thinplate":
             if self.s is None or not 0 < self.s < self.theta:
                 raise ParameterError(
@@ -80,9 +85,9 @@ class KernelSpec:
     def label(self) -> str:
         """CLI text form, e.g. 'thinplate:s=1.5'."""
         parts = []
-        if self.s is not None and self.family in ("thinplate", "shifted-tps"):
+        if self.s is not None:
             parts.append(f"s={self.s:g}")
-        if self.a is not None and self.family in ("shifted-tps", "mq", "imq"):
+        if self.a is not None:
             parts.append(f"a={self.a:g}")
         return self.family + (":" + ",".join(parts) if parts else "")
 
@@ -163,12 +168,6 @@ def _profile(spec: KernelSpec, r2) -> np.ndarray:
     if math.ceil(s) % 2:
         np.negative(r2, out=r2)
     return r2
-
-
-def kernel_eval(spec: KernelSpec, x):
-    """Evaluate G at one point or an array of points."""
-    pts = as_points(x, spec.d)
-    return _maybe_scalar(_profile(spec, np.sum(pts * pts, axis=1)), x)
 
 
 def kernel_matrix(spec: KernelSpec, Y, Z, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,6 +7,12 @@ only member of P_theta vanishing on it is zero; a *minimal* unisolvent
 set has exactly M = dim P_theta points and carries a cardinal basis
 l_j with l_j(a_i) = delta_ij, which in turn defines the Lagrange
 projection Pf = sum f(a_i) l_i and its complement Q = I - P.
+
+This module alone decides unisolvency: one rank rule (`is_unisolvent`),
+one UnisolvencyError (`_require_unisolvent`) and one choice of the
+minimal set, the first M pivots of a column-pivoted QR of P_X^T
+(`_pivots`), for the representers (`minimal_unisolvent_subset`) and
+the solvers in `assembly` alike.
 """
 
 from __future__ import annotations
@@ -158,48 +164,28 @@ class UnisolventFrame:
         return dot(self.frame.monomials(x), self.cardinal.T)
 
 
-def minimal_unisolvent_subset(frame: PolyFrame, X) -> UnisolventFrame:
-    """Greedy extraction of a minimal unisolvent subset of X.
+def _require_unisolvent(frame: PolyFrame, X, what: str = "X"):
+    """Raise UnisolvencyError unless X (called `what`) is unisolvent."""
+    if not is_unisolvent(frame, X):
+        raise UnisolvencyError(f"{what} is not {frame.theta}-unisolvent")
 
-    Scans X in input order, keeping a point iff its monomial row
-    increases the rank of the accumulated rows; stops at M points.
-    The cardinal matrix is C = (P_A)^-T.
+
+def _pivots(P: np.ndarray) -> np.ndarray:
+    """Row indices of P in the column-pivot order of a QR of P^T
+    (Businger & Golub 1965): for a unisolvent P = P_X the first M index a
+    well-conditioned minimal unisolvent subset of X."""
+    _, piv = scipy.linalg.qr(P.T, mode="r", pivoting=True)
+    return piv
+
+
+def minimal_unisolvent_subset(frame: PolyFrame, X) -> UnisolventFrame:
+    """The minimal unisolvent subset A of X that the solvers use: the
+    first M pivots of P_X^T (`_pivots`), in input order.  The cardinal
+    matrix is C = (P_A)^-T.
     """
     pts = as_points(X, frame.d)
-    if _has_duplicates(pts):
-        raise InputError("duplicate points in X")
-    rows = unisolvency_matrix(frame, pts)
-    kept: list[int] = []
-    rank = 0
-    for i in range(len(pts)):
-        trial = rows[kept + [i]]
-        sv = scipy.linalg.svd(trial, compute_uv=False)
-        trial_rank = int(np.sum(sv > RANK_RTOL * sv[0]))
-        if trial_rank > rank:
-            kept.append(i)
-            rank = trial_rank
-            if rank == frame.M:
-                break
-    if rank < frame.M:
-        raise UnisolvencyError(
-            f"X is not {frame.theta}-unisolvent: rank {rank} < M = {frame.M}"
-        )
-    A = pts[kept]
-    cardinal = scipy.linalg.inv(rows[kept]).T
-    return UnisolventFrame(frame=frame, points=A, cardinal=cardinal)
-
-
-def lagrange_apply(uf: UnisolventFrame, samples, x, fx=None):
-    """Lagrange projection Pf(x) = sum f(a_i) l_i(x) from samples on A.
-
-    When the true value f(x) is supplied, also returns Qf(x) = f(x) - Pf(x).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (uf.frame.M,):
-        raise InputError(
-            f"expected {uf.frame.M} samples on the minimal set, got {samples.shape}"
-        )
-    values = _maybe_scalar(dot(uf.cardinal_values(x), samples), x)
-    if fx is not None:
-        return values, fx - values
-    return values
+    _require_unisolvent(frame, pts)
+    P = unisolvency_matrix(frame, pts)
+    kept = np.sort(_pivots(P)[: frame.M])
+    cardinal = scipy.linalg.inv(P[kept]).T
+    return UnisolventFrame(frame=frame, points=pts[kept], cardinal=cardinal)

@@ -151,7 +151,7 @@ class TestExactSystem:
         spec, frame, X, y = _random_instance(5, 30)
         rho = 0.1
         N, M = len(X), frame.M
-        uf = minimal_unisolvent_subset(frame, X)
+        uf = minimal_unisolvent_subset(frame, X[:M])
         np.testing.assert_array_equal(uf.points, X[:M])  # A is the leading block
         model = fit_exact(spec, frame, X, y, rho)
         s_X = eval_model(model, X)

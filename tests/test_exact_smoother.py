@@ -21,7 +21,6 @@ from bfsmooth.interpolant import (
 from bfsmooth.kernels import KernelSpec
 from bfsmooth.polyspace import (
     PolyFrame,
-    lagrange_apply,
     minimal_unisolvent_subset,
     unisolvency_matrix,
 )
@@ -320,9 +319,9 @@ class TestVariationalProperties:
     def test_polynomial_fixed_point_holds(self):
         spec, frame, X, _ = _instance(13)
         uf = minimal_unisolvent_subset(frame, X)
-        samples = np.array([2.0, -1.0])  # p(x) = 2 - x through A
+        samples = np.array([2.0, -1.0])  # the line through (a_1, 2), (a_2, -1)
         y = uf.cardinal_values(X) @ samples
         model = fit_exact(spec, frame, X, y, rho=0.8)
         probes = np.linspace(-1.4, 1.4, 30)
-        expected = lagrange_apply(uf, samples, probes)
+        expected = uf.cardinal_values(probes) @ samples
         np.testing.assert_allclose(eval_model(model, probes), expected, atol=1e-8)

@@ -214,6 +214,8 @@ class TestModelPersistence:
     @pytest.mark.parametrize("lineno, text", [
         (6, "theta x"),
         (9, "centers 1.5"),  # non-numeric count
+        (9, "centers -3"),  # negative count
+        (25, "v -3"),
         (8, "rho abc"),  # non-numeric coefficient
         (26, "1e"),
         (10, "0.5 0.25"),  # center row of the wrong width

@@ -12,7 +12,6 @@ from bfsmooth.errors import InputError, ParameterError, ParseError
 from bfsmooth.kernels import (
     KernelSpec,
     _profile,
-    kernel_eval,
     kernel_matrix,
     parse_kernel,
     predicted_orders,
@@ -42,47 +41,54 @@ ALL_SPECS = [
 ]
 
 
+def _g(spec, x):
+    """G at one point, or at each row of an (n, d) array: kernel_matrix
+    against the origin."""
+    values = kernel_matrix(spec, x, np.zeros((1, spec.d)))[:, 0]
+    return values if np.ndim(x) == 2 else values[0]
+
+
 class TestKernelEval:
     def test_thinplate_log_form_zero_at_unit_radius(self):
         spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
-        assert kernel_eval(spec, (1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert _g(spec, (1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_thinplate_power_form(self):
         spec = KernelSpec("thinplate", theta=2, d=1, s=1.5)
         # (-1)^ceil(1.5) r^3 = r^3
-        assert kernel_eval(spec, 2.0) == pytest.approx(8.0)
+        assert _g(spec, 2.0) == pytest.approx(8.0)
 
     def test_multiquadric_at_origin(self):
         spec = KernelSpec("mq", theta=1, d=2, a=1.0)
-        assert kernel_eval(spec, (0.0, 0.0)) == pytest.approx(-1.0)
+        assert _g(spec, (0.0, 0.0)) == pytest.approx(-1.0)
 
     def test_gaussian_unit_radius(self):
         spec = KernelSpec("gauss", theta=1, d=2)
-        assert kernel_eval(spec, (1.0, 0.0)) == pytest.approx(math.exp(-1.0))
+        assert _g(spec, (1.0, 0.0)) == pytest.approx(math.exp(-1.0))
 
     def test_shifted_tps_integer_s_at_origin(self):
         spec = KernelSpec("shifted-tps", theta=2, d=1, s=1.0, a=1.0)
-        assert kernel_eval(spec, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert _g(spec, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_imq_closed_form(self):
         spec = KernelSpec("imq", theta=1, d=1, a=2.0)
-        assert kernel_eval(spec, 1.0) == pytest.approx(1.0 / math.sqrt(5.0))
+        assert _g(spec, 1.0) == pytest.approx(1.0 / math.sqrt(5.0))
 
     def test_thinplate_origin_limit(self):
         for s in (0.5, 1.0, 1.5, 2.0):
             spec = KernelSpec("thinplate", theta=3, d=1, s=s)
-            assert kernel_eval(spec, 0.0) == 0.0
+            assert _g(spec, 0.0) == 0.0
 
     def test_thinplate_continuity_near_origin(self):
         for s in (1.0, 1.5, 2.5):
             spec = KernelSpec("thinplate", theta=3, d=2, s=s)
-            assert abs(kernel_eval(spec, (1e-8, 0.0))) <= 1e-12
+            assert abs(_g(spec, (1e-8, 0.0))) <= 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_evenness(self, spec):
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, spec.d)
-        assert kernel_eval(spec, x) == kernel_eval(spec, -x)
+        assert _g(spec, x) == _g(spec, -x)
 
     @pytest.mark.parametrize(
         "spec", [s for s in ALL_SPECS if s.d == 2], ids=lambda s: s.label()
@@ -92,8 +98,8 @@ class TestKernelEval:
         for _ in range(5):
             r = rng.uniform(0.1, 2.0)
             phi1, phi2 = rng.uniform(0, 2 * np.pi, 2)
-            v1 = kernel_eval(spec, (r * np.cos(phi1), r * np.sin(phi1)))
-            v2 = kernel_eval(spec, (r * np.cos(phi2), r * np.sin(phi2)))
+            v1 = _g(spec, (r * np.cos(phi1), r * np.sin(phi1)))
+            v2 = _g(spec, (r * np.cos(phi2), r * np.sin(phi2)))
             assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_finite_everywhere(self):
@@ -101,7 +107,7 @@ class TestKernelEval:
         pts = rng.uniform(-5, 5, (50, 2))
         for spec in ALL_SPECS:
             if spec.d == 2:
-                assert np.all(np.isfinite(kernel_eval(spec, pts)))
+                assert np.all(np.isfinite(_g(spec, pts)))
 
 
 class TestKernelMatrix:
@@ -337,6 +343,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             KernelSpec("wendland", theta=1, d=1)
 
+    @pytest.mark.parametrize("family, params", [
+        ("thinplate", {"s": 1.5, "a": 7.0}),
+        ("mq", {"s": 0.5, "a": 1.0}),
+        ("imq", {"s": -0.5, "a": 1.0}),
+        ("gauss", {"s": 5.0}),
+        ("gauss", {"a": 3.0}),
+    ])
+    def test_unused_parameter_rejected(self, family, params):
+        # kept, it would make equal kernels compare unequal
+        with pytest.raises(ParameterError):
+            KernelSpec(family, theta=2, d=2, **params)
+
 
 class TestParseKernel:
     def test_thinplate(self):
@@ -351,12 +369,14 @@ class TestParseKernel:
         assert parse_kernel("gauss", theta=2, d=2).family == "gauss"
 
     def test_label_round_trip(self):
+        assert {spec.family for spec in ALL_SPECS} == set(kernels.FAMILIES)
         for spec in ALL_SPECS:
             again = parse_kernel(spec.label(), theta=spec.theta, d=spec.d)
             assert again == spec
 
     @pytest.mark.parametrize(
-        "text", ["nope:s=1", "thinplate:q=1", "thinplate:s=", "thinplate:s=abc"]
+        "text", ["nope:s=1", "thinplate:q=1", "thinplate:s=", "thinplate:s=abc",
+                 "gauss:s=5,a=3", "thinplate:s=1.5,a=7"]  # the last two: unused s, a
     )
     def test_bad_syntax(self, text):
         with pytest.raises(ParseError):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfsmooth.errors import InputError, ParameterError, UnisolvencyError
+from bfsmooth.kernels import parse_kernel, riesz_representer, semi_riesz
 from bfsmooth.polyspace import (
     PolyFrame,
     _has_duplicates,
     enumerate_multi_indices,
     is_unisolvent,
-    lagrange_apply,
     minimal_unisolvent_subset,
     unisolvency_matrix,
 )
@@ -169,21 +169,52 @@ class TestIsUnisolvent:
 
 
 class TestMinimalSubset:
-    def test_first_rank_increasing_prefix(self):
+    def test_pivoted_pair_spans_the_line(self):
+        # the pivoted QR of P_X^T takes x = 2 first, then x = 0 (the larger
+        # remainder after projecting out x = 2), returned in input order
         uf = minimal_unisolvent_subset(PolyFrame(1, 2), [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(uf.points.ravel(), [0.0, 1.0])
-        # cardinal polynomials 1 - x and x over monomials (1, x)
-        np.testing.assert_allclose(uf.cardinal, [[1, -1], [0, 1]], atol=1e-14)
+        np.testing.assert_array_equal(uf.points.ravel(), [0.0, 2.0])
+        # cardinal polynomials 1 - x/2 and x/2 over monomials (1, x)
+        np.testing.assert_allclose(uf.cardinal, [[1, -0.5], [0, 0.5]], atol=1e-14)
 
     def test_constants(self):
         uf = minimal_unisolvent_subset(PolyFrame(1, 1), [5.0])
         assert uf.cardinal_values(123.0)[0] == pytest.approx(1.0)
 
-    def test_greedy_skips_collinear(self):
+    def test_skips_collinear(self):
         uf = minimal_unisolvent_subset(
             PolyFrame(2, 2), [(0, 0), (1, 0), (2, 0), (0, 1)]
         )
-        np.testing.assert_array_equal(uf.points, [(0, 0), (1, 0), (0, 1)])
+        np.testing.assert_array_equal(uf.points, [(0, 0), (2, 0), (0, 1)])
+
+    def test_nearly_collinear_prefix_stays_well_conditioned(self):
+        # The first three points are collinear to within 1e-8.  A scan in
+        # input order keeps them (cond(P_A) about 7e8, the line reproduced
+        # to about 1e-7); the pivoted QR picks a well-conditioned A.
+        frame = PolyFrame(2, 2)
+        X = np.concatenate([[(0.0, 0.0), (1.0, 0.0), (2.0, 1e-8)],
+                            np.random.default_rng(0).uniform(-1, 1, (20, 2))])
+        uf = minimal_unisolvent_subset(frame, X)
+        assert np.linalg.cond(frame.monomials(uf.points)) <= 1e3
+
+        def p(x):
+            return 1 + 2 * x[:, 0] - 3 * x[:, 1]
+
+        rng = np.random.default_rng(1)
+        probes = rng.uniform(-1, 1, (200, 2))
+        np.testing.assert_allclose(uf.cardinal_values(probes) @ p(uf.points),
+                                   p(probes), rtol=0, atol=1e-12)
+        # the representer laws of acceptance criterion 11
+        spec = parse_kernel("thinplate:s=1.5", theta=2, d=2)
+        worst = 0.0
+        for x, y in rng.uniform(-1, 1, (20, 2, 2)):
+            lx = uf.cardinal_values(x)[0]
+            worst = max(worst,
+                        np.max(np.abs(riesz_representer(spec, uf, x, uf.points) - lx)),
+                        np.max(np.abs(semi_riesz(spec, uf, x, uf.points))),
+                        -semi_riesz(spec, uf, x, x),
+                        abs(semi_riesz(spec, uf, x, y) - semi_riesz(spec, uf, y, x)))
+        assert worst <= 1e-10
 
     def test_not_unisolvent_raises(self):
         with pytest.raises(UnisolvencyError):
@@ -209,6 +240,7 @@ class TestMinimalSubset:
 
 
 class TestLagrangeOperators:
+    # the Lagrange projection Pf = sum f(a_i) l_i from samples f(a_i) on A
     def _setup(self, d=2, theta=3, seed=0):
         rng = np.random.default_rng(seed)
         frame = PolyFrame(d, theta)
@@ -225,56 +257,35 @@ class TestLagrangeOperators:
         samples = p(uf.points)
         probes = rng.uniform(-1, 1, (20, frame.d))
         np.testing.assert_allclose(
-            lagrange_apply(uf, samples, probes), p(probes), atol=1e-10
+            uf.cardinal_values(probes) @ samples, p(probes), atol=1e-10
         )
 
     def test_zero_samples_zero_projection(self):
         frame, uf, rng = self._setup(seed=1)
         probes = rng.uniform(-1, 1, (10, frame.d))
-        assert np.max(np.abs(lagrange_apply(uf, np.zeros(frame.M), probes))) == 0.0
+        assert np.max(np.abs(uf.cardinal_values(probes) @ np.zeros(frame.M))) == 0.0
 
     def test_linear_interpolation_oracle(self):
         uf = minimal_unisolvent_subset(PolyFrame(1, 2), [0.0, 1.0])
-        assert lagrange_apply(uf, [3.0, 5.0], 0.5) == pytest.approx(4.0)
-
-    def test_single_point_shape_follows_input(self):
-        # eval_model's rule: a point given as a scalar is a float, as a
-        # (1, d) array an array of one value
-        uf = minimal_unisolvent_subset(PolyFrame(1, 2), [0.0, 1.0])
-        scalar = lagrange_apply(uf, [3.0, 5.0], 0.5)
-        assert type(scalar) is float and scalar == pytest.approx(4.0)
-        array = lagrange_apply(uf, [3.0, 5.0], [[0.5]])
-        assert isinstance(array, np.ndarray) and array.shape == (1,)
+        assert uf.cardinal_values(0.5) @ [3.0, 5.0] == pytest.approx([4.0])
 
     def test_projection_idempotent(self):
         frame, uf, rng = self._setup(seed=2)
         samples = rng.standard_normal(frame.M)
         probes = rng.uniform(-1, 1, (20, frame.d))
-        once = lagrange_apply(uf, samples, probes)
+        once = uf.cardinal_values(probes) @ samples
         # project the projection: P(Pf) sampled on A equals Pf samples
-        resampled = lagrange_apply(uf, samples, uf.points)
-        twice = lagrange_apply(uf, resampled, probes)
+        resampled = uf.cardinal_values(uf.points) @ samples
+        twice = uf.cardinal_values(probes) @ resampled
         np.testing.assert_allclose(twice, once, atol=1e-10)
-
-    def test_q_vanishes_on_a(self):
-        frame, uf, rng = self._setup(seed=3)
-        samples = rng.standard_normal(frame.M)
-        for a, fa in zip(uf.points, samples):
-            _, q = lagrange_apply(uf, samples, a, fx=fa)
-            assert abs(q) <= 1e-10
 
     def test_reorder_invariance(self):
         frame, uf, rng = self._setup(seed=4)
         samples = rng.standard_normal(frame.M)
         probes = rng.uniform(-1, 1, (10, frame.d))
-        base = lagrange_apply(uf, samples, probes)
+        base = uf.cardinal_values(probes) @ samples
         perm = rng.permutation(frame.M)
         uf2 = minimal_unisolvent_subset(frame, uf.points[perm])
         np.testing.assert_allclose(
-            lagrange_apply(uf2, samples[perm], probes), base, atol=1e-12
+            uf2.cardinal_values(probes) @ samples[perm], base, atol=1e-12
         )
-
-    def test_length_mismatch(self):
-        _, uf, _ = self._setup(seed=5)
-        with pytest.raises(InputError):
-            lagrange_apply(uf, [1.0], 0.0)
