@@ -160,8 +160,7 @@ def fit_parts(parts: ApproxParts, rho: float) -> FittedModel:
     Build the parts once with `approx_parts` and call this per rho to
     reuse the O(N N'^2) assembly across a rho search.
     """
-    return _fit(parts.system(rho), parts.spec, parts.frame, parts.centers,
-                "approx_smoother", rho)
+    return _fit(parts.system(rho), parts.spec, parts.frame, parts.centers, rho)
 
 
 @dataclass(frozen=True)

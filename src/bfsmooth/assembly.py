@@ -2,12 +2,13 @@
 
 The three fits minimize over the kernel span plus P_theta under the
 constraint P^T v = 0, so each solves [[K, P], [P^T, 0]] x = [r; 0] and
-they differ only in K, P and r:
+they differ only in K, P and r.  A system's `kind` is the name of its
+fit, the `interpolant.MODEL_KINDS` value its model will carry:
 
-    exact smoothing     K = G_XX + lam I, P = P_X, r = y
-    interpolation       the same with lam = 0
-    approximate         K = [[lam G_X'X' + B B^T, B P_X],  P = [P_X'; 0],
-    smoothing                [P_X^T B^T, P_X^T P_X]],      r = [B y; P_X^T y]
+    exact_smoother      K = G_XX + lam I, P = P_X, r = y
+    interpolant         the same with lam = 0
+    approx_smoother     K = [[lam G_X'X' + B B^T, B P_X],  P = [P_X'; 0],
+                             [P_X^T B^T, P_X^T P_X]],      r = [B y; P_X^T y]
 
 with B = G_X'X and lam = (2 pi)^(d/2) N rho (`_lam`).  One type holds all
 three (`BlockSystem`): K is bit-symmetric and kept as one C-ordered array
@@ -15,15 +16,15 @@ beside P, the system is read through K's strict lower triangle and a
 saved diagonal, and the dense saddle matrix is assembled from them only
 for LU, long-double refinement or a caller that reads `matrix`.
 
-The interpolation and exact systems come from one builder, `exact_system`,
-and carry a candidate solution by Cholesky (`_cardinal_solve`): through
-the cardinal basis of a minimal unisolvent subset of X, the one that
-`polyspace` picks for every caller (`_cardinal_basis`), the constraint
-P_X^T v = 0 is eliminated and the corner block reduces to a positive
-definite matrix of order N - M, which is factored in K's own upper
+The interpolant and exact_smoother systems come from one builder,
+`exact_system`, and carry a Cholesky candidate (`_cardinal_solve`):
+through the cardinal basis of a minimal unisolvent subset of X, the one
+that `polyspace` picks for every caller (`_cardinal_basis`), the
+constraint P_X^T v = 0 is eliminated and the corner block reduces to a
+positive definite matrix of order N - M, factored in K's own upper
 triangle, so such a system holds one N x N array.
 
-The approximate system has N' + 2M rows regardless of N; its
+The approx_smoother system has N' + 2M rows regardless of N; its
 rho-independent blocks are accumulated by streaming over X in chunks of
 DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).  Across a
 rho search the systems differ only by a multiple of G_X'X', so
@@ -67,22 +68,23 @@ class BlockSystem:
     docstring), with the symmetric K held as one C-ordered array beside P.
 
     Every read of the system goes through K's strict lower triangle and
-    the diagonal saved here (`products`, `dense`), which an interpolation
-    or exact system's Cholesky candidate leaves intact: it factors in K's
-    upper triangle.  `matrix`, the dense array, is assembled only when
-    asked for and, K being bit-symmetric, equals the eagerly assembled
-    saddle matrix bit for bit.  `layout` gives the block sizes of a
-    solution (`split`); `candidate`, a trial solution set by the builder
-    or None, is what `solve_block` checks first.
+    the diagonal saved here (`products`, `dense`), which an interpolant or
+    exact_smoother system's Cholesky candidate leaves intact: it factors
+    in K's upper triangle.  `matrix`, the dense array, is assembled only
+    when asked for and, K being bit-symmetric, equals the eagerly
+    assembled saddle matrix bit for bit.  `layout` gives the block sizes
+    of a solution (`split`); `kind` names the fit, as `FittedModel.kind`
+    and every `SolveError` do; `candidate`, a trial solution set by the
+    builder or None, is what `solve_block` checks first.
     """
 
     def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
-                 layout: tuple[int, ...], provenance: str):
+                 layout: tuple[int, ...], kind: str):
         self.K, self.P = K, P
         self.diag = K.diagonal().copy()
         self.rhs = rhs
         self.layout = tuple(layout)
-        self.provenance = provenance
+        self.kind = kind
         self.candidate: np.ndarray | None = None
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -176,7 +178,7 @@ def _lam(spec: KernelSpec, N: int, rho: float) -> float:
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
     """The one dense builder: G_XX + lam I is written into one C-ordered
     N x N array, which the system keeps beside P_X and its Cholesky
-    candidate.  rho = 0 gives the interpolation system."""
+    candidate.  rho = 0 gives the interpolant's system."""
     X, y = _samples(frame.d, X, y)
     _require_unisolvent(frame, X)
     N, M = len(X), frame.M
@@ -186,7 +188,7 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
     K[diag, diag] += lam
     P = unisolvency_matrix(frame, X)
     rhs = np.concatenate([y, np.zeros(M)])
-    sys = BlockSystem(K, P, rhs, P.shape, "exact" if rho else "interp")
+    sys = BlockSystem(K, P, rhs, P.shape, "exact_smoother" if rho else "interpolant")
     # once K's diagonal is saved: this factors in K's upper triangle
     sys.candidate = _cardinal_solve(K, P, y)
     return sys
@@ -194,7 +196,7 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
 
 @dataclass(frozen=True)
 class ApproxParts:
-    """rho-independent blocks of the approximate-smoother system.
+    """rho-independent blocks of the approx_smoother system.
 
     Assembled once per (X, y, X') triple; `system(rho)` then costs only
     the diagonal-block update, which is what makes rho searches cheap.
@@ -244,7 +246,7 @@ class ApproxParts:
         P[:Np] = self.P_p
         rhs = np.concatenate([self.By, self.Pty, np.zeros(M)])
         object.__setattr__(self, "_systems", self._systems + 1)
-        sys = BlockSystem(K, P, rhs, (Np, M, M), "approx")
+        sys = BlockSystem(K, P, rhs, (Np, M, M), "approx_smoother")
         # a one-rho fit never pays for the factorization; with N' = M the
         # constraint alone fixes alpha = 0 and there is no family to factor
         if self._systems > 1 and Np > M and self._factor is not None:
@@ -292,7 +294,7 @@ def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.nd
 
 
 def _cardinal_solve(K: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Cholesky solution of an interpolation or exact-smoothing system, or
+    """Cholesky solution of an interpolant or exact_smoother system, or
     None when its reduced matrix is not positive definite to working
     precision.
 
@@ -335,7 +337,7 @@ def _cardinal_solve(K: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray |
 
 @dataclass(frozen=True)
 class _SpectralFactor:
-    """The rho-family of approximate systems in Demmler-Reinsch form.
+    """The rho-family of approx_smoother systems in Demmler-Reinsch form.
 
     Let A be a minimal unisolvent subset of X' (R the other centers),
     C = P_A^-T P_R^T and Z = [-C; I] in (A, R) order, so that alpha = Z w
@@ -384,7 +386,7 @@ class _SpectralFactor:
 
 def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
-    approximate-system blocks."""
+    approx_smoother system blocks."""
     X, y = _samples(frame.d, X, y)
     _require_unisolvent(frame, X)
     Xp = as_points(Xp, frame.d)
@@ -481,13 +483,13 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     Higham 2002, section 3.5), against the original system; A x and
     |A| |x| come from one pass over the system (`BlockSystem.products`)
     that reads K's strict lower triangle and saved diagonal, intact also
-    when an interpolation or exact system's candidate factored in K's
-    upper triangle.
-    Candidate: `sys.candidate`, when not None (an interpolation or exact
-    system's Cholesky solution, a repeated-rho approximate system's
-    spectral solution, both computed by the system's builder), is tried
-    first, and it is returned when the bound is within
-    0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
+    when an interpolant or exact_smoother system's candidate factored in
+    K's upper triangle.
+    Candidate: `sys.candidate`, when not None (an interpolant or
+    exact_smoother system's Cholesky solution, a repeated-rho
+    approx_smoother system's spectral solution, both computed by the
+    system's builder), is tried first, and it is returned when the bound
+    is within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
     LU, otherwise (no candidate or a miss): the LU factorization
     overwrites a fresh copy of the saddle matrix assembled from K and P
     (`dense`), and the LU solution is returned when the same bound holds.
@@ -506,9 +508,9 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
             lu = scipy.linalg.lu_factor(sys.dense(), overwrite_a=True)
             sol = scipy.linalg.lu_solve(lu, sys.rhs)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolveError(f"{sys.provenance} system solve failed: {exc}") from exc
+        raise SolveError(f"{sys.kind} system solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
-        raise SolveError(f"{sys.provenance} system is singular to working precision")
+        raise SolveError(f"{sys.kind} system is singular to working precision")
     # The bound exceeds the long-double residual the refinement would
     # compute first, so passing it returns what the refinement would.
     if _residual_bound(sys, sol) <= target:
@@ -516,7 +518,7 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     sol, residual = _refine_extended(sys, lu, sol, target)
     if residual > RESIDUAL_RTOL * max(rhs_norm, 1e-300):
         raise SolveError(
-            f"{sys.provenance} system residual {residual:.3e} exceeds "
+            f"{sys.kind} system residual {residual:.3e} exceeds "
             f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}",
             residual=residual,
         )

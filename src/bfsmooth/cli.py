@@ -288,7 +288,7 @@ def _study_text(args) -> str:
         if report.slope is not None:
             text += (
                 f"# slope={report.slope:.6g} "
-                f"predicted_eta_G={report.prediction.eta_G:.6g}\n"
+                f"predicted_eta_G={predicted_orders(spec).eta_G:.6g}\n"
             )
         elif report.slope_flag:
             text += f"# {report.slope_flag}\n"

@@ -33,8 +33,7 @@ IDENTITY_RTOL = 1e-8
 def fit_exact(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> FittedModel:
     """Fit the Exact smoother with smoothing parameter rho > 0."""
     _check_rho(rho)  # exact_system reads rho = 0 as the interpolant
-    return _fit(exact_system(spec, frame, X, y, rho), spec, frame, X,
-                "exact_smoother", rho)
+    return _fit(exact_system(spec, frame, X, y, rho), spec, frame, X, rho)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A fitted model is u(x) = sum_i v_i G(x - z_i) + sum_j beta_j p_j(x)
 with the coefficient constraint P_Z^T v = 0, which places u in the
 solution space W_{G,Z} + P_theta shared by the interpolant and both
 smoothers.  On that space the seminorm is computable in closed form:
-|u|^2 = (2 pi)^(d/2) v^T G_ZZ v.  Every fit builds its model in `_fit`.
+|u|^2 = (2 pi)^(d/2) v^T G_ZZ v.  Every fit builds its model in `_fit`,
+whose kind, one of MODEL_KINDS, is its system's.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ class FittedModel:
 
 
 def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
-         kind: str = "interpolant", rho: float = 0.0) -> FittedModel:
-    """Solve a saddle system and wrap its blocks v and beta as a model;
-    the approximate system's third block, a multiplier, is discarded."""
+         rho: float = 0.0) -> FittedModel:
+    """Solve a saddle system and wrap its blocks v and beta as a model of
+    the system's kind; an approx_smoother system's third block, a
+    multiplier, is discarded."""
     v, beta, *_ = sys.split(solve_block(sys))
     return FittedModel(spec=spec, frame=frame, centers=centers, v=v, beta=beta,
-                       kind=kind, rho=rho)
+                       kind=sys.kind, rho=rho)
 
 
 def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .interpolant import FittedModel
-from .kernels import KernelSpec
+from .errors import InputError, ParameterError, ParseError
+from .interpolant import MODEL_KINDS, FittedModel
+from .kernels import FAMILIES, KernelSpec
 from .polyspace import PolyFrame
 
 MODEL_FORMAT_VERSION = 1
@@ -212,14 +212,22 @@ class _ModelReader:
 def load_model(path) -> FittedModel:
     """Read a model written by save_model.
 
-    A malformed field raises ParseError with its 1-based line number.
+    Every fault raises ParseError.  One confined to a field (a wrong field
+    name, version, kind or kernel family, a bad number or count, a row of
+    the wrong width) names its 1-based line; fields that read but make no
+    model together (e.g. an s for gauss, or v and centers counts that
+    differ) name none.
     """
     r = _ModelReader(path)
     version = r.keyed("version")
     if version != str(MODEL_FORMAT_VERSION):
-        raise ParseError(f"{path}: unsupported model version {version!r}")
+        raise ParseError(f"{path}: unsupported model version {version!r}", line=r.pos)
     kind = r.keyed("kind")
+    if kind not in MODEL_KINDS:
+        raise ParseError(f"{path}: unknown model kind {kind!r}", line=r.pos)
     family = r.keyed("family")
+    if family not in FAMILIES:
+        raise ParseError(f"{path}: unknown kernel family {family!r}", line=r.pos)
 
     def opt_float(text: str) -> float | None:
         return None if text == "-" else r.number(float, text)
@@ -229,8 +237,6 @@ def load_model(path) -> FittedModel:
     theta = r.number(int, r.keyed("theta"))
     d = r.number(int, r.keyed("d"))
     rho = r.number(float, r.keyed("rho"))
-    spec = KernelSpec(family=family, theta=theta, d=d, s=s, a=a)  # checks d >= 1
-    frame = PolyFrame(d=d, theta=theta)
 
     def count(key: str) -> range:
         n = r.number(int, r.keyed(key))
@@ -238,9 +244,12 @@ def load_model(path) -> FittedModel:
             raise ParseError(f"{path}: negative count {key} {n}", line=r.pos)
         return range(n)
 
-    centers = np.array([r.row(d) for _ in count("centers")]).reshape(-1, d)
-    v = np.array([r.number(float, r.next()) for _ in count("v")])
-    beta = np.array([r.number(float, r.next()) for _ in count("beta")])
-    return FittedModel(
-        spec=spec, frame=frame, centers=centers, v=v, beta=beta, kind=kind, rho=rho
-    )
+    try:
+        spec = KernelSpec(family=family, theta=theta, d=d, s=s, a=a)  # checks d >= 1
+        centers = np.array([r.row(d) for _ in count("centers")]).reshape(-1, d)
+        v = np.array([r.number(float, r.next()) for _ in count("v")])
+        beta = np.array([r.number(float, r.next()) for _ in count("beta")])
+        return FittedModel(spec=spec, frame=PolyFrame(d=d, theta=theta),
+                           centers=centers, v=v, beta=beta, kind=kind, rho=rho)
+    except (InputError, ParameterError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

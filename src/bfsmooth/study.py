@@ -23,13 +23,7 @@ from .errors import BfsmoothError, InputError, ParameterError, SearchError
 from .interpolant import eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
 from .approx_smoother import Region, fit_approx
-from .kernels import (
-    KernelSpec,
-    OrderPrediction,
-    predicted_orders,
-    riesz_representer,
-    semi_riesz,
-)
+from .kernels import KernelSpec, riesz_representer, semi_riesz
 from .polyspace import PolyFrame, UnisolventFrame, _maybe_scalar, as_points
 
 # Reference values of the 1-d empirical density law h_X ~ h1 * N^(-a).
@@ -178,10 +172,8 @@ class SweepRow:
 class StudyReport:
     """Rows of a convergence sweep plus the fitted log-log slope."""
 
-    mode: str
     rows: tuple[SweepRow, ...]
     slope: float | None
-    prediction: OrderPrediction
     slope_flag: str = ""
 
     def to_csv(self) -> str:
@@ -223,10 +215,10 @@ def convergence_sweep(
     """Measure max-abs error on interior probes across increasing sizes.
 
     `data_fn` is called once per probe and data point with a (d,) array.
-    The inputs pick the fit: given `centers`, an (N', d) array, the
-    Approximate smoother; given `rho` only, the Exact smoother; given
-    neither, the interpolant.  `rho` is a float (fixed) or a RhoCoupling
-    (tied to the measured fill distance).  Row i fits
+    The inputs pick the fit, named by its MODEL_KINDS value: given
+    `centers`, an (N', d) array, approx_smoother; given `rho` only,
+    exact_smoother; given neither, interpolant.  `rho` is a float (fixed)
+    or a RhoCoupling (tied to the measured fill distance).  Row i fits
     gen_uniform(region, N_i, (seed, i)).  A fit that raises a library
     error (BfsmoothError) is recorded with its message and excluded from
     the slope; any other exception propagates.
@@ -236,7 +228,6 @@ def convergence_sweep(
     coupled = isinstance(rho, RhoCoupling)
     if rho is not None and not coupled:
         _check_rho(rho)
-    mode = "interpolant" if rho is None else "exact" if centers is None else "approx"
     if centers is not None:  # a bad shape fails here, not in every row
         centers = as_points(centers, region.d)
     sizes = _sizes(sizes, 1)
@@ -250,9 +241,9 @@ def convergence_sweep(
         h = cavity_density(region, X, _probes_per_axis(region.d, DENSITY_PROBES))
         rho_N = 0.0 if rho is None else rho.rho(h) if coupled else float(rho)
         try:
-            if mode == "interpolant":
+            if rho is None:
                 model = fit_interpolant(spec, frame, X, y)
-            elif mode == "exact":
+            elif centers is None:
                 model = fit_exact(spec, frame, X, y, rho_N)
             else:
                 model = fit_approx(spec, frame, X, y, centers, rho_N)
@@ -273,13 +264,7 @@ def convergence_sweep(
         slope, flag = None, "errors at noise floor; slope undefined"
     elif slope is None:
         flag = "too few successful rows for a slope"
-    return StudyReport(
-        mode=mode,
-        rows=tuple(rows),
-        slope=slope,
-        prediction=predicted_orders(spec),
-        slope_flag=flag,
-    )
+    return StudyReport(rows=tuple(rows), slope=slope, slope_flag=flag)
 
 
 def scaling_study(spec: KernelSpec, frame: PolyFrame, region: Region, centers,

@@ -126,7 +126,7 @@ class TestParseGrid:
         gs = parse_grid("-1,-1:1,1:4,6")
         assert gs.counts == (4, 6)
 
-    @pytest.mark.parametrize("text", ["0:1", "0:1:a", "1:0:5", "0,0:1:5"])
+    @pytest.mark.parametrize("text", ["0:1", "0:1:a", "1:0:5", "0,0:1:5", "0,0:1,1:5"])
     def test_bad_specs(self, text):
         with pytest.raises(ParseError):
             parse_grid(text)

@@ -101,7 +101,7 @@ class TestExactSystem:
         # rho = 0 is the interpolation system that fit_interpolant solves
         spec, frame, X, y = _random_instance(2, 20)
         sys = exact_system(spec, frame, X, y, rho=0.0)
-        assert sys.provenance == "interp"
+        assert sys.kind == "interpolant"
         np.testing.assert_array_equal(sys.matrix, _eager_matrix(spec, frame, X, 0.0))
         model = interpolant.fit_interpolant(spec, frame, X, y)
         v, beta = sys.split(solve_block(sys))
@@ -324,6 +324,13 @@ class TestSolveBlock:
         with pytest.raises(SolveError):
             solve_block(sys)
 
+    def test_non_finite_matrix_raises(self):
+        # lu_factor rejects the matrix itself; the error names the system
+        K = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        sys = BlockSystem(K, np.zeros((2, 0)), np.ones(2), (2,), "test")
+        with pytest.raises(SolveError, match="^test system solve failed: .*infs"):
+            solve_block(sys)
+
     def test_random_symmetric_high_accuracy(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
@@ -352,9 +359,9 @@ def _always_extended_solve(sys):
             lu = scipy.linalg.lu_factor(sys.matrix)
             sol = scipy.linalg.lu_solve(lu, sys.rhs)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolveError(f"{sys.provenance} system solve failed: {exc}") from exc
+        raise SolveError(f"{sys.kind} system solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
-        raise SolveError(f"{sys.provenance} system is singular to working precision")
+        raise SolveError(f"{sys.kind} system is singular to working precision")
     rhs_norm = np.linalg.norm(sys.rhs)
     A_ext = sys.matrix.astype(np.longdouble)
     rhs_ext = sys.rhs.astype(np.longdouble)
@@ -377,7 +384,7 @@ def _always_extended_solve(sys):
     sol, residual = best_sol, best_residual
     if residual > RESIDUAL_RTOL * max(rhs_norm, 1e-300):
         raise SolveError(
-            f"{sys.provenance} system residual {residual:.3e} exceeds "
+            f"{sys.kind} system residual {residual:.3e} exceeds "
             f"{RESIDUAL_RTOL:.0e} * |rhs| = {RESIDUAL_RTOL * rhs_norm:.3e}",
             residual=residual,
         )
@@ -815,7 +822,7 @@ class TestInPlaceCandidate:
                 else:  # (2) LU factors the eagerly assembled matrix
                     assert np.array_equal(lu_inputs[0], eager), label
                     other = BlockSystem(eager[:N, :N].copy(), eager[:N, N:].copy(),
-                                        sys.rhs, sys.layout, sys.provenance)
+                                        sys.rhs, sys.layout, sys.kind)
                     want_lu = _outcome(solve_block, other)
                     assert type(got) is type(want_lu), label
                     assert (got == want_lu if isinstance(got, str)

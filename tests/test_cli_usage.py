@@ -169,16 +169,24 @@ def test_convergence_bad_flags_exit_2(flags, message, capsys):
     assert captured.out == "" and message in captured.err
 
 
+def test_convergence_one_size_prints_no_slope(capsys):
+    # one row is too few for a slope, and the flag takes the slope's line
+    assert main([*_CONVERGENCE[:-1], "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("50,")
+    assert lines[2] == "# too few successful rows for a slope"
+
+
 def test_convergence_prints_failed_rows(monkeypatch, capsys):
     # a fit that fails the residual gate is a row of NaNs and its reason
     def fail_at_40(spec, frame, X, y):
         if len(X) == 40:
-            raise SolveError("interp system residual 2e-7 exceeds\n1e-08 * |rhs|")
+            raise SolveError("interpolant system residual 2e-7 exceeds\n1e-08 * |rhs|")
         return fit_interpolant(spec, frame, X, y)
 
     monkeypatch.setattr(study, "fit_interpolant", fail_at_40)
     assert main([*_CONVERGENCE[:-1], "20,40,80"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("40,") and ",nan," in lines[2]
-    assert "# N=40: interp system residual 2e-7 exceeds 1e-08 * |rhs|" in lines
+    assert "# N=40: interpolant system residual 2e-7 exceeds 1e-08 * |rhs|" in lines
     assert not any(line.startswith(("# N=20", "# N=80")) for line in lines)

@@ -89,6 +89,17 @@ class TestFitInterpolant:
         _, X, _, _, _ = _random_fit(7, N=25)
         assert builds == [(25, 25)]
 
+    def test_residual_beyond_tolerance_raises(self, monkeypatch):
+        # a solution off by 1e-6 in beta misses the data by about that much
+        def perturbed(sys):
+            x = solve_block(sys).copy()
+            x[sys.layout[0]:] += 1e-6
+            return x
+
+        monkeypatch.setattr(interpolant, "solve_block", perturbed)
+        with pytest.raises(ContractError, match="interpolation residual"):
+            _random_fit(3)
+
     def test_refit_is_idempotent(self):
         model, X, _, spec, frame = _random_fit(2)
         probes = np.linspace(-1.4, 1.4, 20)
@@ -261,6 +272,20 @@ class TestSeminorm:
         np.testing.assert_array_equal(Z, np.array(keys))
         np.testing.assert_array_equal(w, [merged[k] for k in keys])
 
+    def test_diff_needs_one_spec(self):
+        model, _, _, _, frame = _random_fit(5)
+        other = FittedModel(spec=KernelSpec("thinplate", theta=2, d=1, s=0.5),
+                            frame=frame, centers=model.centers, v=model.v,
+                            beta=model.beta)
+        with pytest.raises(ParameterError, match="same kernel spec"):
+            seminorm_sq_diff(model, other)
+
+    def test_diff_of_polynomials_is_zero(self):
+        # no centers on either side: the difference is a polynomial
+        p, q = (FittedModel(spec=TPS, frame=PolyFrame(1, 2), centers=np.zeros((0, 1)),
+                            v=np.zeros(0), beta=np.array(beta)) for beta in ([1, 2], [3, 0]))
+        assert seminorm_sq_diff(p, q) == 0.0
+
     def test_constraint_violation_raises(self):
         frame = PolyFrame(1, 1)
         model = FittedModel(
@@ -352,4 +377,9 @@ class TestModelValidation:
             FittedModel(
                 spec=GAUSS1, frame=PolyFrame(1, 1), centers=[[0.0]],
                 v=np.zeros(2), beta=np.zeros(1),
+            )
+        with pytest.raises(ParameterError, match="beta must have length M = 1"):
+            FittedModel(
+                spec=GAUSS1, frame=PolyFrame(1, 1), centers=[[0.0]],
+                v=np.zeros(1), beta=np.zeros(2),
             )

@@ -46,6 +46,12 @@ class TestReadCsv:
             io.read_csv(p)
         assert exc.value.line == 2
 
+    def test_blank_file_rejected(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("\n  \n\t\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            io.read_csv(p)
+
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1\n2\n")
@@ -206,8 +212,9 @@ class TestModelPersistence:
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("version 99\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             io.load_model(path)
+        assert exc.value.line == 1
 
     # lines of _model()'s file: 6 theta, 8 rho, 9 "centers 15", 10-24 the
     # center rows (d = 1), 25 "v 15", 26-40 the v entries
@@ -220,6 +227,9 @@ class TestModelPersistence:
         (26, "1e"),
         (10, "0.5 0.25"),  # center row of the wrong width
         (10, "zero"),
+        (2, "kind interp"),  # not one of MODEL_KINDS
+        (3, "family wendland"),
+        (7, "dim 1"),  # a wrong field name
     ])
     def test_malformed_field_reports_line(self, tmp_path, lineno, text):
         path = tmp_path / "m.model"
@@ -231,6 +241,20 @@ class TestModelPersistence:
         with pytest.raises(ParseError) as exc:
             io.load_model(path)
         assert exc.value.line == lineno
+
+    def test_fields_that_make_no_model(self, tmp_path):
+        # each field reads, but together they make no model: no line to name
+        path = tmp_path / "m.model"
+        io.save_model(self._model(), path)
+        lines = path.read_text().splitlines()
+        for edited, message in [
+            (lines[:2] + ["family gauss"] + lines[3:], "gauss takes no s"),
+            (lines[:24] + ["v 14"] + lines[26:], "one coefficient per center"),
+        ]:
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(ParseError, match=message) as exc:
+                io.load_model(path)
+            assert exc.value.line is None
 
 
 @pytest.fixture

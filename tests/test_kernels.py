@@ -343,6 +343,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             KernelSpec("wendland", theta=1, d=1)
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("gauss", {"theta": 0, "d": 1}, "theta must be a positive integer"),
+        ("gauss", {"theta": 1.5, "d": 1}, "theta must be a positive integer"),
+        ("gauss", {"theta": 2, "d": 0}, "dimension must be >= 1"),
+        ("mq", {"theta": 2, "d": 2, "a": 0.0}, "mq requires a > 0"),
+        ("imq", {"theta": 2, "d": 2, "a": -1.0}, "imq requires a > 0"),
+    ])
+    def test_out_of_range_rejected(self, family, params, message):
+        with pytest.raises(ParameterError, match=message):
+            KernelSpec(family, **params)
+
     @pytest.mark.parametrize("family, params", [
         ("thinplate", {"s": 1.5, "a": 7.0}),
         ("mq", {"s": 0.5, "a": 1.0}),

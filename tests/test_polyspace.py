@@ -10,6 +10,7 @@ from bfsmooth.kernels import parse_kernel, riesz_representer, semi_riesz
 from bfsmooth.polyspace import (
     PolyFrame,
     _has_duplicates,
+    as_points,
     enumerate_multi_indices,
     is_unisolvent,
     minimal_unisolvent_subset,
@@ -88,6 +89,17 @@ class TestMonomialValues:
         np.testing.assert_allclose(
             frame.monomials(pts), _monomials_reference(frame, pts), rtol=1e-15, atol=0
         )
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("points, message", [
+        ([0.0, 1.0, 2.0], "cannot interpret shape"),  # neither one point nor d = 1
+        ([[0.0, math.nan]], "non-finite"),
+        ([[math.inf, 0.0]], "non-finite"),
+    ])
+    def test_rejected(self, points, message):
+        with pytest.raises(InputError, match=message):
+            as_points(points, 2)
 
 
 class TestDuplicates:

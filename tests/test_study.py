@@ -74,6 +74,14 @@ class TestCavityDensity:
         fine = cavity_density(BOX1, X, 10_000)
         assert abs(coarse - fine) <= 3.0 / 1000
 
+    @pytest.mark.parametrize("X, per_axis, error", [
+        ([0.0], 1, ParameterError),  # one probe per axis measures no box
+        (np.zeros((0, 1)), 10, InputError),
+    ])
+    def test_rejected(self, X, per_axis, error):
+        with pytest.raises(error):
+            cavity_density(BOX1, X, per_axis)
+
     def test_monotone_under_point_addition(self):
         rng = np.random.default_rng(4)
         X = gen_uniform(BOX1, 20, seed=4)
@@ -259,19 +267,20 @@ class TestConvergenceSweep:
             convergence_sweep(TPS, PolyFrame(1, 2), BOX1, lambda x: 0.0, (30, 60),
                               rho=0.01, centers=np.zeros((10, 2)))
 
-    @pytest.mark.parametrize("rho, centers, mode, fitter", [
+    # `case` only names the case in its test id and failure message
+    @pytest.mark.parametrize("rho, centers, case, fitter", [
         (None, None, "interpolant", "fit_interpolant"),
         (0.01, None, "exact", "fit_exact"),
         (RhoCoupling(eta_G=1.0), None, "exact", "fit_exact"),
         (0.01, GRID10, "approx", "fit_approx"),
         (RhoCoupling(eta_G=1.0), GRID10, "approx", "fit_approx"),
     ])
-    def test_inputs_pick_the_fit(self, rho, centers, mode, fitter, sweep_fits):
+    def test_inputs_pick_the_fit(self, rho, centers, case, fitter, sweep_fits):
         report = convergence_sweep(
             TPS, PolyFrame(1, 2), BOX1, lambda x: float(np.sin(np.sum(x))),
             (30, 60), rho=rho, centers=centers,
         )
-        assert report.mode == mode and sweep_fits == [fitter, fitter]
+        assert sweep_fits == [fitter, fitter], case
         for row in report.rows:
             want = rho if isinstance(rho, float) else rho.rho(row.h) if rho else 0.0
             assert row.ok and row.rho == want
@@ -356,6 +365,11 @@ class TestRepresenterData:
         centers = rng.uniform(-1.2, 1.2, (5, 1))
         beta = rng.standard_normal(5)
         return uf, centers, beta
+
+    def test_beta_length_mismatch(self):
+        uf, centers, beta = self._setup()
+        with pytest.raises(ParameterError, match="one entry per center"):
+            RepresenterData(TPS, uf, centers, beta[:-1])
 
     def test_zero_coefficients(self):
         uf, centers, _ = self._setup()
