@@ -427,6 +427,14 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     )
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), or BLAS `dnrm2`'s scaled sum where its sum of
+    squares overflows (silently, in `solve_block`): finite whenever the
+    2-norm itself is."""
+    norm = float(np.linalg.norm(x))
+    return norm if norm < np.inf else float(scipy.linalg.blas.dnrm2(x))
+
+
 def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     """Upper bound on |A x - b|_2 from double-precision arithmetic alone.
 
@@ -443,8 +451,7 @@ def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     b = sys.rhs
     Ax, scale = sys.products(x)
     scale += np.abs(b)
-    residual = float(np.linalg.norm(Ax - b))
-    return residual + len(b) * np.finfo(float).eps * float(np.linalg.norm(scale))
+    return _norm(Ax - b) + len(b) * np.finfo(float).eps * _norm(scale)
 
 
 def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
@@ -458,7 +465,7 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
     rhs_ext = sys.rhs.astype(np.longdouble)
 
     def _residual(x):
-        return float(np.linalg.norm((dot(A_ext, x) - rhs_ext).astype(float)))
+        return _norm((dot(A_ext, x) - rhs_ext).astype(float))
 
     residual = _residual(sol)
     best_sol, best_residual = sol, residual
@@ -475,6 +482,7 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
     return best_sol, best_residual
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound fails the gate
 def solve_block(sys: BlockSystem) -> np.ndarray:
     """Dense solve with a mandatory residual check.
 
@@ -495,9 +503,11 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     (`dense`), and the LU solution is returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
-    or SolveError is raised.
+    or SolveError is raised, as it is for an rhs whose `_norm` is not finite.
     """
-    rhs_norm = np.linalg.norm(sys.rhs)
+    rhs_norm = _norm(sys.rhs)
+    if not rhs_norm < np.inf:  # an infinite target would certify anything
+        raise SolveError(f"{sys.kind} system right-hand side has 2-norm {rhs_norm}")
     target = 0.05 * RESIDUAL_RTOL * rhs_norm
     if sys.candidate is not None and _residual_bound(sys, sys.candidate) <= target:
         return sys.candidate

@@ -163,7 +163,7 @@ def _emit(text: str, out: str | None):
 
 
 def _predictions_csv(model, points) -> str:
-    values = np.atleast_1d(eval_model(model, points))
+    values = eval_model(model, points)
     d = model.frame.d
     header = ",".join(f"x{i + 1}" for i in range(d)) + ",prediction"
     lines = [header]

@@ -67,7 +67,7 @@ def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
         s = dot(G, model.v) + dot(model.frame.monomials(X), model.beta)
         sn = _seminorm_from(model.spec, model.v, G)
     else:
-        s = np.atleast_1d(eval_model(model, X))
+        s = eval_model(model, X)
         sn = seminorm_sq(model)
     residual_ms = float(np.mean((s - y) ** 2))
     return s, sn, residual_ms, rho * sn + residual_ms

@@ -216,7 +216,7 @@ def load_model(path) -> FittedModel:
     name, version, kind or kernel family, a bad number or count, a row of
     the wrong width) names its 1-based line; fields that read but make no
     model together (e.g. an s for gauss, or v and centers counts that
-    differ) name none.
+    differ) name none, and nor does a v or beta entry that is not finite.
     """
     r = _ModelReader(path)
     version = r.keyed("version")

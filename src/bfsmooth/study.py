@@ -247,7 +247,7 @@ def convergence_sweep(
                 model = fit_exact(spec, frame, X, y, rho_N)
             else:
                 model = fit_approx(spec, frame, X, y, centers, rho_N)
-            err = float(np.max(np.abs(np.atleast_1d(eval_model(model, probes)) - f_probe)))
+            err = float(np.max(np.abs(eval_model(model, probes) - f_probe)))
             J_e = functional_value(model, X, y, rho_N)
             rows.append(SweepRow(N=N, h=h, err_max=err, rho=rho_N, J_e=J_e, ok=True))
         except BfsmoothError as exc:  # recorded per-row, excluded from the slope

@@ -500,6 +500,28 @@ class TestSolveBlockGate:
             bound = Fraction(assembly._residual_bound(sys, x))
             assert bound * bound >= true_sq
 
+    # |rhs| is 4.8e150 and 4.8e160: the sum of squares of the second
+    # overflows, and the gate must still reject a candidate off by 1e-3
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_large_data_gate_holds(self, scale):
+        _, X, _ = _gate_data()
+        X = X[:50]
+        y = scale * np.sin(X.sum(axis=1))
+        sys = exact_system(ILL_SPECS[3], PolyFrame(2, 2), X, y, 1e-3)
+        sys.candidate = sys.candidate * (1 + 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_block(sys)
+        assert not np.array_equal(sol, sys.candidate)
+        rhs = sys.rhs.astype(np.longdouble)
+        r = sys.matrix.astype(np.longdouble) @ sol - rhs
+        assert np.linalg.norm(r) <= RESIDUAL_RTOL * np.linalg.norm(rhs)
+
+    def test_overflowing_rhs_norm_raises(self):
+        sys = BlockSystem(np.eye(3), np.zeros((3, 0)), np.full(3, 1.5e308), (3,), "test")
+        with pytest.raises(SolveError, match="^test system right-hand side has 2-norm inf"):
+            solve_block(sys)
+
 
 class TestSpectralCandidate:
     """The repeated-rho path: ApproxParts' spectral factor behind the gate."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bfsmooth import assembly, interpolant
-from bfsmooth.assembly import solve_block
+from bfsmooth.assembly import RESIDUAL_RTOL
 from bfsmooth.errors import ContractError, ParameterError
 from bfsmooth.interpolant import (
     FittedModel,
@@ -76,7 +76,7 @@ class TestFitInterpolant:
         )
 
     def test_one_kernel_build_per_fit(self, monkeypatch):
-        # s at X comes from the solved system, not from a second G_XX
+        # the fit builds G_XX once, for its system
         builds = []
 
         def spy(*args, _kernel=kernel_matrix, **kwargs):
@@ -89,16 +89,32 @@ class TestFitInterpolant:
         _, X, _, _, _ = _random_fit(7, N=25)
         assert builds == [(25, 25)]
 
-    def test_residual_beyond_tolerance_raises(self, monkeypatch):
-        # a solution off by 1e-6 in beta misses the data by about that much
-        def perturbed(sys):
-            x = solve_block(sys).copy()
-            x[sys.layout[0]:] += 1e-6
-            return x
+    # d = 2 interpolants whose solve ends in long-double refinement, the
+    # one exit whose certificate is not the double-precision bound
+    @pytest.mark.parametrize("spec, N", [
+        (KernelSpec("gauss", theta=2, d=2), 100),
+        (KernelSpec("mq", theta=2, d=2, a=1.0), 200),
+        (KernelSpec("imq", theta=2, d=2, a=1.0), 300),
+        (KernelSpec("shifted-tps", theta=2, d=2, s=1.5, a=1.0), 150),
+    ])
+    def test_long_double_exit_certified(self, monkeypatch, spec, N):
+        refined = []
 
-        monkeypatch.setattr(interpolant, "solve_block", perturbed)
-        with pytest.raises(ContractError, match="interpolation residual"):
-            _random_fit(3)
+        def spy(*args, _orig=assembly._refine_extended):
+            refined.append(True)
+            return _orig(*args)
+
+        monkeypatch.setattr(assembly, "_refine_extended", spy)
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.5, 1.5, (N, 2))
+        y = np.sin(X.sum(axis=1))
+        frame = PolyFrame(2, 2)
+        model = fit_interpolant(spec, frame, X, y)
+        assert refined
+        sys = assembly.exact_system(spec, frame, X, y, 0.0)
+        x = np.concatenate([model.v, model.beta]).astype(np.longdouble)
+        r = sys.matrix.astype(np.longdouble) @ x - sys.rhs.astype(np.longdouble)
+        assert np.linalg.norm(r.astype(float)) <= RESIDUAL_RTOL * np.linalg.norm(y)
 
     def test_refit_is_idempotent(self):
         model, X, _, spec, frame = _random_fit(2)

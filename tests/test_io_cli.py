@@ -250,6 +250,8 @@ class TestModelPersistence:
         for edited, message in [
             (lines[:2] + ["family gauss"] + lines[3:], "gauss takes no s"),
             (lines[:24] + ["v 14"] + lines[26:], "one coefficient per center"),
+            (lines[:25] + ["nan"] + lines[26:], "must be finite"),  # a v entry
+            (lines[:42] + ["inf"], "must be finite"),  # the last beta entry
         ]:
             path.write_text("\n".join(edited) + "\n")
             with pytest.raises(ParseError, match=message) as exc:
@@ -540,10 +542,13 @@ class TestCli:
         assert main(["--quiet", "interpolate", "--data", str(sine_csv),
                      "--kernel", "thinplate:s=1.5", "--theta", "2",
                      "--save", str(model_path)]) == 0
-        text = model_path.read_text().replace("theta 2", "theta x")
-        model_path.write_text(text)
-        assert main(["eval", "--model", str(model_path), "--eval=-1:1:5"]) == 2
-        assert "error:" in capsys.readouterr().err
+        saved = model_path.read_text()
+        lines = saved.splitlines()
+        lines[next(i for i, line in enumerate(lines) if line.startswith("v ")) + 1] = "nan"
+        for text in (saved.replace("theta 2", "theta x"), "\n".join(lines) + "\n"):
+            model_path.write_text(text)
+            assert main(["eval", "--model", str(model_path), "--eval=-1:1:5"]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_study_convergence_bad_sizes_exit_2(self, capsys):
         assert main([*self._CONVERGENCE[:-1], "50,abc"]) == 2

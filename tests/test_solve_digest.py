@@ -1,0 +1,36 @@
+"""scripts/solve_digest.py's digest on three small gate systems."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+
+from bfsmooth.assembly import approx_parts, exact_system
+from bfsmooth.kernels import KernelSpec
+from bfsmooth.polyspace import PolyFrame
+from test_assembly import _center_grid, _gate_data
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "solve_digest.py"
+_SPEC = importlib.util.spec_from_file_location("solve_digest", _PATH)
+solve_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(solve_digest)
+
+
+def _systems(moved=False):
+    # an interpolant and an exact_smoother system (Cholesky candidates) and
+    # a first approx_smoother system (LU); moved: y[0] one ulp up
+    _, X, y = _gate_data()
+    X, y = X[:60], y[:60].copy()
+    if moved:
+        y[0] = np.nextafter(y[0], np.inf)
+    spec, frame = KernelSpec("thinplate", theta=2, d=2, s=1.5), PolyFrame(2, 2)
+    return [exact_system(spec, frame, X, y, 0.0), exact_system(spec, frame, X, y, 1e-3),
+            approx_parts(spec, frame, X, y, _center_grid(5)).system(1e-6)]
+
+
+def test_digest_is_deterministic_and_sees_one_ulp():
+    first = solve_digest.digest(_systems())
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert solve_digest.digest(_systems()) == first
+    assert solve_digest.digest(_systems(moved=True)) != first
