@@ -385,8 +385,8 @@ class _SpectralFactor:
 
 
 def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
-    """Stream over X in chunks of DEFAULT_CHUNK rows to accumulate the
-    approx_smoother system blocks."""
+    """Accumulate the approx_smoother system blocks over X in chunks of
+    DEFAULT_CHUNK rows, whose kernel blocks all share one buffer."""
     X, y = _samples(frame.d, X, y)
     _require_unisolvent(frame, X)
     Xp = as_points(Xp, frame.d)
@@ -398,9 +398,10 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     By = np.zeros(Np)
     Pty = np.zeros(M)
     syrk = scipy.linalg.blas.dsyrk
+    buffer = np.empty(Np * min(N, DEFAULT_CHUNK))
     for lo in range(0, N, DEFAULT_CHUNK):
         hi = min(lo + DEFAULT_CHUNK, N)
-        B_c = kernel_matrix(spec, Xp, X[lo:hi])  # (N', c)
+        B_c = kernel_matrix(spec, Xp, X[lo:hi], out=buffer[: Np * (hi - lo)].reshape(Np, -1))
         P_c = unisolvency_matrix(frame, X[lo:hi])  # (c, M)
         # rank-c updates of the upper triangles in place: BBt.T and PtP.T
         # are the Fortran-order views whose lower triangles those are
