@@ -18,8 +18,11 @@ The systems, all seeded, d = 2 and theta = 2:
     LU and the later ones the spectral candidate.
 
 The systems are built one at a time, the gate ones by the helpers of
-tests/test_assembly.py in this script's own checkout. The path of the
-library that ran goes to stderr.
+tests/test_assembly.py in this script's own checkout. Three lines go to
+stderr: the path of the library that ran; the census, how many systems
+solve_block returned by each path (PATHS) or raised on; and one SHA-256
+over the returned solutions only, which stays equal when a change moves
+no solution's bits but only the digits of a SolveError message.
 """
 
 from __future__ import annotations
@@ -33,21 +36,60 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import bfsmooth  # noqa: E402
+from bfsmooth import assembly  # noqa: E402
 from bfsmooth.assembly import approx_parts, exact_system, solve_block  # noqa: E402
 from bfsmooth.errors import SolveError  # noqa: E402
 from bfsmooth.kernels import KernelSpec  # noqa: E402
 from bfsmooth.polyspace import PolyFrame  # noqa: E402
 
 
+# how solve_block ended: its system's candidate, the LU solution, the
+# long-double refinement's best iterate, or a SolveError
+PATHS = ("candidate", "lu", "long double", "raised")
+
+
+def outcomes(systems) -> list[tuple[str, bytes]]:
+    """(path, outcome) per system: the PATHS entry solve_block took, and
+    the solution's bytes or the SolveError message's."""
+    refine, refined = assembly._refine_extended, []
+
+    def spy(*args):
+        refined.append(True)
+        return refine(*args)
+
+    assembly._refine_extended = spy
+    results = []
+    try:
+        for system in systems:
+            refined.clear()
+            try:
+                solution = solve_block(system)
+            except SolveError as exc:
+                results.append(("raised", str(exc).encode()))
+                continue
+            path = ("candidate" if solution is system.candidate
+                    else "long double" if refined else "lu")
+            results.append((path, solution.tobytes()))
+    finally:
+        assembly._refine_extended = refine
+    return results
+
+
+def census(results) -> dict[str, int]:
+    """How many of `outcomes`' results took each of PATHS."""
+    return {p: sum(path == p for path, _ in results) for p in PATHS}
+
+
+def _sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
 def digest(systems) -> str:
     """Hex SHA-256 over each system's solution bytes or SolveError message."""
-    h = hashlib.sha256()
-    for system in systems:
-        try:
-            h.update(solve_block(system).tobytes())
-        except SolveError as exc:
-            h.update(str(exc).encode())
-    return h.hexdigest()
+    return _sha(outcome for _, outcome in outcomes(systems))
 
 
 def _data(N: int, seed: int):
@@ -75,4 +117,10 @@ def systems():
 
 if __name__ == "__main__":
     print(f"# bfsmooth from {Path(bfsmooth.__file__).parent}", file=sys.stderr)
-    print(digest(systems()))
+    results = outcomes(systems())
+    print("# paths: " + ", ".join(f"{p} {n}" for p, n in census(results).items()),
+          file=sys.stderr)
+    print("# solutions sha256: "
+          + _sha(outcome for path, outcome in results if path != "raised"),
+          file=sys.stderr)
+    print(_sha(outcome for _, outcome in results))

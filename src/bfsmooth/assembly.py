@@ -14,7 +14,7 @@ with B = G_X'X and lam = (2 pi)^(d/2) N rho (`_lam`).  One type holds all
 three (`BlockSystem`): K is bit-symmetric and kept as one C-ordered array
 beside P, the system is read through K's strict lower triangle and a
 saved diagonal, and the dense saddle matrix is assembled from them only
-for LU, long-double refinement or a caller that reads `matrix`.
+for LU or a caller that reads `matrix`.
 
 The interpolant and exact_smoother systems come from one builder,
 `exact_system`, and carry a Cholesky candidate (`_cardinal_solve`):
@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import dot
-from .errors import ParameterError, SolveError
+from .errors import InputError, ParameterError, SolveError
 from .kernels import KernelSpec, kernel_matrix
 from .polyspace import (PolyFrame, _pivots, _require_unisolvent, as_points,
                         unisolvency_matrix)
@@ -68,14 +68,15 @@ class BlockSystem:
     docstring), with the symmetric K held as one C-ordered array beside P.
 
     Every read of the system goes through K's strict lower triangle and
-    the diagonal saved here (`products`, `dense`), which an interpolant or
-    exact_smoother system's Cholesky candidate leaves intact: it factors
-    in K's upper triangle.  `matrix`, the dense array, is assembled only
-    when asked for and, K being bit-symmetric, equals the eagerly
-    assembled saddle matrix bit for bit.  `layout` gives the block sizes
-    of a solution (`split`); `kind` names the fit, as `FittedModel.kind`
-    and every `SolveError` do; `candidate`, a trial solution set by the
-    builder or None, is what `solve_block` checks first.
+    the diagonal saved here (`products` for the gate and the long-double
+    refinement, `dense` for LU), which an interpolant or exact_smoother
+    system's Cholesky candidate leaves intact: it factors in K's upper
+    triangle.  `matrix`, the dense array, is assembled only when asked
+    for and, K being bit-symmetric, equals the eagerly assembled saddle
+    matrix bit for bit.  `layout` gives the block sizes of a solution
+    (`split`); `kind` names the fit, as `FittedModel.kind` and every
+    `SolveError` do; `candidate`, a trial solution set by the builder or
+    None, is what `solve_block` checks first.
     """
 
     def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
@@ -114,13 +115,13 @@ class BlockSystem:
             yield lo, hi, block
 
     def products(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A x and |A| |x| from one pass over K's strict lower triangle
-        (`_lower_blocks`): each block is applied as itself and as its
-        transpose, so each entry of K is read once, not twice as by rows."""
+        """A x in x's precision and |A| |x| in double, from one pass over
+        K's strict lower triangle (`_lower_blocks`): each block is applied
+        as itself and as its transpose, so each entry of K is read once."""
         N = len(self.K)
         P = self.P
         v, beta = x[:N], x[N:]
-        abs_v, abs_beta = np.abs(v), np.abs(beta)
+        abs_v, abs_beta = np.abs(v, dtype=float), np.abs(beta, dtype=float)
         Kv = self.diag * v
         abs_Kv = np.abs(self.diag) * abs_v
         for lo, hi, block in self._lower_blocks():
@@ -134,13 +135,13 @@ class BlockSystem:
         abs_Ax = np.concatenate([abs_Kv + dot(abs_P, abs_beta), dot(abs_v, abs_P)])
         return Ax, abs_Ax
 
-    def dense(self, dtype=float) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """The saddle matrix from K's strict lower triangle
         (`_lower_blocks`, each block written and its transpose added), the
-        saved diagonal and P, as a new Fortran-ordered array."""
+        saved diagonal and P, as a new Fortran-ordered array for LU."""
         P = self.P
         N, M = P.shape
-        A = np.zeros((N + M, N + M), dtype)
+        A = np.zeros((N + M, N + M))
         for lo, hi, block in self._lower_blocks():
             A[lo:hi, :hi] = block
             A[:hi, lo:hi] += block.T
@@ -152,11 +153,13 @@ class BlockSystem:
 
 
 def _samples(d: int, X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Sites as (N, d) points and values y of length N."""
+    """Sites as (N, d) points and finite values y of length N."""
     X = as_points(X, d)
     y = np.asarray(y, dtype=float)
     if y.shape != (len(X),):
         raise ParameterError(f"y must have length {len(X)}, got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InputError("y contains non-finite values")
     return X, y
 
 
@@ -456,28 +459,27 @@ def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
 
 
 def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
-    """Iterative refinement with the residual accumulated in long double.
-
-    The refined residual is not monotone on ill-conditioned instances, so
-    run a fixed number of sweeps and keep the best iterate.  Returns the
-    best iterate and its long-double residual norm.
+    """Iterative refinement on the residual b - A x in long double, read
+    in one pass over the system (`BlockSystem.products`) and kept for the
+    next correction.  The residual is not monotone on ill-conditioned
+    instances, so run a fixed number of sweeps and keep the best iterate;
+    returns it and its long-double residual norm.
     """
-    A_ext = sys.dense(np.longdouble)
-    rhs_ext = sys.rhs.astype(np.longdouble)
 
     def _residual(x):
-        return _norm((dot(A_ext, x) - rhs_ext).astype(float))
+        r = (sys.rhs - sys.products(x.astype(np.longdouble))[0]).astype(float)
+        return r, _norm(r)
 
-    residual = _residual(sol)
+    r, residual = _residual(sol)
     best_sol, best_residual = sol, residual
     for _ in range(8):
         if best_residual <= target:
             break
-        correction = scipy.linalg.lu_solve(lu, (rhs_ext - dot(A_ext, sol)).astype(float))
+        correction = scipy.linalg.lu_solve(lu, r)
         if not np.all(np.isfinite(correction)):
             break
         sol = sol + correction
-        residual = _residual(sol)
+        r, residual = _residual(sol)
         if residual < best_residual:
             best_sol, best_residual = sol, residual
     return best_sol, best_residual

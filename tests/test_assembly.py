@@ -19,8 +19,8 @@ from bfsmooth.assembly import (
     solve_block,
 )
 from bfsmooth.approx_smoother import GridSpec, fit_approx, fit_parts, make_grid
-from bfsmooth.errors import ParameterError, SolveError, UnisolvencyError
-from bfsmooth.exact_smoother import fit_exact
+from bfsmooth.errors import InputError, ParameterError, SolveError, UnisolvencyError
+from bfsmooth.exact_smoother import diagnostics, fit_exact, functional_value
 from bfsmooth.interpolant import CONSTRAINT_RTOL, eval_model
 from bfsmooth.kernels import KernelSpec, kernel_matrix, riesz_representer
 from bfsmooth.polyspace import PolyFrame, minimal_unisolvent_subset
@@ -353,6 +353,8 @@ class TestSolveBlock:
 def _always_extended_solve(sys):
     # The solver before the double-precision gate: long-double residuals on
     # every solve, the same sweeps, best-iterate rule and error message.
+    # A x in long double comes from the system's one pass over K's
+    # triangle, as in the library, but is formed anew for each use.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -363,18 +365,20 @@ def _always_extended_solve(sys):
     if not np.all(np.isfinite(sol)):
         raise SolveError(f"{sys.kind} system is singular to working precision")
     rhs_norm = np.linalg.norm(sys.rhs)
-    A_ext = sys.matrix.astype(np.longdouble)
     rhs_ext = sys.rhs.astype(np.longdouble)
 
+    def _Ax(x):
+        return sys.products(x.astype(np.longdouble))[0]
+
     def _residual(x):
-        return float(np.linalg.norm((A_ext @ x - rhs_ext).astype(float)))
+        return float(np.linalg.norm((_Ax(x) - rhs_ext).astype(float)))
 
     residual = _residual(sol)
     best_sol, best_residual = sol, residual
     for _ in range(8):
         if best_residual <= 0.05 * RESIDUAL_RTOL * rhs_norm:
             break
-        correction = scipy.linalg.lu_solve(lu, (rhs_ext - A_ext @ sol).astype(float))
+        correction = scipy.linalg.lu_solve(lu, (rhs_ext - _Ax(sol)).astype(float))
         if not np.all(np.isfinite(correction)):
             break
         sol = sol + correction
@@ -917,6 +921,97 @@ class TestSolveBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak - before <= 1.25 * A.nbytes
+
+
+class TestRefinementReads:
+    """The long-double refinement reads a system as the gate does: one
+    `products` pass per iterate, and no copy of the saddle matrix beside
+    LU's."""
+
+    @pytest.fixture(scope="class")
+    def refined(self):
+        # gauss at rho = 1e-8, N = 2000: the candidate misses the gate, and
+        # so does LU's solution, which the refinement then certifies
+        rng = np.random.default_rng(2000)
+        X = rng.uniform(-1.5, 1.5, (2000, 2))
+        y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
+        return exact_system(ILL_SPECS[0], PolyFrame(2, 2), X, y, 1e-8)
+
+    @staticmethod
+    def _spy(monkeypatch, owner, name):
+        calls = []
+
+        def spy(*args, _orig=getattr(owner, name), **kwargs):
+            calls.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_one_dense_matrix_per_solve(self, refined, monkeypatch):
+        dense = self._spy(monkeypatch, BlockSystem, "dense")
+        refinements = self._spy(monkeypatch, assembly, "_refine_extended")
+        sol = solve_block(refined)
+        assert len(refinements) == 1 and len(dense) == 1  # LU's copy
+        assert _extended_residual(refined, sol) <= RESIDUAL_RTOL * np.linalg.norm(refined.rhs)
+
+    def test_one_products_pass_per_iterate(self, refined, monkeypatch):
+        # Every iterate's residual is one long-double pass, and it is the
+        # next correction's right-hand side: LU's solve and each correction
+        # make an iterate, so passes and lu_solve calls are as many.
+        reads = self._spy(monkeypatch, BlockSystem, "products")
+        solves = self._spy(monkeypatch, scipy.linalg, "lu_solve")
+        (_, gauss_interp), = _gate_exact_systems(ILL_SPECS[0], rhos=(0.0,))
+        iterates = []
+        for sys in (refined, gauss_interp):
+            reads.clear()
+            solves.clear()
+            _outcome(solve_block, sys)
+            dtypes = [x.dtype for _, x in reads]
+            gates = 1 + (sys.candidate is not None)  # the candidate's and LU's
+            assert dtypes[:gates] == [np.dtype(float)] * gates
+            assert dtypes[gates:] == [np.dtype(np.longdouble)] * len(solves)
+            iterates.append(len(solves))
+        assert iterates == [1, 9]  # 9: LU's solve and all 8 sweeps
+
+    def test_peak_allocation_is_the_factorization(self, refined):
+        n = len(refined.rhs)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            solve_block(refined)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * 8 * n**2
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", ["fit_exact", "fit_interpolant", "fit_approx",
+                                       "functional_value", "diagnostics"])
+    def test_rejected_as_input(self, entry, bad):
+        # a NaN or infinite y is an input error, as a non-finite point is,
+        # at every entry point that takes data, and warns of nothing
+        spec, frame = ILL_SPECS[3], PolyFrame(2, 2)
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-1.5, 1.5, (200, 2))
+        y = np.sin(X.sum(axis=1))
+        y_bad = y.copy()
+        y_bad[3] = bad
+        calls = {
+            "fit_exact": lambda: fit_exact(spec, frame, X, y_bad, 1e-4),
+            "fit_interpolant": lambda: interpolant.fit_interpolant(spec, frame, X, y_bad),
+            "fit_approx": lambda: fit_approx(spec, frame, X, y_bad, _center_grid(6), 1e-4),
+            "functional_value": lambda: functional_value(
+                fit_exact(spec, frame, X, y, 1e-4), X, y_bad, 1e-4),
+            "diagnostics": lambda: diagnostics(fit_exact(spec, frame, X, y, 1e-4), X, y_bad),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^y contains non-finite values$"):
+                calls[entry]()
 
 
 class TestExactSystemMemory:

@@ -34,3 +34,12 @@ def test_digest_is_deterministic_and_sees_one_ulp():
     assert re.fullmatch("[0-9a-f]{64}", first)
     assert solve_digest.digest(_systems()) == first
     assert solve_digest.digest(_systems(moved=True)) != first
+
+
+def test_census_adds_up():
+    results = solve_digest.outcomes(_systems())
+    counts = solve_digest.census(results)
+    assert list(counts) == list(solve_digest.PATHS)
+    assert sum(counts.values()) == len(results) == 3
+    assert [path for path, _ in results] == ["candidate", "candidate", "lu"]
+    assert solve_digest.digest(_systems()) == solve_digest._sha(o for _, o in results)
