@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import ApproxParts, _check_rho, approx_parts
+from .assembly import ApproxParts, _check_rho, _samples, approx_parts
 from .errors import ParameterError, ParseError
 from .exact_smoother import _on_data
 from .interpolant import FittedModel, _fit, seminorm_sq_diff
@@ -182,8 +182,9 @@ def compare(
     exact: FittedModel, approx: FittedModel, X, y, rho: float
 ) -> SmootherComparison:
     """Evaluate the gap identity between an Exact and an Approximate fit."""
-    se, _, _, J_exact = _on_data(exact, X, y, rho)
-    sa, _, _, J_approx = _on_data(approx, X, y, rho)
+    X, y = _samples(exact.frame.d, X, y)
+    se, _, _, J_exact, _ = _on_data(exact, X, y, rho)
+    sa, _, _, J_approx, _ = _on_data(approx, X, y, rho)
     lhs = rho * seminorm_sq_diff(exact, approx) + float(np.mean((se - sa) ** 2))
     rhs = J_approx - J_exact
     return SmootherComparison(

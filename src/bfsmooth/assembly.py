@@ -76,7 +76,9 @@ class BlockSystem:
     matrix bit for bit.  `layout` gives the block sizes of a solution
     (`split`); `kind` names the fit, as `FittedModel.kind` and every
     `SolveError` do; `candidate`, a trial solution set by the builder or
-    None, is what `solve_block` checks first.
+    None, is what `solve_block` checks first.  `_checked` is the last
+    solution the gate or the refinement read, with its A x, so the one
+    `solve_block` returns comes with the A x that certified it.
     """
 
     def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
@@ -87,6 +89,7 @@ class BlockSystem:
         self.layout = tuple(layout)
         self.kind = kind
         self.candidate: np.ndarray | None = None
+        self._checked: tuple[np.ndarray, np.ndarray] | None = None
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a solution vector along the block layout."""
@@ -450,10 +453,11 @@ def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     A x and |A| |x| come from one pass over K's strict lower triangle, its
     saved diagonal and P (`BlockSystem.products`), so no n x n temporary
     is made and a candidate that factored in K's upper triangle leaves
-    the bound intact.
+    the bound intact.  (x, A x) is kept as `sys._checked`.
     """
     b = sys.rhs
     Ax, scale = sys.products(x)
+    sys._checked = (x, Ax)
     scale += np.abs(b)
     return _norm(Ax - b) + len(b) * np.finfo(float).eps * _norm(scale)
 
@@ -463,15 +467,17 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
     in one pass over the system (`BlockSystem.products`) and kept for the
     next correction.  The residual is not monotone on ill-conditioned
     instances, so run a fixed number of sweeps and keep the best iterate;
-    returns it and its long-double residual norm.
+    returns it and its long-double residual norm, and keeps it with its
+    A x, rounded to double, as `sys._checked`.
     """
 
     def _residual(x):
-        r = (sys.rhs - sys.products(x.astype(np.longdouble))[0]).astype(float)
-        return r, _norm(r)
+        Ax = sys.products(x.astype(np.longdouble))[0]
+        r = (sys.rhs - Ax).astype(float)
+        return r, _norm(r), Ax
 
-    r, residual = _residual(sol)
-    best_sol, best_residual = sol, residual
+    r, residual, Ax = _residual(sol)
+    best_sol, best_residual, best_Ax = sol, residual, Ax
     for _ in range(8):
         if best_residual <= target:
             break
@@ -479,9 +485,10 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
         if not np.all(np.isfinite(correction)):
             break
         sol = sol + correction
-        r, residual = _residual(sol)
+        r, residual, Ax = _residual(sol)
         if residual < best_residual:
-            best_sol, best_residual = sol, residual
+            best_sol, best_residual, best_Ax = sol, residual, Ax
+    sys._checked = (best_sol, best_Ax.astype(float))
     return best_sol, best_residual
 
 
@@ -507,6 +514,8 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised, as it is for an rhs whose `_norm` is not finite.
+    On every exit `sys._checked` holds the returned x and the A x read
+    for its verdict.
     """
     rhs_norm = _norm(sys.rhs)
     if not rhs_norm < np.inf:  # an infinite target would certify anything

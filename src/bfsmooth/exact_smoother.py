@@ -4,7 +4,8 @@ The smoother minimizes J_e[f] = rho |f|^2 + (1/N) sum |f(x_i) - y_i|^2
 and, despite being posed over an infinite-dimensional space, always
 lands in the same finite expansion as the interpolant.  The diagnostics
 check the energy identities the minimizer must satisfy; they and J_e are
-evaluated on data by one function, `_on_data`.
+evaluated on data by one function, `_on_data`.  On a fit's own data that
+function builds no kernel matrix: the fit brings G_XX v from its solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .interpolant import (
     eval_model,
     seminorm_sq,
 )
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec
 from .polyspace import PolyFrame, unisolvency_matrix
 
 IDENTITY_RTOL = 1e-8
@@ -55,27 +56,31 @@ class SmootherDiagnostics:
 
 
 def _on_data(model: FittedModel, X: np.ndarray, y: np.ndarray, rho: float):
-    """s at X, |s|^2, mean|s - y|^2 and J_e = rho |s|^2 + mean|s - y|^2.
+    """s at X, |s|^2, mean|s - y|^2, J_e = rho |s|^2 + mean|s - y|^2 and
+    P_X, for (X, y) as `_samples` returns them.
 
-    When X is the model's center set, one G_XX gives s and |s|^2, each in
-    the same order as eval_model and seminorm_sq, which any other X takes.
+    A fitted interpolant or Exact smoother brings Gv = G_XX v from its
+    solve (`interpolant._fit`), so when X is its center set
+    s = Gv + P_X beta and |s|^2 = (2 pi)^(d/2) v^T Gv cost O(NM) and no
+    kernel matrix.  Any other X, or a model without Gv, takes eval_model
+    and seminorm_sq.
     """
-    X, y = _samples(model.frame.d, X, y)
-    if X.shape == model.centers.shape and np.array_equal(X, model.centers):
-        _check_constraint(model)
-        G = kernel_matrix(model.spec, X, X)
-        s = dot(G, model.v) + dot(model.frame.monomials(X), model.beta)
-        sn = _seminorm_from(model.spec, model.v, G)
+    P = unisolvency_matrix(model.frame, X)
+    Gv = model._Gv
+    if Gv is not None and np.array_equal(X, model.centers):
+        _check_constraint(model, P)
+        s = Gv + dot(P, model.beta)
+        sn = _seminorm_from(model.spec, model.v, Gv)
     else:
         s = eval_model(model, X)
         sn = seminorm_sq(model)
     residual_ms = float(np.mean((s - y) ** 2))
-    return s, sn, residual_ms, rho * sn + residual_ms
+    return s, sn, residual_ms, rho * sn + residual_ms, P
 
 
 def functional_value(model: FittedModel, X, y, rho: float) -> float:
     """J_e[model] = rho |model|^2 + mean squared residual on (X, y)."""
-    return _on_data(model, X, y, rho)[3]
+    return _on_data(model, *_samples(model.frame.d, X, y), rho)[3]
 
 
 def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
@@ -91,7 +96,7 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
         raise ParameterError(f"the smoother identities need a smoother with "
                              f"rho > 0, got a {model.kind} with rho = {rho}")
     X, y = _samples(model.frame.d, X, y)
-    s, sn, residual_ms, J_e = _on_data(model, X, y, rho)
+    s, sn, residual_ms, J_e, P = _on_data(model, X, y, rho)
 
     def rel(left, right):
         return abs(left - right) / max(abs(right), 1.0)
@@ -105,7 +110,6 @@ def diagnostics(model: FittedModel, X, y) -> SmootherDiagnostics:
     # J_e = (1/N) sum (y_k - s(x_k)) y_k
     gap_functional = rel(J_e, float(np.mean((y - s) * y)))
     # P_X^T (s_X - y) = 0
-    P = unisolvency_matrix(model.frame, X)
     gap_constraint = float(np.linalg.norm(dot(P.T, s - y))) / max(
         np.linalg.norm(y), 1.0
     )

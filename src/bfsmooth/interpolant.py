@@ -6,19 +6,20 @@ solution space W_{G,Z} + P_theta shared by the interpolant and both
 smoothers.  On that space the seminorm is computable in closed form:
 |u|^2 = (2 pi)^(d/2) v^T G_ZZ v.  Every fit builds its model in `_fit`,
 of its system's kind (one of MODEL_KINDS), from the solution that
-`solve_block` certifies, the fit's one certificate.
+`solve_block` certifies, the fit's one certificate; an interpolant or
+Exact-smoother model also keeps G_ZZ v from that certificate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
 
 from ._blas import dot
-from .assembly import BlockSystem, exact_system, solve_block
+from .assembly import BlockSystem, _lam, exact_system, solve_block
 from .errors import ContractError, ParameterError
 from .kernels import KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
@@ -32,9 +33,16 @@ _EVAL_TILE_ENTRIES = 1 << 18
 MODEL_KINDS = ("interpolant", "exact_smoother", "approx_smoother")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedModel:
-    """Kernel expansion over centers Z plus a polynomial tail."""
+    """Kernel expansion over centers Z plus a polynomial tail.
+
+    Models compare and hash by value: same type, spec, frame, kind and
+    rho, and equal centers, v and beta.  `_Gv`, G_ZZ v, is set only by
+    `_fit` for an interpolant or Exact-smoother fit, and is None on a
+    model made any other way (the constructor, `dataclasses.replace`,
+    `io.load_model`); it takes no part in equality.
+    """
 
     spec: KernelSpec
     frame: PolyFrame
@@ -43,6 +51,8 @@ class FittedModel:
     beta: np.ndarray
     kind: str = "interpolant"
     rho: float = 0.0
+    _Gv: np.ndarray | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -57,6 +67,21 @@ class FittedModel:
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.beta))):
             raise ParameterError("v and beta must be finite")
 
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.centers, self.v, self.beta
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.spec, self.frame, self.kind, self.rho)
+                == (other.spec, other.frame, other.kind, other.rho)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._arrays(), other._arrays())))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which array_equal counts as equal
+        return hash((self.spec, self.frame, self.kind, self.rho,
+                     *((a + 0.0).tobytes() for a in self._arrays())))
+
     def constraint_violation(self) -> float:
         """Norm of P_Z^T v, which must vanish for a well-formed model."""
         P = unisolvency_matrix(self.frame, self.centers)
@@ -67,10 +92,24 @@ def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
          rho: float = 0.0) -> FittedModel:
     """Solve a saddle system and wrap its blocks v and beta as a model of
     the system's kind; an approx_smoother system's third block, a
-    multiplier, is discarded."""
-    v, beta, *_ = sys.split(solve_block(sys))
-    return FittedModel(spec=spec, frame=frame, centers=centers, v=v, beta=beta,
-                       kind=sys.kind, rho=rho)
+    multiplier, is discarded.
+
+    An interpolant or exact_smoother model also keeps `_Gv` = G_XX v, the
+    kernel part of the model at its own centers, taken from the
+    A x = [(G_XX + lam I) v + P_X beta; P_X^T v] that certified the
+    returned x (`BlockSystem._checked`): the gate's pass on the candidate
+    and LU exits, the best iterate's long-double A x, rounded, on the
+    refinement exit.  No exit adds a pass over K.
+    """
+    x = solve_block(sys)
+    v, beta, *_ = sys.split(x)
+    model = FittedModel(spec=spec, frame=frame, centers=centers, v=v, beta=beta,
+                        kind=sys.kind, rho=rho)
+    checked, Ax = sys._checked
+    if sys.kind != "approx_smoother" and checked is x:
+        lam = _lam(spec, len(v), rho) if rho else 0.0
+        object.__setattr__(model, "_Gv", Ax[: len(v)] - lam * v - dot(sys.P, beta))
+    return model
 
 
 def fit_interpolant(spec: KernelSpec, frame: PolyFrame, X, y) -> FittedModel:
@@ -126,22 +165,25 @@ def _shared_basis(models) -> list[FittedModel]:
     return models
 
 
-def _check_constraint(model: FittedModel):
+def _check_constraint(model: FittedModel, P: np.ndarray):
+    """ContractError unless |P^T v| <= CONSTRAINT_RTOL max(|v|, 1), for
+    P = P_Z, the model's own unisolvency matrix."""
     vnorm = np.linalg.norm(model.v)
-    if model.constraint_violation() > CONSTRAINT_RTOL * max(vnorm, 1.0):
+    if np.linalg.norm(dot(P.T, model.v)) > CONSTRAINT_RTOL * max(vnorm, 1.0):
         raise ContractError("model violates P_Z^T v = 0 beyond tolerance")
 
 
 def seminorm_sq(model: FittedModel) -> float:
     """Squared seminorm (2 pi)^(d/2) v^T G_ZZ v; clipped at zero."""
-    _check_constraint(model)
+    _check_constraint(model, unisolvency_matrix(model.frame, model.centers))
     G = kernel_matrix(model.spec, model.centers, model.centers)
-    return _seminorm_from(model.spec, model.v, G)
+    return _seminorm_from(model.spec, model.v, dot(model.v, G))
 
 
-def _seminorm_from(spec: KernelSpec, w: np.ndarray, G: np.ndarray) -> float:
-    """(2 pi)^(d/2) w^T G w for G over w's centers; clipped at zero."""
-    return max((2.0 * np.pi) ** (spec.d / 2.0) * float(dot(dot(w, G), w)), 0.0)
+def _seminorm_from(spec: KernelSpec, w: np.ndarray, Gw: np.ndarray) -> float:
+    """(2 pi)^(d/2) w^T G w from Gw = G w, G over w's centers; clipped at
+    zero."""
+    return max((2.0 * np.pi) ** (spec.d / 2.0) * float(dot(Gw, w)), 0.0)
 
 
 def _merged_centers(model1: FittedModel, model2: FittedModel):
@@ -166,8 +208,8 @@ def seminorm_sq_diff(model1: FittedModel, model2: FittedModel) -> float:
     """
     if model1.spec != model2.spec:
         raise ParameterError("models must share the same kernel spec")
-    _check_constraint(model1)
-    _check_constraint(model2)
+    for m in (model1, model2):
+        _check_constraint(m, unisolvency_matrix(m.frame, m.centers))
     Z, w = _merged_centers(model1, model2)
     G = kernel_matrix(model1.spec, Z, Z)
-    return _seminorm_from(model1.spec, w, G)
+    return _seminorm_from(model1.spec, w, dot(w, G))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -399,3 +400,45 @@ class TestModelValidation:
                 spec=GAUSS1, frame=PolyFrame(1, 1), centers=[[0.0]],
                 v=np.zeros(1), beta=np.zeros(2),
             )
+
+
+class TestModelEquality:
+    """Models compare and hash by value; the G v a fit keeps is no part
+    of that value."""
+
+    def test_two_fits_of_the_same_data_are_equal(self):
+        model, X, y, spec, frame = _random_fit(30)
+        again = fit_interpolant(spec, frame, X, y)
+        assert model == again and hash(model) == hash(again)
+        assert len({model, again}) == 1
+
+    def test_perturbed_coefficient_unequal(self):
+        model, *_ = _random_fit(31)
+        v = model.v.copy()
+        v[0] = np.nextafter(v[0], np.inf)
+        assert dataclasses.replace(model, v=v) != model
+
+    def test_every_field_counts(self):
+        model, *_ = _random_fit(32)
+        changed = [
+            dataclasses.replace(model, spec=KernelSpec("thinplate", theta=2, d=1, s=1.0)),
+            dataclasses.replace(model, frame=PolyFrame(1, 3), beta=np.zeros(3)),
+            dataclasses.replace(model, kind="exact_smoother"),
+            dataclasses.replace(model, rho=0.5),
+            dataclasses.replace(model, centers=model.centers + 1.0),
+            dataclasses.replace(model, beta=model.beta + 1.0),
+        ]
+        assert all(other != model for other in changed)
+        assert model != (model.spec, model.frame, model.centers, model.v, model.beta)
+
+    def test_signed_zero_agrees_with_hash(self):
+        zero = FittedModel(spec=GAUSS1, frame=PolyFrame(1, 1), centers=[[0.0]],
+                           v=np.zeros(1), beta=np.zeros(1))
+        negative = dataclasses.replace(zero, centers=[[-0.0]], v=-np.zeros(1))
+        assert zero == negative and hash(zero) == hash(negative)
+
+    def test_carried_product_not_compared(self):
+        model, *_ = _random_fit(33)
+        rebuilt = dataclasses.replace(model)
+        assert model._Gv is not None and rebuilt._Gv is None
+        assert rebuilt == model and hash(rebuilt) == hash(model)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bfsmooth import io
+from bfsmooth.approx_smoother import fit_approx
 from bfsmooth.cli import main
 from bfsmooth.errors import ParseError
+from bfsmooth.exact_smoother import fit_exact
 from bfsmooth.interpolant import eval_model, fit_interpolant
 from bfsmooth.kernels import KernelSpec, predicted_orders
 from bfsmooth.polyspace import PolyFrame
@@ -189,6 +191,24 @@ class TestModelPersistence:
         np.testing.assert_array_equal(
             eval_model(loaded, probes), eval_model(model, probes)
         )
+
+    @pytest.mark.parametrize("kind", ["interpolant", "exact_smoother",
+                                      "approx_smoother"])
+    def test_round_trip_equal(self, tmp_path, kind):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(-1.5, 1.5, (15, 1))
+        y = np.sin(X[:, 0])
+        spec, frame = KernelSpec("thinplate", theta=2, d=1, s=1.5), PolyFrame(1, 2)
+        model = {
+            "interpolant": lambda: fit_interpolant(spec, frame, X, y),
+            "exact_smoother": lambda: fit_exact(spec, frame, X, y, 0.1),
+            "approx_smoother": lambda: fit_approx(spec, frame, X, y, X[::2], 0.1),
+        }[kind]()
+        path = tmp_path / "m.model"
+        io.save_model(model, path)
+        loaded = io.load_model(path)
+        assert loaded.kind == kind
+        assert loaded == model and hash(loaded) == hash(model)
 
     def test_optional_params_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
