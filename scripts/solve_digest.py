@@ -14,8 +14,8 @@ The systems, all seeded, d = 2 and theta = 2:
     `_gate_exact_systems(spec, rhos=(0.0,))`;
   - an exact_dense-shaped system: N = 2000, r^3, rho = 1e-4;
   - rho_tune-shaped systems: N = 50 000, 30 x 30 centers, r^2 log r,
-    rho = 0.1 ... 1e-9 on one ApproxParts, so that the first system takes
-    LU and the later ones the spectral candidate.
+    rho = 0.1 ... 1e-9 on one ApproxParts, so that the first system
+    carries no builder candidate and the later ones the spectral one.
 
 The systems are built one at a time, the gate ones by the helpers of
 tests/test_assembly.py in this script's own checkout. Three lines go to
@@ -43,9 +43,10 @@ from bfsmooth.kernels import KernelSpec  # noqa: E402
 from bfsmooth.polyspace import PolyFrame  # noqa: E402
 
 
-# how solve_block ended: its system's candidate, the LU solution, the
+# how solve_block ended: the builder's candidate (ApproxParts' spectral
+# solution), solve_block's own Cholesky trial, the LU solution, the
 # long-double refinement's best iterate, or a SolveError
-PATHS = ("candidate", "lu", "long double", "raised")
+PATHS = ("spectral", "cholesky", "lu", "long double", "raised")
 
 
 def outcomes(systems) -> list[tuple[str, bytes]]:
@@ -62,12 +63,14 @@ def outcomes(systems) -> list[tuple[str, bytes]]:
     try:
         for system in systems:
             refined.clear()
+            built = system.candidate  # the builder's; solve_block keeps its trial there
             try:
                 solution = solve_block(system)
             except SolveError as exc:
                 results.append(("raised", str(exc).encode()))
                 continue
-            path = ("candidate" if solution is system.candidate
+            path = (("spectral" if built is not None else "cholesky")
+                    if solution is system.candidate
                     else "long double" if refined else "lu")
             results.append((path, solution.tobytes()))
     finally:

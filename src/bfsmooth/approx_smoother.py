@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import dot
 from .assembly import ApproxParts, _check_rho, _samples, approx_parts
 from .errors import ParameterError, ParseError
 from .exact_smoother import _on_data
@@ -26,8 +27,11 @@ from .polyspace import PolyFrame
 class Region:
     """Axis-aligned box [a, b] in R^d.
 
-    Boxes compare and hash by value: same type and corners (and, for a
-    GridSpec, the same counts).
+    A box has b > a componentwise, finite corners and a finite squared
+    diameter |b - a|^2, the bound on every squared distance in it, which
+    is what the kernels and the fill distance compute.  Boxes compare and
+    hash by value: same type and corners (and, for a GridSpec, the same
+    counts).
     """
 
     a: np.ndarray
@@ -38,6 +42,9 @@ class Region:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != b.shape or not np.all(b > a):
             raise ParameterError("box requires b > a componentwise")
+        if not (np.all(np.isfinite(a)) and np.isfinite(dot(b - a, b - a))):
+            raise ParameterError("box requires finite corners and a finite |b - a|^2, "
+                                 f"got a = {a}, b = {b}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -17,26 +17,26 @@ saved diagonal, and the dense saddle matrix is assembled from them only
 for LU or a caller that reads `matrix`.
 
 The interpolant and exact_smoother systems come from one builder,
-`exact_system`, and carry a Cholesky candidate (`_cardinal_solve`):
-through the cardinal basis of a minimal unisolvent subset of X, the one
-that `polyspace` picks for every caller (`_cardinal_basis`), the
-constraint P_X^T v = 0 is eliminated and the corner block reduces to a
-positive definite matrix of order N - M, factored in K's own upper
-triangle, so such a system holds one N x N array.
+`exact_system`.  The approx_smoother system has N' + 2M rows regardless
+of N; its rho-independent blocks are accumulated by streaming over X in
+chunks of DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).
+Across a rho search the systems differ only by a multiple of G_X'X', so
+`ApproxParts` factors the family once (`_SpectralFactor`, on the cardinal
+basis of X') and gives each later system an O(N'^2) candidate solution,
+the only solution a builder computes.
 
-The approx_smoother system has N' + 2M rows regardless of N; its
-rho-independent blocks are accumulated by streaming over X in chunks of
-DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).  Across a
-rho search the systems differ only by a multiple of G_X'X', so
-`ApproxParts` factors the family once (`_SpectralFactor`, on the same
-cardinal basis of X') and gives each later system an O(N'^2) candidate
-solution.
-
-`solve_block` accepts a candidate, an array its system's builder
-computed, or an LU solution only under the same double-precision
-residual bound on the original saddle system, and falls back to LU, then
-long-double refinement, otherwise.  An accepted candidate is not LU's
-solution bit for bit.
+`solve_block` decides how every system is solved, by one rule.  It checks
+the builder's candidate when there is one, and otherwise its own Cholesky
+trial (`_cardinal_solve`): through the cardinal basis of a minimal
+unisolvent subset of P's rows, the one that `polyspace` picks for every
+caller (`_cardinal_basis`), the constraint P^T v = 0 is eliminated and K
+reduces to a positive definite matrix, of order N - M for the dense
+kinds and N' for approx_smoother, factored in K's own upper triangle, so
+a dense system holds one N x N array.  A solution is accepted only under
+one double-precision residual bound on the original saddle system; after
+a miss, or when the reduced matrix is not positive definite, LU, then
+long-double refinement, solve the system.  An accepted candidate or
+trial is not LU's solution bit for bit.
 """
 
 from __future__ import annotations
@@ -69,16 +69,19 @@ class BlockSystem:
 
     Every read of the system goes through K's strict lower triangle and
     the diagonal saved here (`products` for the gate and the long-double
-    refinement, `dense` for LU), which an interpolant or exact_smoother
-    system's Cholesky candidate leaves intact: it factors in K's upper
-    triangle.  `matrix`, the dense array, is assembled only when asked
+    refinement, `dense` for LU), which `solve_block`'s Cholesky trial
+    leaves intact: for every system it uses K's upper triangle as its
+    workspace.  `matrix`, the dense array, is assembled only when asked
     for and, K being bit-symmetric, equals the eagerly assembled saddle
     matrix bit for bit.  `layout` gives the block sizes of a solution
     (`split`); `kind` names the fit, as `FittedModel.kind` and every
-    `SolveError` do; `candidate`, a trial solution set by the builder or
-    None, is what `solve_block` checks first.  `_checked` is the last
-    solution the gate or the refinement read, with its A x, so the one
-    `solve_block` returns comes with the A x that certified it.
+    `SolveError` do; `candidate`, the solution `solve_block` checks
+    first, is set by the builder (only `ApproxParts`' spectral solution)
+    or else by `solve_block` to its Cholesky trial, so that a second
+    solve checks the same trial rather than factor the spent triangle.
+    `_checked` is the last solution the gate or the refinement read,
+    with its A x, so the one `solve_block` returns comes with the A x
+    that certified it.
     """
 
     def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
@@ -183,8 +186,8 @@ def _lam(spec: KernelSpec, N: int, rho: float) -> float:
 
 def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockSystem:
     """The one dense builder: G_XX + lam I is written into one C-ordered
-    N x N array, which the system keeps beside P_X and its Cholesky
-    candidate.  rho = 0 gives the interpolant's system."""
+    N x N array, which the system keeps beside P_X.  rho = 0 gives the
+    interpolant's system."""
     X, y = _samples(frame.d, X, y)
     _require_unisolvent(frame, X)
     N, M = len(X), frame.M
@@ -194,10 +197,7 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
     K[diag, diag] += lam
     P = unisolvency_matrix(frame, X)
     rhs = np.concatenate([y, np.zeros(M)])
-    sys = BlockSystem(K, P, rhs, P.shape, "exact_smoother" if rho else "interpolant")
-    # once K's diagonal is saved: this factors in K's upper triangle
-    sys.candidate = _cardinal_solve(K, P, y)
-    return sys
+    return BlockSystem(K, P, rhs, P.shape, "exact_smoother" if rho else "interpolant")
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,9 @@ class ApproxParts:
     the diagonal-block update, which is what makes rho searches cheap.
     From the second `system` call on, the system carries a candidate
     solution from the spectral factor (`_factor`), which is built on first
-    use and then solves every further rho in O(N'^2).
+    use and then solves every further rho in O(N'^2); the first system,
+    like every system without a candidate, takes `solve_block`'s Cholesky
+    trial.
     """
 
     spec: KernelSpec
@@ -300,21 +302,23 @@ def _reduce(K: np.ndarray, A: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.nd
 
 
 def _cardinal_solve(K: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Cholesky solution of an interpolant or exact_smoother system, or
-    None when its reduced matrix is not positive definite to working
-    precision.
+    """Cholesky solution of the system [[K, P], [P^T, 0]] x = [y; 0], of
+    any kind, or None when its reduced matrix is not positive definite to
+    working precision; `solve_block`'s trial.
 
-    With A, R and C from `_cardinal_basis(P_X)`, v = Z w satisfies
-    P_X^T v = 0 for every w, and the first block row projected by Z^T gives
-    Z^T K Z w = Z^T y with K = G_XX + lam I: symmetric positive definite of
-    order N - M for a strictly conditionally positive definite kernel.
-    The reduction is written into K itself, in its original order, with
-    the A rows and columns set to the identity, so no permutation is
-    needed: K is C-ordered and symmetric, so K.T is its Fortran order, and
-    `dsyr2k`, `dpotrf` and `dpotrs` work in place on K.T's lower triangle.
-    That is K's upper triangle with the diagonal; K's strict lower
-    triangle is left as it was.  beta = P_A^-1 (y_A - (K v)_A) from the
-    A rows, read before the factorization.
+    With A, R and C from `_cardinal_basis(P)`, v = Z w satisfies
+    P^T v = 0 for every w, and the first block row projected by Z^T gives
+    Z^T K Z w = Z^T y: symmetric positive definite for a strictly
+    conditionally positive definite kernel, of order N - M with
+    K = G_XX + lam I, and of order N' for an approx_smoother system, whose
+    zero rows of P never enter A.  The reduction is written into K
+    itself, in its original order, with the A rows and columns set to the
+    identity, so no permutation is needed: K is C-ordered and symmetric,
+    so K.T is its Fortran order, and `dsyr2k`, `dpotrf` and `dpotrs` work
+    in place on K.T's lower triangle.  That is K's upper triangle with the
+    diagonal; K's strict lower triangle is left as it was.  The multiplier
+    P_A^-1 (y_A - (K v)_A) comes from the A rows, read before the
+    factorization.
     """
     N = len(K)
     A, R, C = _cardinal_basis(P)
@@ -452,8 +456,8 @@ def _residual_bound(sys: BlockSystem, x: np.ndarray) -> float:
     gamma_{n+1} by about 2x, which covers the rounding of the bound itself.
     A x and |A| |x| come from one pass over K's strict lower triangle, its
     saved diagonal and P (`BlockSystem.products`), so no n x n temporary
-    is made and a candidate that factored in K's upper triangle leaves
-    the bound intact.  (x, A x) is kept as `sys._checked`.
+    is made and the Cholesky trial, which factors in K's upper triangle,
+    leaves the bound intact.  (x, A x) is kept as `sys._checked`.
     """
     b = sys.rhs
     Ax, scale = sys.products(x)
@@ -494,23 +498,24 @@ def _refine_extended(sys: BlockSystem, lu, sol: np.ndarray, target: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound fails the gate
 def solve_block(sys: BlockSystem) -> np.ndarray:
-    """Dense solve with a mandatory residual check.
+    """Dense solve with a mandatory residual check, by one rule for every
+    system.
 
     Every accepted solution passes a rigorous upper bound on its residual,
     |fl(A x - b)| + n eps ||A| |x| + |b|| (the matvec rounding bound of
     Higham 2002, section 3.5), against the original system; A x and
     |A| |x| come from one pass over the system (`BlockSystem.products`)
-    that reads K's strict lower triangle and saved diagonal, intact also
-    when an interpolant or exact_smoother system's candidate factored in
-    K's upper triangle.
-    Candidate: `sys.candidate`, when not None (an interpolant or
-    exact_smoother system's Cholesky solution, a repeated-rho
-    approx_smoother system's spectral solution, both computed by the
-    system's builder), is tried first, and it is returned when the bound
-    is within 0.05 * RESIDUAL_RTOL * |rhs|; its bits differ from LU's.
-    LU, otherwise (no candidate or a miss): the LU factorization
-    overwrites a fresh copy of the saddle matrix assembled from K and P
-    (`dense`), and the LU solution is returned when the same bound holds.
+    that reads K's strict lower triangle and saved diagonal, intact after
+    the Cholesky trial factored in K's upper triangle.
+    First solution: `sys.candidate` when the builder set one (a
+    repeated-rho approx_smoother system's spectral solution); otherwise
+    the Cholesky trial (`_cardinal_solve`), kept as `sys.candidate`.  It
+    is returned when the bound is within 0.05 * RESIDUAL_RTOL * |rhs|;
+    its bits differ from LU's.
+    LU, otherwise (a miss, or a reduced matrix that is not positive
+    definite): the LU factorization overwrites a fresh copy of the saddle
+    matrix assembled from K and P (`dense`), and the LU solution is
+    returned when the same bound holds.
     Long double, only on a miss: iterative refinement (`_refine_extended`),
     and the best iterate's residual must be within RESIDUAL_RTOL * |rhs|,
     or SolveError is raised, as it is for an rhs whose `_norm` is not finite.
@@ -521,6 +526,8 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
     if not rhs_norm < np.inf:  # an infinite target would certify anything
         raise SolveError(f"{sys.kind} system right-hand side has 2-norm {rhs_norm}")
     target = 0.05 * RESIDUAL_RTOL * rhs_norm
+    if sys.candidate is None:  # kept: the trial spends K's upper triangle
+        sys.candidate = _cardinal_solve(sys.K, sys.P, sys.rhs[: len(sys.K)])
     if sys.candidate is not None and _residual_bound(sys, sys.candidate) <= target:
         return sys.candidate
     try:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from ._blas import dot
-from .assembly import BlockSystem, _lam, exact_system, solve_block
+from .assembly import BlockSystem, _check_rho, _lam, exact_system, solve_block
 from .errors import ContractError, ParameterError
 from .kernels import KernelSpec, kernel_matrix
 from .polyspace import PolyFrame, _maybe_scalar, as_points, unisolvency_matrix
@@ -33,12 +33,22 @@ _EVAL_TILE_ENTRIES = 1 << 18
 MODEL_KINDS = ("interpolant", "exact_smoother", "approx_smoother")
 
 
+def _check_model_rho(kind: str, rho: float) -> None:
+    """ParameterError unless rho fits the model kind: 0 for an
+    interpolant, finite and > 0 for either smoother."""
+    if kind != "interpolant":
+        _check_rho(rho)
+    elif rho != 0:
+        raise ParameterError(f"an interpolant has rho = 0, got {rho}")
+
+
 @dataclass(frozen=True, eq=False)
 class FittedModel:
     """Kernel expansion over centers Z plus a polynomial tail.
 
     Models compare and hash by value: same type, spec, frame, kind and
-    rho, and equal centers, v and beta.  `_Gv`, G_ZZ v, is set only by
+    rho, and equal centers, v and beta.  rho must fit the kind
+    (`_check_model_rho`).  `_Gv`, G_ZZ v, is set only by
     `_fit` for an interpolant or Exact-smoother fit, and is None on a
     model made any other way (the constructor, `dataclasses.replace`,
     `io.load_model`); it takes no part in equality.
@@ -57,6 +67,7 @@ class FittedModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}")
+        _check_model_rho(self.kind, self.rho)
         object.__setattr__(self, "centers", as_points(self.centers, self.frame.d))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
@@ -94,10 +105,13 @@ def _fit(sys: BlockSystem, spec: KernelSpec, frame: PolyFrame, centers,
     the system's kind; an approx_smoother system's third block, a
     multiplier, is discarded.
 
-    An interpolant or exact_smoother model also keeps `_Gv` = G_XX v, the
-    kernel part of the model at its own centers, taken from the
+    Every kind is solved by `solve_block`'s one rule: the builder's
+    candidate (a repeated-rho approx_smoother system's only) or else the
+    Cholesky trial, then LU, then long-double refinement.  An interpolant
+    or exact_smoother model also keeps `_Gv` = G_XX v, the kernel part of
+    the model at its own centers, taken from the
     A x = [(G_XX + lam I) v + P_X beta; P_X^T v] that certified the
-    returned x (`BlockSystem._checked`): the gate's pass on the candidate
+    returned x (`BlockSystem._checked`): the gate's pass on the Cholesky
     and LU exits, the best iterate's long-double A x, rounded, on the
     refinement exit.  No exit adds a pass over K.
     """

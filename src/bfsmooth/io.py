@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParameterError, ParseError
-from .interpolant import MODEL_KINDS, FittedModel
+from .interpolant import MODEL_KINDS, FittedModel, _check_model_rho
 from .kernels import FAMILIES, KernelSpec
 from .polyspace import PolyFrame
 
@@ -213,8 +213,9 @@ def load_model(path) -> FittedModel:
     """Read a model written by save_model.
 
     Every fault raises ParseError.  One confined to a field (a wrong field
-    name, version, kind or kernel family, a bad number or count, a row of
-    the wrong width) names its 1-based line; fields that read but make no
+    name, version, kind or kernel family, a bad number or count, a rho
+    that does not fit the kind, a row of the wrong width) names its
+    1-based line; fields that read but make no
     model together (e.g. an s for gauss, or v and centers counts that
     differ) name none, and nor does a v or beta entry that is not finite.
     """
@@ -237,6 +238,10 @@ def load_model(path) -> FittedModel:
     theta = r.number(int, r.keyed("theta"))
     d = r.number(int, r.keyed("d"))
     rho = r.number(float, r.keyed("rho"))
+    try:
+        _check_model_rho(kind, rho)
+    except ParameterError as exc:
+        raise ParseError(f"{path}: {exc}", line=r.pos) from None
 
     def count(key: str) -> range:
         n = r.number(int, r.keyed(key))

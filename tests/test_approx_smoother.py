@@ -126,7 +126,8 @@ class TestParseGrid:
         gs = parse_grid("-1,-1:1,1:4,6")
         assert gs.counts == (4, 6)
 
-    @pytest.mark.parametrize("text", ["0:1", "0:1:a", "1:0:5", "0,0:1:5", "0,0:1,1:5"])
+    @pytest.mark.parametrize("text", ["0:1", "0:1:a", "1:0:5", "0,0:1:5", "0,0:1,1:5",
+                                      "0:1e308:5", "-inf:inf:5", "0,0:1,inf:5,5"])
     def test_bad_specs(self, text):
         with pytest.raises(ParseError):
             parse_grid(text)
@@ -144,6 +145,11 @@ class TestParseBox:
         ("0:x", "bad box spec '0:x': could not convert string to float: 'x'"),
         ("1:0", "box requires b > a componentwise"),
         ("0,0:1", "box requires b > a componentwise"),
+        # |b - a|^2 overflows; an infinite corner and width
+        ("0:1e308", "box requires finite corners and a finite |b - a|^2, "
+                    "got a = [0.], b = [1.e+308]"),
+        ("-inf:inf", "box requires finite corners and a finite |b - a|^2, "
+                     "got a = [-inf], b = [inf]"),
     ])
     def test_bad_specs(self, text, message):
         with pytest.raises(ParseError) as fault:

@@ -299,8 +299,10 @@ class TestApproxSaddleSystem:
             return _lu(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        # no Cholesky trial, so that every system's LU factors its matrix
+        monkeypatch.setattr(assembly, "_cardinal_solve", lambda *args: None)
         for rho in self.RHOS:
-            parts = _approx_instance(spec)  # fresh: the one-rho path, LU only
+            parts = _approx_instance(spec)  # fresh: the one-rho path
             sys = parts.system(rho)
             eager = _eager_approx_matrix(parts, rho)
             assert np.array_equal(sys.K, sys.K.T), rho
@@ -338,7 +340,8 @@ class TestSolveBlock:
             A = rng.standard_normal((n, n))
             A = A + A.T + 2 * n * np.eye(n)
             rhs = rng.standard_normal(n)
-            sys = BlockSystem(A, np.zeros((n, 0)), rhs, (n,), "test")
+            # a copy: the Cholesky trial factors in K's upper triangle
+            sys = BlockSystem(A.copy(), np.zeros((n, 0)), rhs, (n,), "test")
             sol = solve_block(sys)
             assert np.linalg.norm(A @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
             np.testing.assert_allclose(sol, np.linalg.solve(A, rhs), atol=1e-9)
@@ -438,6 +441,17 @@ def _gate_systems():
         yield from _gate_exact_systems(spec)
 
 
+def _one_rho_gate_systems():
+    # The approximate systems of `_gate_systems()`' 20 x 20 grids, each from
+    # fresh parts as a one-rho fit builds them: no builder candidate
+    frame = PolyFrame(2, 2)
+    _, X, y = _gate_data()
+    for spec in ILL_SPECS:
+        for rho in (1e-2, 1e-6, 1e-9):
+            parts = approx_parts(spec, frame, X, y, _center_grid(20))
+            yield f"{spec.label()} 20x20 rho={rho:g}", parts.system(rho)
+
+
 def _outcome(solve, sys):
     try:
         return solve(sys)
@@ -476,6 +490,30 @@ class TestSolveBlockGate:
         assert any(fallbacks) and not all(fallbacks), fallbacks
         assert raised
 
+    def test_one_rho_approximate_systems(self, monkeypatch):
+        # The same verdict rule where solve_block first tries its own
+        # Cholesky trial: on these systems it leaves by that trial and by LU.
+        refined = []
+
+        def spy(*args, _orig=assembly._refine_extended):
+            refined.append(True)
+            return _orig(*args)
+
+        monkeypatch.setattr(assembly, "_refine_extended", spy)
+        exits = set()
+        for label, sys in _one_rho_gate_systems():
+            refined.clear()
+            got = _outcome(solve_block, sys)
+            if isinstance(got, str):
+                exits.add("raised")
+                assert got == _outcome(_always_extended_solve, sys), label
+                continue
+            exits.add("cholesky" if got is sys.candidate
+                      else "long double" if refined else "lu")
+            rhs_norm = np.linalg.norm(sys.rhs)
+            assert _extended_residual(sys, got) <= RESIDUAL_RTOL * rhs_norm, label
+        assert {"cholesky", "lu"} <= exits, exits
+
     def test_bound_covers_true_residual(self):
         # fl(A x - b) can be 0 while the exact residual is not: 1e16 + 1
         # rounds to 1e16.  The exact residual is computed in rationals.
@@ -511,8 +549,10 @@ class TestSolveBlockGate:
         _, X, _ = _gate_data()
         X = X[:50]
         y = scale * np.sin(X.sum(axis=1))
+        twin = exact_system(ILL_SPECS[3], PolyFrame(2, 2), X, y, 1e-3)
+        solve_block(twin)  # keeps its Cholesky trial as the candidate
         sys = exact_system(ILL_SPECS[3], PolyFrame(2, 2), X, y, 1e-3)
-        sys.candidate = sys.candidate * (1 + 1e-3)
+        sys.candidate = twin.candidate * (1 + 1e-3)  # as a builder would set it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_block(sys)
@@ -551,7 +591,7 @@ class TestSpectralCandidate:
         X = rng.uniform(-1.5, 1.5, (400, 2))
         y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
         parts = approx_parts(spec, frame, X, y, _center_grid(8))
-        assert parts.system(1.0).candidate is None  # the first system: LU only
+        assert parts.system(1.0).candidate is None  # the first system: none built
         Np = len(parts.centers)
         accepted = 0
         for rho in 10.0 ** -np.arange(1, 10):
@@ -631,30 +671,37 @@ class TestSpectralCandidate:
 
     def test_rho_search_unchanged_without_factor(self, monkeypatch):
         make_parts, truth, error_grid = self._small_search()
-        lu_calls = []
+        factorizations = []  # direct ones: a Cholesky trial that factored, or LU
 
         def lu_spy(*args, _lu=scipy.linalg.lu_factor, **kwargs):
-            lu_calls.append(1)
+            factorizations.append("lu")
             return _lu(*args, **kwargs)
 
+        def cholesky_spy(*args, _trial=assembly._cardinal_solve):
+            x = _trial(*args)
+            if x is not None:
+                factorizations.append("cholesky")
+            return x
+
         monkeypatch.setattr(scipy.linalg, "lu_factor", lu_spy)
+        monkeypatch.setattr(assembly, "_cardinal_solve", cholesky_spy)
 
         def search():
-            lu_calls.clear()
+            factorizations.clear()
             error_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
             best, trace = rho_search(error_fn, 0.1, err_tol=0.0)
-            return best, trace, len(lu_calls)
+            return best, trace, len(factorizations)
 
-        best, trace, lu_with = search()
+        best, trace, direct_with = search()
         self._spy_builds(monkeypatch, fail=True)
-        best_lu, trace_lu, lu_without = search()
-        assert best == best_lu
-        assert [r for r, _ in trace] == [r for r, _ in trace_lu]
-        np.testing.assert_allclose([e for _, e in trace], [e for _, e in trace_lu],
+        best_direct, trace_direct, direct_without = search()
+        assert best == best_direct
+        assert [r for r, _ in trace] == [r for r, _ in trace_direct]
+        np.testing.assert_allclose([e for _, e in trace], [e for _, e in trace_direct],
                                    rtol=1e-8)
         # one solve per distinct rho: the search reuses a repeated rho's error
-        assert lu_without == len(set(r for r, _ in trace_lu))
-        assert lu_with < len(trace) // 2
+        assert direct_without == len(set(r for r, _ in trace_direct))
+        assert direct_with < len(trace) // 2
 
     def test_rho_search_one_kernel_pass_per_step(self, monkeypatch):
         make_parts, truth, error_grid = self._small_search()
@@ -726,9 +773,10 @@ class TestCardinalCandidate:
         X = rng.uniform(-1.5, 1.5, (2000, 2))
         y = np.sin(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
         sys = exact_system(spec, frame, X, y, 1e-4)
-        assert sys.candidate is not None
+        assert sys.candidate is None  # the builder only builds
         lu_calls = self._spy_lu(monkeypatch)
-        assert solve_block(sys) is sys.candidate
+        got = solve_block(sys)
+        assert got is sys.candidate is not None  # the Cholesky exit
         assert lu_calls == []
 
     @pytest.mark.parametrize("spec, frame, seed", [
@@ -772,7 +820,7 @@ class TestCardinalCandidate:
 
 
 def _eager_matrix(spec, frame, X, rho):
-    # the saddle matrix as it was assembled before the Cholesky candidate
+    # the saddle matrix as it was assembled before the Cholesky trial
     # factored in the kernel's own buffer
     N, M = len(X), frame.M
     A = np.zeros((N + M, N + M))
@@ -785,7 +833,7 @@ def _eager_matrix(spec, frame, X, rho):
 
 
 def _copy_candidate(matrix, rhs, N):
-    # the Cholesky candidate on a copy of G + lam I, as it was computed
+    # the Cholesky trial on a copy of G + lam I, as it was computed
     # before it factored in place
     K, P, y = matrix[:N, :N], matrix[:N, N:], rhs[:N]
     A, R, C = assembly._cardinal_basis(P)
@@ -812,8 +860,8 @@ def _copy_candidate(matrix, rhs, N):
 
 
 class TestInPlaceCandidate:
-    """Interpolation and exact systems hold G_XX + lam I once; the
-    Cholesky candidate factors in its upper triangle, and everything else
+    """Interpolation and exact systems hold G_XX + lam I once; solve_block's
+    Cholesky trial factors in its upper triangle, and everything else
     reads the strict lower triangle and the saved diagonal."""
 
     SPECS = ILL_SPECS[:3]  # gauss, mq, r^2 log r
@@ -838,7 +886,7 @@ class TestInPlaceCandidate:
                 want = _copy_candidate(eager, sys.rhs, N)
                 lu_inputs.clear()
                 got = _outcome(solve_block, sys)
-                cand = sys.candidate
+                cand = sys.candidate  # the trial, kept by solve_block
                 assert (cand is None) == (want is None), label
                 if cand is not None:
                     assert np.array_equal(cand, want), label
@@ -865,7 +913,7 @@ class TestInPlaceCandidate:
         for spec in self.SPECS:
             for label, sys in _gate_exact_systems(spec, self.RHOS):
                 A = sys.matrix
-                cand = sys.candidate
+                cand = _copy_candidate(A, sys.rhs, sys.layout[0])  # the trial's bits
                 lu = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sys.matrix), sys.rhs)
                 for x in (cand, lu):
                     if x is None:

@@ -389,6 +389,18 @@ class TestModelValidation:
                 v=np.zeros(1), beta=np.zeros(1), kind="mystery",
             )
 
+    @pytest.mark.parametrize("kind, rho", [
+        ("interpolant", 0.5), ("interpolant", math.nan),
+        *((kind, rho) for kind in ("exact_smoother", "approx_smoother")
+          for rho in (0.0, -1.0, math.nan, math.inf)),
+    ])
+    def test_rho_must_fit_kind(self, kind, rho):
+        with pytest.raises(ParameterError, match="rho"):
+            FittedModel(
+                spec=GAUSS1, frame=PolyFrame(1, 1), centers=[[0.0]],
+                v=np.zeros(1), beta=np.zeros(1), kind=kind, rho=rho,
+            )
+
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             FittedModel(
@@ -420,15 +432,20 @@ class TestModelEquality:
 
     def test_every_field_counts(self):
         model, *_ = _random_fit(32)
+        # kind and rho change together from an interpolant (rho = 0), and
+        # each alone between smoothers
+        smoother = dataclasses.replace(model, kind="exact_smoother", rho=0.5)
         changed = [
-            dataclasses.replace(model, spec=KernelSpec("thinplate", theta=2, d=1, s=1.0)),
-            dataclasses.replace(model, frame=PolyFrame(1, 3), beta=np.zeros(3)),
-            dataclasses.replace(model, kind="exact_smoother"),
-            dataclasses.replace(model, rho=0.5),
-            dataclasses.replace(model, centers=model.centers + 1.0),
-            dataclasses.replace(model, beta=model.beta + 1.0),
+            (model, dataclasses.replace(model, spec=KernelSpec("thinplate", theta=2, d=1,
+                                                               s=1.0))),
+            (model, dataclasses.replace(model, frame=PolyFrame(1, 3), beta=np.zeros(3))),
+            (model, smoother),
+            (smoother, dataclasses.replace(smoother, kind="approx_smoother")),
+            (smoother, dataclasses.replace(smoother, rho=0.25)),
+            (model, dataclasses.replace(model, centers=model.centers + 1.0)),
+            (model, dataclasses.replace(model, beta=model.beta + 1.0)),
         ]
-        assert all(other != model for other in changed)
+        assert all(other != base for base, other in changed)
         assert model != (model.spec, model.frame, model.centers, model.v, model.beta)
 
     def test_signed_zero_agrees_with_hash(self):

@@ -168,6 +168,27 @@ class TestVectorizedRead:
         assert table.d == 2 and len(table.y) == 50
 
 
+# fits whose saved rho line is edited to one that does not fit the kind
+RHO_MISFITS = [("exact_smoother", "nan"), ("exact_smoother", "-1"),
+               ("exact_smoother", "inf"), ("exact_smoother", "0"), ("interpolant", "0.5")]
+
+
+def _save_with_rho(path, kind, rho):
+    """Save a fit of `kind` (an exact_smoother at rho = 1e-3) to path, its
+    rho line, line 8, then rewritten as `rho <rho>`."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.5, 1.5, (15, 1))
+    y = np.sin(X[:, 0])
+    spec, frame = KernelSpec("thinplate", theta=2, d=1, s=1.5), PolyFrame(1, 2)
+    model = (fit_interpolant(spec, frame, X, y) if kind == "interpolant"
+             else fit_exact(spec, frame, X, y, 1e-3))
+    io.save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == f"kind {kind}" and lines[7].startswith("rho ")
+    lines[7] = f"rho {rho}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestModelPersistence:
     def _model(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -261,6 +282,14 @@ class TestModelPersistence:
         with pytest.raises(ParseError) as exc:
             io.load_model(path)
         assert exc.value.line == lineno
+
+    @pytest.mark.parametrize("kind, rho", RHO_MISFITS)
+    def test_rho_must_fit_kind(self, tmp_path, kind, rho):
+        path = tmp_path / "m.model"
+        _save_with_rho(path, kind, rho)
+        with pytest.raises(ParseError, match="rho") as exc:
+            io.load_model(path)
+        assert exc.value.line == 8
 
     def test_fields_that_make_no_model(self, tmp_path):
         # each field reads, but together they make no model: no line to name
@@ -557,6 +586,13 @@ class TestCli:
         assert main([*command, f"--region={region}"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("region", ["0:1e308", "-inf:inf"])
+    def test_study_density_infinite_box_exit_2(self, region, capsys):
+        # named as the box's fault, not as h = inf or non-finite points
+        assert main(["study", "density", f"--region={region}", "--max-size", "50",
+                     "--n-sizes", "3", "--multiplier", "2"]) == 2
+        assert "error: box requires finite corners" in capsys.readouterr().err
+
     def test_eval_malformed_model_exit_2(self, sine_csv, tmp_path, capsys):
         model_path = tmp_path / "m.model"
         assert main(["--quiet", "interpolate", "--data", str(sine_csv),
@@ -569,6 +605,13 @@ class TestCli:
             model_path.write_text(text)
             assert main(["eval", "--model", str(model_path), "--eval=-1:1:5"]) == 2
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, rho", RHO_MISFITS)
+    def test_eval_rho_misfit_exit_2(self, tmp_path, capsys, kind, rho):
+        path = tmp_path / "m.model"
+        _save_with_rho(path, kind, rho)
+        assert main(["eval", "--model", str(path), "--eval=-1:1:5"]) == 2
+        assert "error: line 8: " in capsys.readouterr().err
 
     def test_study_convergence_bad_sizes_exit_2(self, capsys):
         assert main([*self._CONVERGENCE[:-1], "50,abc"]) == 2
