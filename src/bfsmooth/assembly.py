@@ -11,19 +11,22 @@ fit, the `interpolant.MODEL_KINDS` value its model will carry:
                              [P_X^T B^T, P_X^T P_X]],      r = [B y; P_X^T y]
 
 with B = G_X'X and lam = (2 pi)^(d/2) N rho (`_lam`).  One type holds all
-three (`BlockSystem`): K is bit-symmetric and kept as one C-ordered array
-beside P, the system is read through K's strict lower triangle and a
-saved diagonal, and the dense saddle matrix is assembled from them only
-for LU or a caller that reads `matrix`.
+three (`BlockSystem`): K is bit-symmetric and read through one row
+writer, which copies from the dense builder's C-ordered array or, for
+approx_smoother, computes the rows from `ApproxParts`; the system is read
+through K's strict lower triangle and a saved diagonal, and the dense
+saddle matrix is assembled from them only for LU or a caller that reads
+`matrix`.
 
 The interpolant and exact_smoother systems come from one builder,
 `exact_system`.  The approx_smoother system has N' + 2M rows regardless
 of N; its rho-independent blocks are accumulated by streaming over X in
 chunks of DEFAULT_CHUNK rows, so peak memory stays O(N' * DEFAULT_CHUNK).
 Across a rho search the systems differ only by a multiple of G_X'X', so
-`ApproxParts` factors the family once (`_SpectralFactor`, on the cardinal
-basis of X') and gives each later system an O(N'^2) candidate solution,
-the only solution a builder computes.
+a system writes no K of its own but reads lam G_X'X' + BBt from the parts,
+and `ApproxParts` factors the family once (`_SpectralFactor`, on the
+cardinal basis of X') and gives each later system an O(N'^2) candidate
+solution, the only solution a builder computes.
 
 `solve_block` decides how every system is solved, by one rule.  It checks
 the builder's candidate when there is one, and otherwise its own Cholesky
@@ -31,8 +34,9 @@ trial (`_cardinal_solve`): through the cardinal basis of a minimal
 unisolvent subset of P's rows, the one that `polyspace` picks for every
 caller (`_cardinal_basis`), the constraint P^T v = 0 is eliminated and K
 reduces to a positive definite matrix, of order N - M for the dense
-kinds and N' for approx_smoother, factored in K's own upper triangle, so
-a dense system holds one N x N array.  A solution is accepted only under
+kinds and N' for approx_smoother, factored in K's own upper triangle (the
+one read for which an approx_smoother system writes its K out), so a
+dense system holds one N x N array.  A solution is accepted only under
 one double-precision residual bound on the original saddle system; after
 a miss, or when the reduced matrix is not positive definite, LU, then
 long-double refinement, solve the system.  An accepted candidate or
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -65,34 +69,60 @@ _TRIANGLE_BLOCK_ENTRIES = 1 << 17
 
 class BlockSystem:
     """[[K, P], [P^T, 0]] x = rhs, the system of every fit (module
-    docstring), with the symmetric K held as one C-ordered array beside P.
+    docstring), with the symmetric K beside P.
 
-    Every read of the system goes through K's strict lower triangle and
-    the diagonal saved here (`products` for the gate and the long-double
-    refinement, `dense` for LU), which `solve_block`'s Cholesky trial
-    leaves intact: for every system it uses K's upper triangle as its
-    workspace.  `matrix`, the dense array, is assembled only when asked
-    for and, K being bit-symmetric, equals the eagerly assembled saddle
-    matrix bit for bit.  `layout` gives the block sizes of a solution
-    (`split`); `kind` names the fit, as `FittedModel.kind` and every
-    `SolveError` do; `candidate`, the solution `solve_block` checks
-    first, is set by the builder (only `ApproxParts`' spectral solution)
-    or else by `solve_block` to its Cholesky trial, so that a second
-    solve checks the same trial rather than factor the spent triangle.
-    `_checked` is the last solution the gate or the refinement read,
-    with its A x, so the one `solve_block` returns comes with the A x
-    that certified it.
+    K is read in row blocks K[lo:hi, :cols] from one writer
+    (`_write_rows`).  A dense builder hands its array over as K, and the
+    writer copies from it.  `ApproxParts.system` passes `rows`, which
+    computes the blocks from the parts, and `diag`, K's diagonal; K is
+    then written out as one C-ordered array only when something reads
+    `K`, in the library only `solve_block`'s Cholesky trial.  Every
+    other read goes through K's strict lower triangle and the saved
+    diagonal (`products` for the gate and the long-double
+    refinement, `dense` for LU), which the Cholesky trial leaves intact:
+    for every system it uses K's upper triangle as its workspace.
+    `matrix`, the dense array, is assembled only when asked for and, K
+    being bit-symmetric, equals the eagerly assembled saddle matrix bit
+    for bit.  The order of K is `len(diag)`.  `layout` gives the block
+    sizes of a solution (`split`); `kind` names the fit, as
+    `FittedModel.kind` and every `SolveError` do; `candidate`, the
+    solution `solve_block` checks first, is set by the builder (only
+    `ApproxParts`' spectral solution) or else by `solve_block` to its
+    Cholesky trial, so that a second solve checks the same trial rather
+    than factor the spent triangle.  `_checked` is the last solution the
+    gate or the refinement read, with its A x, so the one `solve_block`
+    returns comes with the A x that certified it.
     """
 
-    def __init__(self, K: np.ndarray, P: np.ndarray, rhs: np.ndarray,
-                 layout: tuple[int, ...], kind: str):
-        self.K, self.P = K, P
-        self.diag = K.diagonal().copy()
+    def __init__(self, K: np.ndarray | None, P: np.ndarray, rhs: np.ndarray,
+                 layout: tuple[int, ...], kind: str, *, rows=None,
+                 diag: np.ndarray | None = None):
+        if K is not None:
+            self.K = K  # shadows the `K` property
+            diag = K.diagonal().copy()
+        self._rows = rows  # None: the blocks are copied from K
+        self.diag = diag
+        self.P = P
         self.rhs = rhs
         self.layout = tuple(layout)
         self.kind = kind
         self.candidate: np.ndarray | None = None
         self._checked: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """K as one C-ordered array, written by `rows` on first read."""
+        n = len(self.diag)
+        K = np.empty((n, n))
+        self._rows(0, n, n, K)
+        return K
+
+    def _write_rows(self, lo: int, hi: int, cols: int, out: np.ndarray) -> None:
+        """Write K[lo:hi, :cols] into out."""
+        if self._rows is None:
+            out[...] = self.K[lo:hi, :cols]
+        else:
+            self._rows(lo, hi, cols, out)
 
     def split(self, solution: np.ndarray) -> tuple[np.ndarray, ...]:
         """Cut a solution vector along the block layout."""
@@ -108,15 +138,14 @@ class BlockSystem:
         BLAS, with the upper triangle and diagonal of its square part
         zeroed.  One buffer serves every block, so a block is valid until
         the next is made."""
-        K = self.K
-        N = len(K)
+        N = len(self.diag)
         step = min(N, max(1, _TRIANGLE_BLOCK_ENTRIES // N))
         scratch = np.empty(step * N)
         upper = np.triu(np.ones((step, step), dtype=bool))
         for lo in range(0, N, step):
             hi = min(lo + step, N)
             block = scratch[: (hi - lo) * hi].reshape(hi - lo, hi)
-            block[...] = K[lo:hi, :hi]
+            self._write_rows(lo, hi, hi, block)
             np.copyto(block[:, lo:], 0.0, where=upper[: hi - lo, : hi - lo])
             yield lo, hi, block
 
@@ -124,7 +153,7 @@ class BlockSystem:
         """A x in x's precision and |A| |x| in double, from one pass over
         K's strict lower triangle (`_lower_blocks`): each block is applied
         as itself and as its transpose, so each entry of K is read once."""
-        N = len(self.K)
+        N = len(self.diag)
         P = self.P
         v, beta = x[:N], x[N:]
         abs_v, abs_beta = np.abs(v, dtype=float), np.abs(beta, dtype=float)
@@ -200,17 +229,20 @@ def exact_system(spec: KernelSpec, frame: PolyFrame, X, y, rho: float) -> BlockS
     return BlockSystem(K, P, rhs, P.shape, "exact_smoother" if rho else "interpolant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxParts:
     """rho-independent blocks of the approx_smoother system.
 
-    Assembled once per (X, y, X') triple; `system(rho)` then costs only
-    the diagonal-block update, which is what makes rho searches cheap.
-    From the second `system` call on, the system carries a candidate
-    solution from the spectral factor (`_factor`), which is built on first
-    use and then solves every further rho in O(N'^2); the first system,
-    like every system without a candidate, takes `solve_block`'s Cholesky
-    trial.
+    Assembled once per (X, y, X') triple; `system(rho)` then writes no
+    (N' + 2M)^2 array: its K is read from these blocks (`_rows`), row
+    block by row block, which is what makes rho searches cheap.  From the
+    second `system` call on, the system carries a candidate solution from
+    the spectral factor (`_factor`), which is built on first use and then
+    solves every further rho in O(N'^2); the first system, like every
+    system without a candidate, takes `solve_block`'s Cholesky trial, the
+    one reader that writes K out.  No system writes into these arrays.
+    Parts compare and hash by identity: they carry a system counter and
+    a cached factor.
     """
 
     spec: KernelSpec
@@ -224,7 +256,7 @@ class ApproxParts:
     By: np.ndarray  # G_{X',X} y, (N',)
     Pty: np.ndarray  # P_X^T y, (M,)
     N: int
-    _systems: int = field(default=0, init=False, repr=False, compare=False)
+    _systems: int = field(default=0, init=False, repr=False)
 
     @cached_property
     def _factor(self) -> _SpectralFactor | None:
@@ -235,26 +267,48 @@ class ApproxParts:
         except scipy.linalg.LinAlgError:
             return None
 
+    @cached_property
+    def _corner_max(self) -> tuple[float, float]:
+        """max |G_X'X'| and max |BBt|, which bound every corner entry."""
+        return float(np.max(np.abs(self.G_pp))), float(np.max(np.abs(self.BBt)))
+
+    def _rows(self, scale: float, lo: int, hi: int, cols: int, out: np.ndarray) -> None:
+        """Write K[lo:hi, :cols] of the system with lam = scale into out,
+        bit for bit as one (N' + 2M)^2 array would hold it: the corner as
+        fl(lam G_X'X') + BBt, then BP, BP^T and PtP."""
+        Np = len(self.G_pp)
+        mid = min(max(lo, Np), hi)  # rows lo:mid are corner rows, mid:hi border rows
+        c = min(cols, Np)
+        top, bottom = out[: mid - lo], out[mid - lo :]
+        np.multiply(scale, self.G_pp[lo:mid, :c], out=top[:, :c])
+        top[:, :c] += self.BBt[lo:mid, :c]
+        top[:, c:] = self.BP[lo:mid, : cols - c]
+        bottom[:, :c] = self.BP.T[mid - Np : hi - Np, :c]
+        bottom[:, c:] = self.PtP[mid - Np : hi - Np, : cols - c]
+
     def system(self, rho: float) -> BlockSystem:
-        """K = [[lam G_X'X' + BBt, BP], [BP^T, PtP]] beside P = [P_X'; 0]."""
-        Np, M = self.G_pp.shape[0], self.PtP.shape[0]
+        """K = [[lam G_X'X' + BBt, BP], [BP^T, PtP]] beside P = [P_X'; 0],
+        with K read from the parts."""
+        Np, M = self.P_p.shape
         scale = _lam(self.spec, self.N, rho)
-        K = np.empty((Np + M, Np + M))
-        # written in place: no (N', N') temporaries per rho
-        try:
-            with np.errstate(over="raise"):
-                corner = np.multiply(scale, self.G_pp, out=K[:Np, :Np])
-                corner += self.BBt
-        except FloatingPointError:
-            raise ParameterError(f"rho = {rho} makes lam G_X'X' + B B^T overflow") from None
-        K[:Np, Np:] = self.BP
-        K[Np:, :Np] = self.BP.T
-        K[Np:, Np:] = self.PtP
+        G_max, BBt_max = self._corner_max
+        # rounding is monotone, so a finite fl(fl(lam max|G|) + max|BBt|)
+        # bounds every corner entry; only otherwise is each entry checked
+        if not float(scale) * G_max + BBt_max < np.inf:  # Python floats: no warning
+            try:
+                with np.errstate(over="raise"):
+                    scale * self.G_pp + self.BBt
+            except FloatingPointError:
+                raise ParameterError(
+                    f"rho = {rho} makes lam G_X'X' + B B^T overflow") from None
+        diag = np.concatenate([scale * self.G_pp.diagonal() + self.BBt.diagonal(),
+                               self.PtP.diagonal()])
         P = np.zeros((Np + M, M))
         P[:Np] = self.P_p
         rhs = np.concatenate([self.By, self.Pty, np.zeros(M)])
         object.__setattr__(self, "_systems", self._systems + 1)
-        sys = BlockSystem(K, P, rhs, (Np, M, M), "approx_smoother")
+        sys = BlockSystem(None, P, rhs, (Np, M, M), "approx_smoother",
+                          rows=partial(self._rows, scale), diag=diag)
         # a one-rho fit never pays for the factorization; with N' = M the
         # constraint alone fixes alpha = 0 and there is no family to factor
         if self._systems > 1 and Np > M and self._factor is not None:
@@ -527,7 +581,7 @@ def solve_block(sys: BlockSystem) -> np.ndarray:
         raise SolveError(f"{sys.kind} system right-hand side has 2-norm {rhs_norm}")
     target = 0.05 * RESIDUAL_RTOL * rhs_norm
     if sys.candidate is None:  # kept: the trial spends K's upper triangle
-        sys.candidate = _cardinal_solve(sys.K, sys.P, sys.rhs[: len(sys.K)])
+        sys.candidate = _cardinal_solve(sys.K, sys.P, sys.rhs[: len(sys.diag)])
     if sys.candidate is not None and _residual_bound(sys, sys.candidate) <= target:
         return sys.candidate
     try:

@@ -1,8 +1,11 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from bfsmooth import study
+from bfsmooth.assembly import BlockSystem
 
 
 def scattered_points(rng, N, d=1, lo=-1.5, hi=1.5):
@@ -38,3 +41,21 @@ def sweep_fits(monkeypatch):
     for name in ("fit_interpolant", "fit_exact", "fit_approx"):
         monkeypatch.setattr(study, name, _recording(calls, name, getattr(study, name)))
     return calls
+
+
+@pytest.fixture
+def k_builds(monkeypatch):
+    """The systems whose K is written out as one array (`BlockSystem.K`
+    read on a system built from its parts), in order; a dense builder's
+    array is handed over and never counted."""
+    built = []
+    write = BlockSystem.K.func
+
+    def spy(sys):
+        built.append(sys)
+        return write(sys)
+
+    prop = cached_property(spy)
+    prop.__set_name__(BlockSystem, "K")
+    monkeypatch.setattr(BlockSystem, "K", prop)
+    return built

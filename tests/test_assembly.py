@@ -240,6 +240,49 @@ class TestApproxSystem:
         with pytest.raises(ParameterError, match="overflow"):
             parts.system(rho)
 
+    @staticmethod
+    def _two_center_parts(G_pp, BBt):
+        # hand-built parts, d = 1 and theta = 1: only the corner's values matter
+        return ApproxParts(
+            spec=KernelSpec("gauss", theta=1, d=1), frame=PolyFrame(1, 1),
+            centers=np.array([[-1.0], [1.0]]), G_pp=G_pp, BBt=BBt,
+            BP=np.zeros((2, 1)), PtP=np.array([[10.0]]), P_p=np.ones((2, 1)),
+            By=np.zeros(2), Pty=np.zeros(1), N=10)
+
+    def test_overflowing_sum_is_a_parameter_error(self):
+        # lam G_X'X' is finite and so is B B^T, but their sum is not
+        big = 0.6 * np.finfo(float).max
+        lam = assembly._lam(GAUSS1, 10, 0.1)
+        G = np.diag([big / lam] * 2)
+        assert np.all(np.isfinite(lam * G))
+        with pytest.raises(ParameterError, match="overflow"):
+            self._two_center_parts(G, np.diag([big, big])).system(0.1)
+
+    def test_bound_that_overflows_alone_is_no_error(self):
+        # lam max|G| + max|B B^T| overflows, but no entry of the corner
+        # does: lam G is off the diagonal and B B^T on it
+        big = 0.6 * np.finfo(float).max
+        lam = assembly._lam(GAUSS1, 10, 0.1)
+        g = big / lam
+        parts = self._two_center_parts(np.array([[0.0, g], [g, 0.0]]), np.diag([big, big]))
+        with np.errstate(over="ignore"):
+            assert lam * g + big == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = parts.system(0.1)
+        want = np.array([[big, lam * g], [lam * g, big]])
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(sys.K[:2, :2], want)
+        assert np.array_equal(sys.diag[:2], [big, big])
+
+    def test_parts_compare_by_identity(self):
+        # parts carry a system counter and a cached factor, not a value
+        spec, frame, X, y = _random_instance(8, 100)
+        Xp = np.linspace(-1.4, 1.4, 6)
+        a, b = approx_parts(spec, frame, X, y, Xp), approx_parts(spec, frame, X, y, Xp)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) != hash(b)
+
     def test_corner_block_bits(self):
         spec, frame, X, y = _random_instance(10, 300)
         parts = approx_parts(spec, frame, X, y, np.linspace(-1.4, 1.4, 13))
@@ -565,6 +608,94 @@ class TestSolveBlockGate:
         sys = BlockSystem(np.eye(3), np.zeros((3, 0)), np.full(3, 1.5e308), (3,), "test")
         with pytest.raises(SolveError, match="^test system right-hand side has 2-norm inf"):
             solve_block(sys)
+
+
+PARTS_ARRAYS = ("centers", "G_pp", "BBt", "BP", "PtP", "P_p", "By", "Pty")
+# (spec, centers per axis, rhos) on `_gate_data()`, whose solves leave by
+# Cholesky, spectral and long double; LU; and a raise
+PARTS_EXIT_CASES = [(ILL_SPECS[2], 20, (1e-2, 1e-6, 1e-9)), (ILL_SPECS[0], 20, (1e-2,)),
+                    (ILL_SPECS[1], 40, (1e-9,))]
+
+
+class TestPartsBackedSystem:
+    """An approx_smoother system reads K from its parts, row block by row
+    block; K is written out as one array only for solve_block's Cholesky
+    trial, and no system writes into its parts."""
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 15])
+    def test_reads_bit_for_bit(self, step, monkeypatch, k_builds):
+        # 13 centers and M = 2: K has order 15 and its rows 13 and 14 are
+        # the border, so blocks of 2 to 5 rows straddle row N', and one
+        # block of 15 rows holds all of K
+        spec, frame, X, y = _random_instance(10, 300)
+        parts = approx_parts(spec, frame, X, y, np.linspace(-1.4, 1.4, 13))
+        n = 15
+        monkeypatch.setattr(assembly, "_TRIANGLE_BLOCK_ENTRIES", step * n)
+        rng = np.random.default_rng(step)
+        for rho in (1e-9, 0.37, 10.0):
+            sys = parts.system(rho)
+            eager = _eager_approx_matrix(parts, rho)
+            twin = BlockSystem(eager[:n, :n].copy(), sys.P, sys.rhs, sys.layout, sys.kind)
+            assert np.array_equal(sys.diag, twin.diag)
+            x = rng.standard_normal(n + frame.M)
+            for v in (x, x.astype(np.longdouble)):
+                for got, want in zip(sys.products(v), twin.products(v)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), rho
+            assert np.array_equal(sys.dense(), twin.dense()), rho
+            assert k_builds == []
+            assert np.array_equal(sys.K, eager[:n, :n]), rho
+            assert k_builds == [sys]
+            k_builds.clear()
+
+    def test_rho_search_writes_k_once(self, monkeypatch, k_builds):
+        # only the first system of a parts lacks a spectral candidate
+        make_parts, truth, error_grid = TestSpectralCandidate._small_search()
+        systems = []
+
+        def spy(parts, rho, _system=ApproxParts.system):
+            systems.append(_system(parts, rho))
+            return systems[-1]
+
+        monkeypatch.setattr(ApproxParts, "system", spy)
+        error_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
+        rho_search(error_fn, 0.1, err_tol=0.0)
+        assert len(systems) > 1 and k_builds == systems[:1]
+
+    def test_factorless_parts_write_k_per_rho(self, k_builds):
+        # gauss on 40 x 40 centers has no spectral factor (eigh fails), so
+        # every system takes the Cholesky trial, which reads K
+        _, X, y = _gate_data()
+        parts = approx_parts(ILL_SPECS[0], PolyFrame(2, 2), X, y, _center_grid(40))
+        systems = [parts.system(rho) for rho in (1e-2, 1e-6)]
+        for sys in systems:
+            _outcome(solve_block, sys)
+        assert parts._factor is None and k_builds == systems
+
+    def test_parts_never_written(self, monkeypatch):
+        refined = []
+
+        def spy(*args, _orig=assembly._refine_extended):
+            refined.append(True)
+            return _orig(*args)
+
+        monkeypatch.setattr(assembly, "_refine_extended", spy)
+        _, X, y = _gate_data()
+        exits = set()
+        for spec, k, rhos in PARTS_EXIT_CASES:
+            parts = approx_parts(spec, PolyFrame(2, 2), X, y, _center_grid(k))
+            before = {name: getattr(parts, name).tobytes() for name in PARTS_ARRAYS}
+            for rho in rhos:
+                sys = parts.system(rho)
+                spectral = sys.candidate is not None
+                refined.clear()
+                got = _outcome(solve_block, sys)
+                exits.add("raised" if isinstance(got, str)
+                          else "long double" if refined
+                          else "lu" if got is not sys.candidate
+                          else "spectral" if spectral else "cholesky")
+            for name, want in before.items():
+                assert getattr(parts, name).tobytes() == want, (spec.label(), name)
+        assert exits == {"spectral", "cholesky", "lu", "long double", "raised"}, exits
 
 
 class TestSpectralCandidate:

@@ -56,3 +56,17 @@ def test_exact_dense_op_builds_one_kernel_matrix(workloads, tmp_path, monkeypatc
         entries.clear()
         wl.run(i)
         assert sum(entries) == wl.entries_needed(i, None) == workloads.TINY.n_exact**2
+
+
+def test_warm_rho_tune_op_writes_no_k(workloads, tmp_path, k_builds):
+    # after one cycle each shard's parts has its spectral factor, so every
+    # system an op builds carries a candidate and reads K from the parts
+    wl = workloads.WORKLOADS["rho_tune"](workloads.TINY, seed=1, workdir=tmp_path)
+    wl.shards = [wl.build_shard(r) for r in range(workloads.SETUP_REPEATS)]
+    for i in range(wl.cycle):
+        wl.run(i)
+    assert len(k_builds) == workloads.SETUP_REPEATS  # each parts' first system
+    k_builds.clear()
+    for i in range(wl.cycle, 2 * wl.cycle):
+        wl.run(i)
+        assert k_builds == [], i
