@@ -448,6 +448,18 @@ class _SpectralFactor:
         return np.concatenate([alpha, beta, gamma])
 
 
+def _mirror_upper(S: np.ndarray) -> None:
+    """Copy the square S's strict upper triangle onto its strict lower
+    one, in blocks of 64 rows, with no index array of the triangle."""
+    step = 64
+    lower = np.tri(step, k=-1, dtype=bool)
+    for lo in range(0, len(S), step):
+        hi = min(lo + step, len(S))
+        S[lo:hi, :lo] = S[:lo, lo:hi].T
+        square = S[lo:hi, lo:hi]
+        np.copyto(square, square.T.copy(), where=lower[: hi - lo, : hi - lo])
+
+
 def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
     """Accumulate the approx_smoother system blocks over X in chunks of
     DEFAULT_CHUNK rows, whose kernel blocks all share one buffer."""
@@ -475,8 +487,7 @@ def approx_parts(spec: KernelSpec, frame: PolyFrame, X, y, Xp) -> ApproxParts:
         By += dot(B_c, y[lo:hi])
         Pty += dot(P_c.T, y[lo:hi])
     for S in (BBt, PtP):
-        lower = np.tril_indices(len(S), -1)
-        S[lower] = S.T[lower]
+        _mirror_upper(S)
     return ApproxParts(
         spec=spec,
         frame=frame,

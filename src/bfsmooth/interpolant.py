@@ -13,6 +13,8 @@ Exact-smoother model also keeps G_ZZ v from that certificate.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,12 @@ CONSTRAINT_RTOL = 1e-8
 # Entries per row tile of the query-by-center kernel matrix in
 # `eval_model`, so that the whole (|Q|, N') matrix is never held.
 _EVAL_TILE_ENTRIES = 1 << 18
+# Entries of the tiles `eval_model` keeps, in all, within one
+# `_keeping_tiles` scope: 2^21 entries, 16 MB.
+_KEPT_TILE_ENTRIES = 8 * _EVAL_TILE_ENTRIES
+# The tiles kept in the open `_keeping_tiles` scope, if any, keyed by
+# (spec, the points' shape, the points' bytes, the centers' bytes).
+_kept_tiles: ContextVar[dict | None] = ContextVar("_kept_tiles", default=None)
 
 MODEL_KINDS = ("interpolant", "exact_smoother", "approx_smoother")
 
@@ -140,6 +148,11 @@ def eval_model(model: FittedModel | Sequence[FittedModel], x):
     raises ParameterError.  The result then has shape (k, |x|), one row
     per model, and each row is the single-model result bit for bit: every
     kernel tile is built once and multiplied by each model's v in turn.
+    Inside a `_keeping_tiles` scope (one `study.rho_search`) the tiles are
+    kept, while the scope's _KEPT_TILE_ENTRIES last, and a later call
+    reuses a kept tile for the same spec, centers and points, compared by
+    their bytes; a kept tile is the same `kernel_matrix` output, so
+    the result is unchanged bit for bit.
     """
     single = isinstance(model, FittedModel)
     models = [model] if single else _shared_basis(model)
@@ -153,15 +166,48 @@ def eval_model(model: FittedModel | Sequence[FittedModel], x):
         # dgemv of tile.T with trans=1 is tile @ v with no copy (`_blas`)
         rows = max(8, _EVAL_TILE_ENTRIES // n_c // 8 * 8)
         buffer = np.empty((min(rows, len(pts)), n_c))
+        kept = _kept_tiles.get()
         for lo in range(0, len(pts), rows):
             Q = pts[lo : lo + rows]
-            tile = kernel_matrix(first.spec, Q, first.centers, out=buffer[: len(Q)])
+            tile = _tile(kept, first.spec, Q, first.centers, buffer[: len(Q)])
             for row, m in zip(values, models):
                 row[lo : lo + rows] += blas.dgemv(1.0, tile.T, m.v, trans=1)
     monomials = first.frame.monomials(pts)
     for row, m in zip(values, models):
         row += dot(monomials, m.beta)
     return _maybe_scalar(values[0], x) if single else values
+
+
+def _tile(kept: dict | None, spec: KernelSpec, Q: np.ndarray, centers: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """kernel_matrix(spec, Q, centers).  Outside a `_keeping_tiles` scope
+    (`kept` None) it is built into `out`.  Inside one it is the kept tile
+    of an equal spec and the same bytes of Q and centers if there is one
+    (a -0.0 where a 0.0 was only misses); else it is built into
+    an array of its own and kept while the scope's tiles stay within
+    _KEPT_TILE_ENTRIES, and into `out` past that."""
+    if kept is None:
+        return kernel_matrix(spec, Q, centers, out=out)
+    key = (spec, Q.shape, Q.tobytes(), centers.tobytes())
+    tile = kept.get(key)
+    if tile is None:
+        if sum(t.size for t in kept.values()) + out.size <= _KEPT_TILE_ENTRIES:
+            tile = kept[key] = kernel_matrix(spec, Q, centers)
+        else:
+            tile = kernel_matrix(spec, Q, centers, out=out)
+    return tile
+
+
+@contextmanager
+def _keeping_tiles():
+    """A scope, such as one `study.rho_search`, within which `eval_model`
+    keeps its kernel tiles (`_tile`); they are dropped when the scope
+    exits, by return or by raise."""
+    token = _kept_tiles.set({})
+    try:
+        yield
+    finally:
+        _kept_tiles.reset(token)
 
 
 def _shared_basis(models) -> list[FittedModel]:

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from ._blas import dot
 from .assembly import _check_rho
 from .errors import BfsmoothError, InputError, ParameterError, SearchError
-from .interpolant import eval_model, fit_interpolant
+from .interpolant import _keeping_tiles, eval_model, fit_interpolant
 from .exact_smoother import fit_exact, functional_value
 from .approx_smoother import Region, fit_approx
 from .kernels import KernelSpec, riesz_representer, semi_riesz
@@ -331,8 +331,10 @@ def residual_error_fn(fitter, X, y):
     The returned function takes a scalar rho, giving a float, or a 1-d
     array of k rho, giving k errors.  It calls `fitter` once per rho, in
     array order, and evaluates the k models at X in one `eval_model` call,
-    so each kernel tile at X is built once per call, not once per rho.
-    The fitted models must share spec, frame and centers.
+    so each kernel tile at X is built once per call, not once per rho;
+    inside a `rho_search`, a tile kept within the search's budget is built
+    once per search, not once per call.  The fitted models must share
+    spec, frame and centers.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (len(X),):
@@ -347,6 +349,7 @@ def residual_error_fn(fitter, X, y):
     return err
 
 
+@_keeping_tiles()
 def rho_search(
     error_fn,
     rho0: float,
@@ -371,6 +374,9 @@ def rho_search(
     different count raises ParameterError.
     Returns (best_rho, trace) with trace entries (rho, error), one per
     scored candidate, repeats included.
+    The search is one `interpolant._keeping_tiles` scope: `eval_model`
+    keeps the kernel tiles it builds, up to `_KEPT_TILE_ENTRIES`, for the
+    search's later calls, and drops them when the search returns or raises.
     """
     _check_rho(rho0, "rho0")
     if not 1 < factor < math.inf:

@@ -211,6 +211,31 @@ class TestApproxSystem:
         for got, want in ((parts.BP, B @ P), (parts.By, B @ y), (parts.Pty, P.T @ y)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
 
+    @staticmethod
+    def _eager_mirror(S):
+        lower = np.tril_indices(len(S), -1)
+        S[lower] = S.T[lower]
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+    def test_blocked_mirror_is_the_eager_one(self, n):
+        S = np.random.default_rng(n).standard_normal((n, n))
+        want = S.copy()
+        self._eager_mirror(want)
+        assembly._mirror_upper(S)
+        assert np.array_equal(S, want)
+
+    def test_parts_bit_for_bit_with_eager_mirror(self, monkeypatch):
+        # 10 x 10 centers: two row blocks of BB^T's mirror, the last short
+        _, X, y = _gate_data()
+        spec = KernelSpec("thinplate", theta=2, d=2, s=1.0)
+        make = partial(approx_parts, spec, PolyFrame(2, 2), X[:500], y[:500],
+                       _center_grid(10))
+        got = make()
+        monkeypatch.setattr(assembly, "_mirror_upper", self._eager_mirror)
+        want = make()
+        assert np.array_equal(got.BBt, want.BBt)
+        assert np.array_equal(got.PtP, want.PtP)
+
     def test_parts_reused_across_rho(self):
         spec, frame, X, y = _random_instance(8, 100)
         Xp = np.linspace(-1.4, 1.4, 6)
@@ -834,7 +859,7 @@ class TestSpectralCandidate:
         assert direct_without == len(set(r for r, _ in trace_direct))
         assert direct_with < len(trace) // 2
 
-    def test_rho_search_one_kernel_pass_per_step(self, monkeypatch):
+    def test_rho_search_one_kernel_pass_per_search(self, monkeypatch):
         make_parts, truth, error_grid = self._small_search()
         # the scalar loop first, on its own parts, with the real kernel
         scalar_fn = grid_error_fn(partial(fit_parts, make_parts()), truth, error_grid)
@@ -855,9 +880,10 @@ class TestSpectralCandidate:
             return error_fn(rhos)
 
         got = rho_search(recording, 0.1, err_tol=0.0)
-        # 400 x 100 entries is one tile: one pass per step with a new rho
-        assert passes == [(400, 100)] * len(steps)
-        assert sum(steps) == len(set(r for r, _ in got[1])) > len(steps)
+        # 400 x 100 entries is one tile, within the search's kept budget:
+        # built on the first step and reused by every later one
+        assert passes == [(400, 100)]
+        assert sum(steps) == len(set(r for r, _ in got[1])) > len(steps) > 1
         assert got == want
 
 

@@ -33,10 +33,9 @@ def test_workload_cycle_passes_its_checks(workloads, name, tmp_path):
         assert wl.items_done(i, out) >= 1
 
 
-def test_exact_dense_op_builds_one_kernel_matrix(workloads, tmp_path, monkeypatch):
-    # fit_exact + diagnostics on the fit's own data: the fit's G_XX is the
-    # op's only kernel work, N^2 entries, counted at every site that holds
-    # kernel_matrix
+def _kernel_entries(monkeypatch):
+    """The entries of each kernel_matrix built, counted at every site that
+    holds kernel_matrix."""
     from bfsmooth import kernels
 
     entries, original = [], kernels.kernel_matrix
@@ -50,6 +49,13 @@ def test_exact_dense_op_builds_one_kernel_matrix(workloads, tmp_path, monkeypatc
         if (name.startswith("bfsmooth.")
                 and getattr(module, "kernel_matrix", None) is original):
             monkeypatch.setattr(module, "kernel_matrix", spy)
+    return entries
+
+
+def test_exact_dense_op_builds_one_kernel_matrix(workloads, tmp_path, monkeypatch):
+    # fit_exact + diagnostics on the fit's own data: the fit's G_XX is the
+    # op's only kernel work, N^2 entries
+    entries = _kernel_entries(monkeypatch)
     wl = workloads.WORKLOADS["exact_dense"](workloads.TINY, seed=1, workdir=tmp_path)
     wl.shards = [wl.build_shard(r) for r in range(workloads.SETUP_REPEATS)]
     for i in range(wl.cycle):
@@ -70,3 +76,19 @@ def test_warm_rho_tune_op_writes_no_k(workloads, tmp_path, k_builds):
     for i in range(wl.cycle, 2 * wl.cycle):
         wl.run(i)
         assert k_builds == [], i
+
+
+def test_warm_rho_tune_op_builds_the_error_grid_kernel_once(workloads, tmp_path,
+                                                            monkeypatch):
+    # a 10 x 10 error grid against 6 x 6 centers is one tile, kept for the
+    # whole search, and a warm op's fits build no kernel matrix
+    wl = workloads.WORKLOADS["rho_tune"](workloads.TINY, seed=1, workdir=tmp_path)
+    wl.shards = [wl.build_shard(r) for r in range(workloads.SETUP_REPEATS)]
+    for i in range(wl.cycle):
+        wl.run(i)
+    entries = _kernel_entries(monkeypatch)
+    for i in range(wl.cycle, 2 * wl.cycle):
+        entries.clear()
+        _, trace = wl.run(i)
+        assert len(set(r for r, _ in trace)) > 1
+        assert entries == [len(wl.error_grid) * len(wl.centers)] == [100 * 36], i

@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from bfsmooth import study
+from bfsmooth import interpolant, study
 from bfsmooth.approx_smoother import GridSpec, make_grid
 from bfsmooth.errors import InputError, ParameterError, SearchError, SolveError
+from bfsmooth.exact_smoother import fit_exact
 from bfsmooth.interpolant import (
     FittedModel,
     eval_model,
@@ -657,6 +660,123 @@ class TestRhoSearch:
         grid = np.linspace(-1.4, 1.4, 40)[:, None]
         delta1 = grid_error_fn(fitter, truth, grid)
         assert delta1(1e-2) < delta1(1e-8)
+
+
+class TestKeptTiles:
+    """Within one rho_search, eval_model keeps its kernel tiles up to
+    _KEPT_TILE_ENTRIES entries and reuses them for equal points and
+    centers; outside a search it builds every tile on every call."""
+
+    ROWS = 16  # tile rows, with N = 40 centers and the tile size below
+    N = 40
+    TILE = ROWS * N
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(rows, first point, kept, weakref) of each tile eval_model
+        builds; 96 error points make six tiles of 16 rows."""
+        monkeypatch.setattr(interpolant, "_EVAL_TILE_ENTRIES", self.TILE)
+        built, original = [], interpolant.kernel_matrix
+
+        def spy(spec, Q, Z, out=None):
+            tile = original(spec, Q, Z, out=out)
+            built.append((len(Q), float(Q[0, 0]), out is None, weakref.ref(tile)))
+            return tile
+
+        monkeypatch.setattr(interpolant, "kernel_matrix", spy)
+        return built
+
+    @classmethod
+    def _error_fn(cls, seed=(11,), grid_scale=1.0, fit=fit_exact):
+        """A grid criterion of Exact fits at N random centers, and its grid."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.5, 1.5, (cls.N, 1))
+        y = np.sin(X[:, 0]) + 0.2 * rng.standard_normal(cls.N)
+        grid = grid_scale * np.linspace(-1.4, 1.4, 6 * cls.ROWS)[:, None]
+        return grid_error_fn(lambda rho: fit(TPS, PolyFrame(1, 2), X, y, rho),
+                             lambda p: float(np.sin(p[0])), grid), grid
+
+    def _search(self, monkeypatch, tiles, error_fn):
+        monkeypatch.setattr(interpolant, "_KEPT_TILE_ENTRIES", int(tiles * self.TILE))
+        return rho_search(error_fn, 1.0, err_tol=0.0)
+
+    def test_budget_mid_grid_gives_the_same_search(self, monkeypatch, built):
+        error_fn, _ = self._error_fn()
+        got = self._search(monkeypatch, 2.5, error_fn)
+        assert any(kept for _, _, kept, _ in built)
+        assert got == self._search(monkeypatch, 0, error_fn)
+        assert len(got[1]) > 3
+
+    def test_later_calls_build_only_tiles_past_the_budget(self, monkeypatch, built):
+        error_fn, grid = self._error_fn()
+        firsts = [float(grid[lo, 0]) for lo in range(0, len(grid), self.ROWS)]
+        calls = []
+
+        def recording(rhos):
+            built.clear()
+            values = error_fn(rhos)
+            calls.append([(firsts.index(q), kept) for _, q, kept, _ in built])
+            return values
+
+        self._search(monkeypatch, 2.5, recording)
+        assert len(calls) > 2
+        assert calls[0] == [(i, i < 2) for i in range(6)]
+        assert all(c == [(i, False) for i in range(2, 6)] for c in calls[1:])
+
+    @pytest.mark.parametrize("fail", ["nan", "fitter"])
+    def test_nothing_kept_after_return_or_raise(self, monkeypatch, built, fail):
+        # the search's second call, at rho = 10 and 0.1, fails after its
+        # first call kept two tiles
+        error_fn, _ = self._error_fn()
+        if fail == "nan":
+            def error(rhos):
+                return np.where(rhos < 5, error_fn(rhos), np.nan)
+
+            raised = SearchError
+        else:
+            def fit(*args):
+                if args[-1] > 5:
+                    raise ParameterError("rho above the fitter's range")
+                return fit_exact(*args)
+
+            error, _ = self._error_fn(fit=fit)
+            raised = ParameterError
+        self._search(monkeypatch, 2.5, error_fn)
+        assert interpolant._kept_tiles.get() is None
+        with pytest.raises(raised):
+            self._search(monkeypatch, 2.5, error)
+        assert interpolant._kept_tiles.get() is None
+        kept = [ref for _, _, was_kept, ref in built if was_kept]
+        assert len(kept) == 2 * 2  # two tiles in each search
+        gc.collect()
+        assert all(ref() is None for ref in kept)
+
+    def test_other_points_or_centers_get_no_stale_tile(self, monkeypatch, built):
+        # three grid criteria: the first's centers on other points, and
+        # other centers on the first's points; they share one budget
+        fn_a, _ = self._error_fn()
+        fn_b, _ = self._error_fn(grid_scale=0.9)
+        fn_c, _ = self._error_fn(seed=(12,))
+        kept_entries = []
+
+        def total(rhos):
+            values = fn_a(rhos) + fn_b(rhos) + fn_c(rhos)
+            kept = interpolant._kept_tiles.get().values()
+            kept_entries.append(sum(tile.size for tile in kept))
+            return values
+
+        got = self._search(monkeypatch, 8, total)
+        assert set(kept_entries) == {8 * self.TILE}  # fn_a's 6 tiles, fn_b's 2
+        assert got == self._search(monkeypatch, 0, total)
+        for rho, err in got[1]:
+            assert err == fn_a(rho) + fn_b(rho) + fn_c(rho)
+
+    def test_eval_model_outside_a_search_builds_every_tile(self, built):
+        error_fn, _ = self._error_fn()
+        for _ in range(3):
+            built.clear()
+            error_fn(np.array([1e-3, 1e-2]))
+            assert [kept for _, _, kept, _ in built] == [False] * 6
 
 
 class TestScalingStudy:
