@@ -32,8 +32,9 @@ CONSTRAINT_RTOL = 1e-8
 # `eval_model`, so that the whole (|Q|, N') matrix is never held.
 _EVAL_TILE_ENTRIES = 1 << 18
 # Entries of the tiles `eval_model` keeps, in all, within one
-# `_keeping_tiles` scope: 2^21 entries, 16 MB.
-_KEPT_TILE_ENTRIES = 8 * _EVAL_TILE_ENTRIES
+# `_keeping_tiles` scope: 2^22 entries, 32 MB, which holds a 3600-point
+# error grid against 30 x 30 centers (13 tiles, 3.24M entries) whole.
+_KEPT_TILE_ENTRIES = 16 * _EVAL_TILE_ENTRIES
 # The tiles kept in the open `_keeping_tiles` scope, if any, keyed by
 # (spec, the points' shape, the points' bytes, the centers' bytes).
 _kept_tiles: ContextVar[dict | None] = ContextVar("_kept_tiles", default=None)
@@ -185,7 +186,8 @@ def _tile(kept: dict | None, spec: KernelSpec, Q: np.ndarray, centers: np.ndarra
     of an equal spec and the same bytes of Q and centers if there is one
     (a -0.0 where a 0.0 was only misses); else it is built into
     an array of its own and kept while the scope's tiles stay within
-    _KEPT_TILE_ENTRIES, and into `out` past that."""
+    _KEPT_TILE_ENTRIES, so that the scope builds it once; past that it is
+    built into `out`, again at each call."""
     if kept is None:
         return kernel_matrix(spec, Q, centers, out=out)
     key = (spec, Q.shape, Q.tobytes(), centers.tobytes())

@@ -330,11 +330,12 @@ def residual_error_fn(fitter, X, y):
 
     The returned function takes a scalar rho, giving a float, or a 1-d
     array of k rho, giving k errors.  It calls `fitter` once per rho, in
-    array order, and evaluates the k models at X in one `eval_model` call,
-    so each kernel tile at X is built once per call, not once per rho;
-    inside a `rho_search`, a tile kept within the search's budget is built
-    once per search, not once per call.  The fitted models must share
-    spec, frame and centers.
+    array order, and only then evaluates the k models at X in one
+    `eval_model` call, so each kernel tile at X is built once per call,
+    not once per rho; inside a `rho_search`, a tile kept within the
+    search's budget is built once per search, and the first call's fits
+    all run before any tile is kept.  The fitted models must share spec,
+    frame and centers.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (len(X),):
@@ -368,39 +369,44 @@ def rho_search(
     dyadic rational held exactly.  A step back or a revisit therefore
     gives the same float, and each distinct rho is evaluated once (an
     exact float key) and its error reused.
-    `error_fn` is called once per step that has a candidate not yet
-    scored, with a 1-d float array of those candidates ([rho0] first, then
-    up before down), and must return one error per rho in that order; a
-    different count raises ParameterError.
+    `error_fn` is called with a 1-d float array of candidates not yet
+    scored: first [rho0, rho0 * f, rho0 / f], since the first step always
+    tries both neighbours of rho0, then once per later step that has such
+    a candidate, up before down.  It must return one error per rho in that order; a different
+    count raises ParameterError.  A candidate enters the trace, and a
+    non-finite error raises SearchError, only when the walk reaches it.
     Returns (best_rho, trace) with trace entries (rho, error), one per
     scored candidate, repeats included.
     The search is one `interpolant._keeping_tiles` scope: `eval_model`
     keeps the kernel tiles it builds, up to `_KEPT_TILE_ENTRIES`, for the
     search's later calls, and drops them when the search returns or raises.
+    Scoring three rho in the first call also runs the fits that build a
+    family's one-off state, such as `ApproxParts`' spectral factor, before
+    any tile is kept.
     """
     _check_rho(rho0, "rho0")
     if not 1 < factor < math.inf:
         raise ParameterError(f"factor must be finite and > 1, got {factor}")
     trace: list[tuple[float, float]] = []
-    scored: dict[float, float] = {}
+    errors: dict[float, float] = {}  # each rho error_fn has scored
 
-    def evaluate(rhos: list[float]) -> list[float]:
-        new = [rho for rho in dict.fromkeys(rhos) if rho not in scored]
+    def evaluate(rhos: list[float], ahead: tuple[float, ...] = ()) -> list[float]:
+        """The errors of rhos, entered in the trace; one error_fn call
+        scores those not yet scored, and those of `ahead`, which enter the
+        trace only when the walk reaches them."""
+        new = [rho for rho in dict.fromkeys([*rhos, *ahead]) if rho not in errors]
         if new:
             values = error_fn(np.array(new, dtype=float))
             values = np.ravel(np.asarray(values, dtype=float))
             if len(values) != len(new):
                 raise ParameterError(f"error_fn returned {len(values)} errors "
                                      f"for {len(new)} rho")
-            fresh = dict(zip(new, values))
+            errors.update(zip(new, map(float, values)))
         for rho in rhos:
-            if rho not in scored:
-                value = float(fresh[rho])
-                if not math.isfinite(value):
-                    raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
-                scored[rho] = value
-            trace.append((rho, scored[rho]))
-        return [scored[rho] for rho in rhos]
+            if not math.isfinite(errors[rho]):
+                raise SearchError(f"non-finite error at rho={rho:g}", trace=trace)
+            trace.append((rho, errors[rho]))
+        return [errors[rho] for rho in rhos]
 
     def at(t: float) -> float:
         try:
@@ -408,8 +414,9 @@ def rho_search(
         except OverflowError:
             return math.inf
 
-    rho, (err,) = rho0, evaluate([rho0])
     t, step = 0.0, 1.0  # rho = rho0 * factor**t, f = factor**step
+    # the first step scores both neighbours of rho0: one call scores all three
+    rho, (err,) = rho0, evaluate([rho0], ahead=(at(t + step), at(t - step)))
     for _ in range(MAX_ITER):
         up, down = at(t + step), at(t - step)
         err_up, err_down = evaluate([up, down])

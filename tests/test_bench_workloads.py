@@ -92,3 +92,24 @@ def test_warm_rho_tune_op_builds_the_error_grid_kernel_once(workloads, tmp_path,
         _, trace = wl.run(i)
         assert len(set(r for r, _ in trace)) > 1
         assert entries == [len(wl.error_grid) * len(wl.centers)] == [100 * 36], i
+
+
+def test_warm_rho_tune_op_builds_each_error_grid_tile_once(workloads, tmp_path,
+                                                           monkeypatch):
+    # with 16-row tiles the 10 x 10 error grid spans seven tiles; the
+    # search keeps them all, so each is built once per op
+    from bfsmooth import interpolant
+
+    wl = workloads.WORKLOADS["rho_tune"](workloads.TINY, seed=1, workdir=tmp_path)
+    n_c = len(wl.centers)
+    monkeypatch.setattr(interpolant, "_EVAL_TILE_ENTRIES", 16 * n_c)
+    wl.shards = [wl.build_shard(r) for r in range(workloads.SETUP_REPEATS)]
+    for i in range(wl.cycle):
+        wl.run(i)
+    entries = _kernel_entries(monkeypatch)
+    for i in range(wl.cycle, 2 * wl.cycle):
+        entries.clear()
+        _, trace = wl.run(i)
+        assert len(set(r for r, _ in trace)) > 3
+        assert entries == [16 * n_c] * 6 + [4 * n_c], i
+        assert sum(entries) == len(wl.error_grid) * n_c

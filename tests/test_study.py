@@ -1,12 +1,13 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bfsmooth import interpolant, study
-from bfsmooth.approx_smoother import GridSpec, make_grid
+from bfsmooth import assembly, interpolant, study
+from bfsmooth.approx_smoother import GridSpec, fit_parts, make_grid
 from bfsmooth.errors import InputError, ParameterError, SearchError, SolveError
 from bfsmooth.exact_smoother import fit_exact
 from bfsmooth.interpolant import (
@@ -492,7 +493,7 @@ class TestRhoSearch:
         assert best == 1e-3
         assert [r for r, _ in trace] == [1.0, 10.0, 0.1, 1.0, 0.01, 0.1, 1e-3]
         assert trace[-1][1] == trace[-3][1]  # the tie
-        assert len(calls) == 4
+        assert calls == [[1.0, 10.0, 0.1], [0.01], [1e-3]]
 
     def test_flat_curve_stops_immediately(self):
         calls = []
@@ -545,8 +546,9 @@ class TestRhoSearch:
         assert best == math.inf
 
     def test_non_finite_raises_with_trace(self):
-        with pytest.raises(SearchError):
-            rho_search(lambda r: float("nan"), rho0=1.0)
+        with pytest.raises(SearchError) as nan:
+            rho_search(lambda rhos: np.full(len(rhos), np.nan), rho0=1.0)
+        assert nan.value.trace == []
         # finite down to 0.05: the search scores 1, 10 and 0.1, steps back
         # onto 1.0 and then meets 0.01; the trace so far includes the repeat
         err = _log_quadratic(0.1)
@@ -574,21 +576,23 @@ class TestRhoSearch:
 
         _, trace = rho_search(recording, 1.0, err_tol=0.0)
         rhos = [r for r, _ in trace]
-        # the trace is rho0, then (up, down) per step
-        steps = [rhos[:1]] + [rhos[i : i + 2] for i in range(1, len(rhos), 2)]
+        # the trace is rho0, then (up, down) per step; the first call
+        # scores rho0 with the first step's up and down
+        steps = [rhos[:3]] + [rhos[i : i + 2] for i in range(3, len(rhos), 2)]
         seen, want = set(), []
         for step in steps:
             new = [r for r in dict.fromkeys(step) if r not in seen]
             seen.update(new)
             if new:
                 want.append(new)
+        assert calls[0] == [1.0, 10.0, 0.1]
         assert calls == want
         # steps that step back onto a scored rho pass one rho, or make no call
         assert any(len(c) == 1 for c in calls[1:])
 
     @pytest.mark.parametrize("error_fn", [
         lambda rhos: np.ones(len(rhos) + 1),
-        lambda rhos: 1.0,  # one value: right for rho0 alone, not for a step
+        lambda rhos: 1.0,  # one value: right for one rho, not for the first call's three
     ])
     def test_wrong_length_return_raises(self, error_fn):
         with pytest.raises(ParameterError, match="errors for"):
@@ -725,17 +729,17 @@ class TestKeptTiles:
 
     @pytest.mark.parametrize("fail", ["nan", "fitter"])
     def test_nothing_kept_after_return_or_raise(self, monkeypatch, built, fail):
-        # the search's second call, at rho = 10 and 0.1, fails after its
-        # first call kept two tiles
+        # the search's second call, at rho = 100, fails after its first
+        # call, at rho = 1, 10 and 0.1, kept two tiles
         error_fn, _ = self._error_fn()
         if fail == "nan":
             def error(rhos):
-                return np.where(rhos < 5, error_fn(rhos), np.nan)
+                return np.where(rhos < 50, error_fn(rhos), np.nan)
 
             raised = SearchError
         else:
             def fit(*args):
-                if args[-1] > 5:
+                if args[-1] > 50:
                     raise ParameterError("rho above the fitter's range")
                 return fit_exact(*args)
 
@@ -777,6 +781,54 @@ class TestKeptTiles:
             built.clear()
             error_fn(np.array([1e-3, 1e-2]))
             assert [kept for _, _, kept, _ in built] == [False] * 6
+
+    def test_factor_is_built_before_any_tile_is_kept(self, monkeypatch):
+        # the first call's fits, at rho0 and its two neighbours, build the
+        # parts' spectral factor before eval_model keeps a tile, so the
+        # factor's transient never sits beside the kept error grid
+        box = Region(a=[-1.5, -1.5], b=[1.5, 1.5])
+        centers = make_grid(GridSpec(a=box.a, b=box.b, counts=(16, 16)), 2)
+        grid = make_grid(GridSpec(a=box.a, b=box.b, counts=(32, 32)))
+        X = gen_uniform(box, 600, 3)
+        y = np.sin(X.sum(axis=1))
+        spec, frame = KernelSpec("thinplate", theta=2, d=2, s=1.0), PolyFrame(2, 2)
+        monkeypatch.setattr(interpolant, "_EVAL_TILE_ENTRIES", 128 * len(centers))
+        events = []
+        build, kernel = assembly._SpectralFactor.build, interpolant.kernel_matrix
+
+        def build_spy(parts):
+            factor = build(parts)
+            events.append("factor")
+            return factor
+
+        def tile_spy(spec, Q, Z, out=None):
+            if out is None:
+                events.append("kept")
+            return kernel(spec, Q, Z, out=out)
+
+        monkeypatch.setattr(assembly._SpectralFactor, "build", build_spy)
+        monkeypatch.setattr(interpolant, "kernel_matrix", tile_spy)
+
+        def peak(run, *args):
+            """run(*args) and its traced peak above the memory before it."""
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run(*args)
+            return result, tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            _, factor_peak = peak(build, assembly.approx_parts(spec, frame, X, y, centers))
+            parts = assembly.approx_parts(spec, frame, X, y, centers)
+            error_fn = grid_error_fn(lambda rho: fit_parts(parts, rho),
+                                     lambda p: float(np.sin(p.sum())), grid)
+            (_, trace), search_peak = peak(rho_search, error_fn, 0.1, 10.0, 0.0)
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 3
+        assert events == ["factor"] + ["kept"] * 8  # 1024 points, 128 per tile
+        kept_grid = len(grid) * len(centers) * 8
+        assert search_peak < factor_peak + kept_grid
 
 
 class TestScalingStudy:
